@@ -1,9 +1,12 @@
 """Chunk-based datastore over delimited text files.
 
 A datastore iterates a collection of comma-delimited files in bounded-size
-row chunks, so arbitrarily large inputs are processed with memory bounded
-by one chunk.  Column types are inferred from a sample; configured missing
-tokens (default ``NA``) become NaN in numeric columns.
+row chunks.  ``read_chunks`` holds one chunk's rows at a time; ``read_all``
+holds the whole table.  One enumeration pass (``iter_file_chunks``) also
+records the offset at which each chunk starts, so ``read_chunk`` re-reads
+any one chunk by seeking to it instead of re-scanning its file.
+Column types are inferred from a sample; configured missing tokens
+(default ``NA``) become NaN in numeric columns.
 """
 from __future__ import annotations
 
@@ -213,27 +216,37 @@ def _build_table(rows, schema, missing_tokens, context=""):
 
 
 def iter_file_chunks(ds: Datastore, file_index: int):
-    """Yield (chunk_index, raw row list) for one source file."""
+    """Yield (chunk_index, offset, raw row list) for one source file.
+
+    ``offset`` is the file position (``tell``) of the chunk's first
+    record, for ``read_chunk`` to seek to; for UTF-8 text it is the byte
+    offset.  ``csv.reader`` pulls whole lines only until a record is
+    complete, so between chunks the file stands at a record boundary,
+    quoted newlines included.  Lines are pulled with ``readline`` because
+    iterating a text file disables ``tell``.
+    """
     path = ds.sources[file_index]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(iter(fh.readline, ""))
         next(reader)   # header
         chunk_index = 0
         while True:
+            offset = fh.tell()
             rows = list(islice(reader, ds.chunk_size))
             if not rows:
                 return
-            yield chunk_index, rows
+            yield chunk_index, offset, rows
             chunk_index += 1
 
 
-def read_chunk(ds: Datastore, file_index: int, chunk_index: int) -> DataTable:
-    """Re-read one specific chunk (the unit of task re-execution)."""
+def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
+               offset: int) -> DataTable:
+    """Re-read one chunk (the unit of task re-execution), starting at the
+    offset ``iter_file_chunks`` gave for it."""
     path = ds.sources[file_index]
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        start = 1 + chunk_index * ds.chunk_size
-        rows = list(islice(reader, start, start + ds.chunk_size))
+        fh.seek(offset)
+        rows = list(islice(csv.reader(fh), ds.chunk_size))
     return _build_table(rows, ds.schema, ds.missing_tokens,
                         context=f"{path} chunk {chunk_index}")
 
@@ -245,7 +258,7 @@ def read_chunks(ds: Datastore):
     (file, chunk index) pair for re-execution.
     """
     for fi in range(len(ds.sources)):
-        for ci, rows in iter_file_chunks(ds, fi):
+        for ci, _offset, rows in iter_file_chunks(ds, fi):
             yield _build_table(rows, ds.schema, ds.missing_tokens,
                                context=f"{ds.sources[fi]} chunk {ci}")
 

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import __version__, chunkstore, fixtures, placement
 from . import regress, report, schema_pca, staging
-from .mapreduce import (BUILTIN_REDUCERS, make_column_emitter,
-                        map_count_rows, mapreduce as run_mapreduce,
-                        reduce_sum, write_log)
+from .mapreduce import (BUILTIN_REDUCERS, make_ops_mapper,
+                        mapreduce as run_mapreduce, reduce_op, write_log)
 from .errors import ConfigError, DwkitError
 from .units import (parse_bytes, parse_quantity, parse_rate, parse_seconds,
                     parse_watts)
@@ -69,8 +68,7 @@ def _normalize_block(raw, fields, context):
     _check_keys(raw, fields, context)
     out = {}
     for key, value in raw.items():
-        conv = fields[key]
-        out[key] = conv(value) if not callable(conv) else conv(value)
+        out[key] = fields[key](value)
     return out
 
 
@@ -249,29 +247,37 @@ def _cmd_mapreduce(args):
         inputs = [fixtures.server_records_path()]
     if not ops:
         raise ConfigError("mapreduce needs at least one --op")
-    parsed = [_parse_op(o) for o in ops]
+    parsed = [(op, *_parse_op(op)) for op in dict.fromkeys(ops)]
     ds = chunkstore.open_datastore(
         inputs, chunk_size=int(chunk_size),
         treat_as_missing=tuple(cfg.get("missing_tokens", ())))
+    names = ds.column_names()
+    unknown = sorted({column for _, _, column in parsed
+                      if column is not None and column not in names})
+    if unknown:
+        raise ConfigError(f"unknown column(s) {unknown}; the input has "
+                          f"{names}")
+    # one pass for every op: each chunk emits one partial per op
+    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
+                        workers=workers)
+    reduced = dict(out.pairs)
     results = {}
-    logs = []
-    for reducer, column in parsed:
-        if reducer == "count":
-            out = run_mapreduce(ds, map_count_rows, reduce_sum,
-                               workers=workers)
-            results["count"] = int(out.table.column("value")[0])
+    for key, reducer, column in parsed:
+        if key not in reduced:
+            if reducer not in ("count", "sum"):
+                raise DwkitError(f"{key}: column {column!r} has no "
+                                 f"non-missing values")
+            value = 0   # no rows, or no values to add
         else:
-            out = run_mapreduce(ds, make_column_emitter(column),
-                               BUILTIN_REDUCERS[reducer],
-                               workers=workers)
-            value = out.table.column("value")[0]
-            results[f"{reducer}:{column}"] = (
-                int(value) if isinstance(value, np.integer) else float(value))
-        logs.extend(out.log)
+            value = reduced[key]
+        if not isinstance(value, (int, float, np.number)):
+            raise DwkitError(f"{key}: column {column!r} is not numeric")
+        results[key] = (int(value) if isinstance(value, (int, np.integer))
+                        else float(value))
     manifest = {"input": [str(p) for p in inputs],
                 "chunk_size": int(chunk_size), "operations": ops}
     extra = [("scheduler.jsonl", lambda outdir: write_log(
-        logs, os.path.join(outdir, "scheduler.jsonl")))]
+        out.log, os.path.join(outdir, "scheduler.jsonl")))]
     return manifest, {"results": results}, [], extra
 
 

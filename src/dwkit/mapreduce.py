@@ -6,6 +6,10 @@ separates the phases, then reduce tasks fold each key's values.  Failed
 tasks re-execute from their chunk input up to an attempt cap; a test-only
 failure injector exercises that path.  The result is sorted by key, so a
 run is deterministic for any worker count and chunk size.
+
+``make_ops_mapper`` and ``reduce_op`` answer several aggregate ops in one
+pass, with map-side combiners: the shuffle holds one partial per op per
+chunk instead of one pair per value.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ class InjectedFailure(RuntimeError):
 class MapReduceResult:
     table: DataTable
     log: list[dict]
+    pairs: list[tuple]   # (key, reduced value) in key order, types kept
 
 
 class _SchedulerLog:
@@ -112,23 +117,22 @@ def mapreduce(ds: Datastore, map_fn, reduce_fn, *, workers=None,
         workers = os.cpu_count() or 1
     log = _SchedulerLog()
 
-    # enumerate chunk addresses up front; a task re-reads its own chunk
-    tasks = []
-    for fi in range(len(ds.sources)):
-        for ci, _rows in chunkstore.iter_file_chunks(ds, fi):
-            tasks.append((fi, ci))
+    # one enumeration pass indexes every chunk by its offset; a task
+    # (and each of its retries) re-reads its own chunk from there
+    tasks = [(fi, ci, offset) for fi in range(len(ds.sources))
+             for ci, offset, _rows in chunkstore.iter_file_chunks(ds, fi)]
 
     intermediate = {}   # task index -> list of (key, value), set when done
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        def map_task(idx, fi, ci):
+        def map_task(idx, fi, ci, offset):
             def body():
-                chunk = chunkstore.read_chunk(ds, fi, ci)
+                chunk = chunkstore.read_chunk(ds, fi, ci, offset)
                 return list(map_fn(chunk))
             return idx, _run_task(f"map-{fi}-{ci}", "map", body,
                                   attempt_cap, fail_injector, log)
 
-        futures = [pool.submit(map_task, idx, fi, ci)
-                   for idx, (fi, ci) in enumerate(tasks)]
+        futures = [pool.submit(map_task, idx, *task)
+                   for idx, task in enumerate(tasks)]
         for fut in futures:
             idx, pairs = fut.result()
             intermediate[idx] = pairs
@@ -151,7 +155,7 @@ def mapreduce(ds: Datastore, map_fn, reduce_fn, *, workers=None,
     table = _result_table(reduced)
     if log_path:
         write_log(log.events, log_path)
-    return MapReduceResult(table=table, log=log.events)
+    return MapReduceResult(table=table, log=log.events, pairs=reduced)
 
 
 # --- stock map/reduce functions (CLI building blocks) ---
@@ -187,3 +191,56 @@ def reduce_min(key, values):
 
 BUILTIN_REDUCERS = {"sum": reduce_sum, "mean": reduce_mean,
                     "max": reduce_max, "min": reduce_min}
+
+
+# --- fused ops with map-side combiners ---
+# One pass serves any number of ops.  Each chunk emits one partial per op,
+# keyed by the op ("count", "mean:Delay", ...), and the reducer dispatches
+# on the key's reducer name.  The partials fold to exactly what the stock
+# emitter and reducers above give over every value, in chunk order.
+
+def make_ops_mapper(ops):
+    """Map function for ``ops``, a list of (key, reducer, column): per
+    chunk, ``count`` emits the row count, ``sum``/``mean`` the column's
+    non-missing values as one array, and ``max``/``min`` the first
+    occurrence of the column's extreme.  A chunk without non-missing
+    values emits nothing for a column op."""
+    def emit(table):
+        for key, reducer, column in ops:
+            if reducer == "count":
+                yield key, table.nrows
+                continue
+            values = table.column(column, skip_missing=True)
+            if not len(values):
+                continue
+            if reducer in ("sum", "mean"):
+                yield key, values
+            else:
+                pick = np.argmax if reducer == "max" else np.argmin
+                yield key, values[pick(values)]
+    return emit
+
+
+def _fold_sum(arrays):
+    """``sum()`` over the arrays' elements, left to right.  Each step is
+    the same numpy scalar addition, so the result is bit-identical;
+    ``np.sum`` adds pairwise and would round differently."""
+    total = 0
+    for values in arrays:
+        total = np.add.accumulate(np.concatenate(([total], values)))[-1]
+    return total
+
+
+def reduce_op(key, partials):
+    """Fold one op's partials from ``make_ops_mapper``, in chunk order."""
+    reducer = key.split(":", 1)[0]
+    if reducer == "count":
+        return sum(partials)
+    if reducer == "max":
+        return max(partials)
+    if reducer == "min":
+        return min(partials)
+    total = _fold_sum(partials)
+    if reducer == "sum":
+        return total
+    return total / sum(len(p) for p in partials)

@@ -338,11 +338,15 @@ class PlacementSimulator:
         self.now = t
 
     def _complete_finished(self):
+        now = self.now
         for jid in list(self._active):
             job = self.jobs[jid]
-            # tolerance is size-relative so accumulated float residue can
-            # never leave a job stalled below the clock's resolution
-            if job.remaining <= max(_EPS_BYTES, 1e-12 * job.size):
+            # the size-relative tolerance absorbs accumulated float residue;
+            # a residue the job's rate moves in less than one tick of the
+            # clock would otherwise be due at self.now forever
+            remaining = job.remaining
+            if (remaining <= _EPS_BYTES or remaining <= 1e-12 * job.size
+                    or now + remaining / self._rates[jid] == now):
                 job.bytes_moved = job.size
                 job.state = "done"
                 job.completed_at = self.now

@@ -158,3 +158,102 @@ class TestRoundTrip:
             else:
                 np.testing.assert_array_equal(t1.column(name)[m],
                                               t2.column(name)[m])
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def assert_same_table(a, b):
+    assert a.column_names == b.column_names
+    assert a.kinds == b.kinds
+    for name in a.column_names:
+        np.testing.assert_array_equal(a.missing[name], b.missing[name])
+        assert a.column(name).dtype == b.column(name).dtype
+        assert list(a.column(name)[~a.missing[name]]) \
+            == list(b.column(name)[~b.missing[name]])
+
+
+class TestChunkIndex:
+    """read_chunk at an indexed offset gives the same table as the
+    sequential read, whatever the line endings, quoting or encoding."""
+
+    @pytest.fixture
+    def sources(self, tmp_path):
+        # CRLF endings, a quoted CRLF and quoted commas, multi-byte text
+        crlf = write_bytes(tmp_path / "crlf.csv", (
+            'id,name,v\r\n'
+            '1,"a, b",1.5\r\n'
+            '2,"two\r\nlines, é",NA\r\n'
+            '3,café,2\r\n'
+            '4,"say ""hi""",2.25\r\n'
+            '5,€uro,NA\r\n').encode())
+        # LF endings, a quoted LF, and a last line without a newline
+        lf = write_bytes(tmp_path / "lf.csv", (
+            'id,name,v\n'
+            '6,"x\ny",3\n'
+            '7,plain,4.5\n'
+            '8,"q,\n,r",NA\n'
+            '9,ü,6').encode())
+        return [crlf, lf]
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 9])
+    def test_indexed_read_equals_sequential(self, sources, chunk_size):
+        ds = cs.open_datastore(sources, chunk_size=chunk_size)
+        sequential = list(cs.read_chunks(ds))
+        indexed = [cs.read_chunk(ds, fi, ci, offset)
+                   for fi in range(len(ds.sources))
+                   for ci, offset, _rows in cs.iter_file_chunks(ds, fi)]
+        assert len(indexed) == len(sequential)
+        for a, b in zip(indexed, sequential):
+            assert_same_table(a, b)
+        assert sum(len(t) for t in indexed) == 9
+
+    def test_offsets_are_byte_offsets_of_records(self, sources):
+        ds = cs.open_datastore(sources, chunk_size=1)
+        with open(sources[0], "rb") as fh:
+            raw = fh.read()
+        offsets = [offset for _ci, offset, _rows
+                   in cs.iter_file_chunks(ds, 0)]
+        starts = [raw.index(rec) for rec in
+                  (b"1,", b"2,", b"3,", b"4,", b"5,")]
+        assert offsets == starts
+
+    def test_crlf_split_across_read_blocks(self, tmp_path):
+        # pad records so that a "\r\n" straddles each 8 KiB block the
+        # text layer decodes; the decoder then holds the "\r" back
+        block = 8192
+        data = bytearray(b"x,y\r\n")
+        k = 0
+        while len(data) < 3 * block:
+            line = f"{k},v{'é' * (k % 5)}".encode()
+            gap = (len(data) // block + 1) * block - 1 - len(data) - len(line)
+            if 0 <= gap < 40:
+                line += b"p" * gap
+            data += line + b"\r\n"
+            k += 1
+        assert data[block - 1:block + 1] == b"\r\n"
+        p = write_bytes(tmp_path / "blocks.csv", bytes(data))
+        for size in (1, 3):
+            ds = cs.open_datastore(p, chunk_size=size)
+            for (ci, offset, _rows), table in zip(
+                    cs.iter_file_chunks(ds, 0), cs.read_chunks(ds)):
+                assert_same_table(cs.read_chunk(ds, 0, ci, offset), table)
+
+    def test_lone_cr_endings(self, tmp_path):
+        p = write_bytes(tmp_path / "cr.csv", b"x,y\r1,a\r2,b\r3,c\r")
+        ds = cs.open_datastore(p, chunk_size=2)
+        sequential = list(cs.read_chunks(ds))
+        indexed = [cs.read_chunk(ds, 0, ci, offset)
+                   for ci, offset, _rows in cs.iter_file_chunks(ds, 0)]
+        assert [len(t) for t in indexed] == [2, 1]
+        for a, b in zip(indexed, sequential):
+            assert_same_table(a, b)
+
+    def test_sample_fixture_every_chunk_size(self):
+        for size in (1, 3, 7, 8):
+            ds = cs.open_datastore(server_records_path(), chunk_size=size)
+            for (ci, offset, _rows), table in zip(
+                    cs.iter_file_chunks(ds, 0), cs.read_chunks(ds)):
+                assert_same_table(cs.read_chunk(ds, 0, ci, offset), table)

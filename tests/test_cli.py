@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dwkit
 from dwkit.cli import main
 from dwkit.fixtures import overload_scenario_path, server_records_path
 
@@ -188,6 +191,121 @@ class TestMapreduceCommand:
     def test_no_op_is_usage_error(self, tmp_path):
         assert run(["mapreduce", "--out", str(tmp_path / "out")]) == 2
 
+
+def run_process(argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwkit.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "DWKIT_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dwkit.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def assert_one_line_error(proc, code):
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.fixture
+def fused_csv(tmp_path):
+    # n: integers, never missing; r: reals with missing cells and a
+    # spread of magnitudes, so the sum depends on the order of additions;
+    # m: integers with missing cells
+    lines = ["n,r,m"]
+    for k in range(200):
+        r = "NA" if k % 13 == 5 else repr((-1) ** k * 1.37 ** (k % 60) / 7)
+        m = "NA" if k % 17 == 3 else str(k * k - 500)
+        lines.append(f"{(k * 7919) % 1009 - 300},{r},{m}")
+    path = tmp_path / "fused.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestFusedMapreduce:
+    OPS = ["count", "sum:n", "max:n", "min:n", "sum:r", "mean:r", "max:r",
+           "min:r", "mean:m"]
+
+    def run_ops(self, tmp_path, csv, chunk_size, workers):
+        out = str(tmp_path / f"out-{chunk_size}-{workers}")
+        argv = ["mapreduce", "--input", csv, "--chunk-size",
+                str(chunk_size), "--workers", str(workers), "--out", out]
+        for op in self.OPS:
+            argv += ["--op", op]
+        assert run(argv) == 0
+        return out
+
+    def test_report_independent_of_chunk_size_and_workers(self, tmp_path,
+                                                          fused_csv):
+        reports = {}
+        for chunk_size in (1, 7, 1000):
+            raw = []
+            for workers in (1, 2):
+                out = self.run_ops(tmp_path, fused_csv, chunk_size, workers)
+                with open(os.path.join(out, "report.json"), "rb") as fh:
+                    raw.append(fh.read())
+            assert raw[0] == raw[1]
+            report = json.loads(raw[0])
+            # the manifest echoes the chunk size; all else is compared
+            assert report["config"].pop("chunk_size") == chunk_size
+            reports[chunk_size] = json.dumps(report, sort_keys=True)
+        assert reports[1] == reports[7] == reports[1000]
+        results = json.loads(reports[1])["results"]["results"]
+        assert results["count"] == 200
+        for key in ("sum:n", "max:n", "min:n"):
+            assert type(results[key]) is int, key
+        assert type(results["mean:m"]) is float
+
+    def test_one_map_task_per_chunk(self, tmp_path, fused_csv):
+        out = self.run_ops(tmp_path, fused_csv, 7, 2)
+        with open(os.path.join(out, "scheduler.jsonl")) as fh:
+            log = [json.loads(line) for line in fh]
+        starts = [ev["task"] for ev in log if ev["kind"] == "map-start"]
+        assert len(starts) == len(set(starts)) == 29   # ceil(200 / 7)
+        assert [ev["kind"] for ev in log].count("barrier") == 1
+        reduces = sorted(ev["task"] for ev in log
+                         if ev["kind"] == "reduce-start")
+        assert reduces == sorted(f"reduce-{op}" for op in self.OPS)
+
+    def test_unknown_column_is_usage_error_before_any_task(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_process(["mapreduce", "--op", "count",
+                            "--op", "mean:NOSUCHCOL", "--out", str(out)])
+        assert_one_line_error(proc, 2)
+        assert "NOSUCHCOL" in proc.stderr
+        assert not out.exists()
+
+    def test_header_only_input(self, tmp_path):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("a,b\n")
+        out = tmp_path / "out"
+        proc = run_process(["mapreduce", "--input", str(csv), "--op",
+                            "count", "--op", "sum:b", "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        results = load_report(str(out))["results"]["results"]
+        assert results == {"count": 0, "sum:b": 0}
+        for op in ("mean:b", "max:a", "min:a"):
+            proc = run_process(["mapreduce", "--input", str(csv), "--op",
+                                op, "--out", str(tmp_path / op)])
+            assert_one_line_error(proc, 1)
+
+    def test_all_missing_column(self, tmp_path):
+        csv = tmp_path / "na.csv"
+        csv.write_text("a,b\n1,NA\n2,NA\n")
+        proc = run_process(["mapreduce", "--input", str(csv), "--op",
+                            "mean:b", "--out", str(tmp_path / "out")])
+        assert_one_line_error(proc, 1)
+        assert "no non-missing values" in proc.stderr
+
+    def test_text_column_max_is_an_error(self, tmp_path, capsys):
+        csv = tmp_path / "text.csv"
+        csv.write_text("a,t\n1,x\n2,y\n")
+        code = run(["mapreduce", "--input", str(csv), "--op", "max:t",
+                    "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "not numeric" in capsys.readouterr().err
 
 class TestRegressCommand:
     def test_default_fixture_run(self, tmp_path):

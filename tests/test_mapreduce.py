@@ -1,13 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from dwkit import chunkstore as cs
 from dwkit.errors import TaskFailedError
 from dwkit.fixtures import server_records_path
-from dwkit.mapreduce import (InjectedFailure, make_column_emitter,
+from dwkit.mapreduce import (BUILTIN_REDUCERS, InjectedFailure,
+                             make_column_emitter, make_ops_mapper,
                              map_count_rows, mapreduce, reduce_max,
-                             reduce_mean, reduce_sum, write_log)
+                             reduce_mean, reduce_op, reduce_sum, write_log)
 
 
 def open_sample(chunk_size=3):
@@ -157,3 +159,58 @@ def test_injected_failure_is_reported_in_log():
     assert failed[0]["task"] == "map-0-1"
     assert "attempt 1" in failed[0]["error"]
     assert isinstance(InjectedFailure("x"), RuntimeError)
+
+
+class TestCombiners:
+    """One fused pass with per-chunk partials gives bit-for-bit what one
+    pass per op over every emitted value gives."""
+
+    @pytest.fixture
+    def mixed_ds(self, tmp_path):
+        # i is an integer column whose chunks are int64 or, where a value
+        # is missing, float64; r holds reals whose sum depends on order
+        rng = np.random.default_rng(7)
+        lines = ["i,r"]
+        for k in range(200):
+            i = int(rng.integers(-10**6, 10**6))
+            r = float(rng.normal() * 10.0 ** rng.integers(-8, 9))
+            lines.append(f"{'NA' if k % 17 == 3 else i},"
+                         f"{'NA' if k % 13 == 5 else repr(r)}")
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 64, 1000])
+    def test_fused_equals_one_pass_per_op(self, mixed_ds, chunk_size):
+        ds = cs.open_datastore(mixed_ds, chunk_size=chunk_size)
+        ops = [("count", "count", None)] + [
+            (f"{r}:{c}", r, c) for r in ("sum", "mean", "max", "min")
+            for c in ("i", "r")]
+        fused = dict(mapreduce(ds, make_ops_mapper(ops), reduce_op,
+                               workers=2).pairs)
+        assert fused["count"] == mapreduce(
+            ds, map_count_rows, reduce_sum).pairs[0][1] == 200
+        for key, reducer, column in ops[1:]:
+            (_, want), = mapreduce(ds, make_column_emitter(column),
+                                   BUILTIN_REDUCERS[reducer]).pairs
+            assert type(fused[key]) is type(want), key
+            assert fused[key] == want, key
+
+    def test_one_partial_per_op_per_chunk(self):
+        ds = open_sample(3)
+        ops = [("count", "count", None), ("mean:Delay", "mean", "Delay"),
+               ("max:ExtraTime", "max", "ExtraTime")]
+        res = mapreduce(ds, make_ops_mapper(ops), reduce_op)
+        emitted = [list(make_ops_mapper(ops)(t)) for t in cs.read_chunks(ds)]
+        # the all-missing column emits nothing; the others one item each
+        assert [[k for k, _ in pairs] for pairs in emitted] == \
+            [["count", "mean:Delay"]] * 3
+        assert dict(res.pairs) == {"count": 8, "mean:Delay": 15.875}
+
+    def test_sum_folds_sequentially(self):
+        # each 1.0 added to 1e16 rounds away in a left fold; np.sum adds
+        # in interleaved partial sums and keeps them
+        values = np.array([1e16] + [1.0] * 15)
+        folded = reduce_op("sum:x", [values[:4], values[4:]])
+        assert folded == reduce_sum("x", list(values)) == 1e16
+        assert folded != np.sum(values)

@@ -140,6 +140,28 @@ class TestTransferOracles:
             assert job.bytes_moved == job.size
         assert m["bytes_moved"] == sum(j.size for j in sim.jobs.values())
 
+    def test_residue_below_clock_resolution_completes(self):
+        # a lossy run with an unbounded queue reached this state and spun:
+        # 1.375e-3 B left at 5 GB/s is due 2.75e-13 s later, under half an
+        # ulp of now, and above the size-relative tolerance of 1.14e-3 B
+        sim = PlacementSimulator(two_sites(bw_a=5 * GB, bw_b=5 * GB))
+        jid = sim.submit_transfer("a", "b", 1.142929483e9, "u")
+        job = sim.jobs[jid]
+        sim.now = 5541.745914121392
+        job.bytes_moved = job.size - 1.375e-3
+        sim._dispatch()
+        sim._recompute_rates()
+        t_done = sim._next_completion()
+        assert t_done == sim.now
+        assert job.remaining > 1e-12 * job.size
+        # one step of the run loop: advance, then complete what is due
+        sim._advance(t_done)
+        sim._complete_finished()
+        assert job.state == "done"
+        assert job.completed_at == 5541.745914121392
+        assert job.bytes_moved == job.size
+        assert sim.run()["completed"] == 1
+
 
 class TestFailures:
     def test_failure_after_completion_no_effect(self):
