@@ -74,7 +74,9 @@ class DataTable:
     def column(self, name, skip_missing=False):
         v = self.columns[name]
         if skip_missing:
-            return v[~self.missing[name]]
+            v = v[~self.missing[name]]
+            if self.kinds[name] == "integer":   # stored as float64 if NaN
+                v = v.astype(np.int64, copy=False)
         return v
 
     def missing_count(self, name):

@@ -46,18 +46,19 @@ def _check_keys(obj, allowed, context):
         raise ConfigError(f"unknown key(s) in {context}: {unknown}")
 
 
-def _load_config(path):
+def _load_config(path, what="config"):
+    """Read a JSON object (a config or a scenario); check schema_version."""
     if path is None:
         return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ConfigError(f"{what} {path} must be a JSON object")
     version = cfg.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}")
@@ -200,8 +201,7 @@ def _cmd_simulate(args):
     scenario_path = args.scenario or cfg.get("scenario")
     if scenario_path is None:
         raise ConfigError("simulate needs --scenario FILE")
-    with open(scenario_path) as fh:
-        scenario = json.load(fh)
+    scenario = _load_config(scenario_path, "scenario")
     mode = args.mode or cfg.get("mode")
     if mode is not None:
         scenario.setdefault("policy", {})["mode"] = mode
@@ -235,12 +235,11 @@ def _parse_op(spec):
 
 def _cmd_mapreduce(args):
     cfg = _load_config(args.config)
-    _check_keys(cfg, ("input", "chunk_size", "operations", "missing_tokens",
-                      "workers"), "mapreduce config")
+    _check_keys(cfg, ("input", "chunk_size", "operations", "missing_tokens"),
+                "mapreduce config")
     inputs = list(args.input or cfg.get("input") or [])
     ops = list(args.op or cfg.get("operations") or [])
     chunk_size = args.chunk_size or cfg.get("chunk_size") or 1000
-    workers = args.workers or cfg.get("workers")
     if chunk_size < 1:
         raise ConfigError("chunk_size must be >= 1")
     if not inputs:
@@ -258,8 +257,7 @@ def _cmd_mapreduce(args):
         raise ConfigError(f"unknown column(s) {unknown}; the input has "
                           f"{names}")
     # one pass for every op: each chunk emits one partial per op
-    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
-                        workers=workers)
+    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op)
     reduced = dict(out.pairs)
     results = {}
     for key, reducer, column in parsed:
@@ -270,8 +268,6 @@ def _cmd_mapreduce(args):
             value = 0   # no rows, or no values to add
         else:
             value = reduced[key]
-        if not isinstance(value, (int, float, np.number)):
-            raise DwkitError(f"{key}: column {column!r} is not numeric")
         results[key] = (int(value) if isinstance(value, (int, np.integer))
                         else float(value))
     manifest = {"input": [str(p) for p in inputs],
@@ -418,7 +414,8 @@ def build_parser():
     common(p)
     p.add_argument("--input", action="append", help="CSV file, repeatable")
     p.add_argument("--chunk-size", type=int, dest="chunk_size")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="ignored; map tasks run in order in one thread")
     p.add_argument("--op", action="append",
                    help="count or REDUCER:COLUMN (sum/mean/max/min)")
 

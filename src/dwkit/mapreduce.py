@@ -1,11 +1,13 @@
 """MapReduce executor over datastore chunks.
 
-Map tasks (one per chunk) run on a thread pool; their keyed output is
-published to the intermediate store only at task completion.  A barrier
-separates the phases, then reduce tasks fold each key's values.  Failed
-tasks re-execute from their chunk input up to an attempt cap; a test-only
-failure injector exercises that path.  The result is sorted by key, so a
-run is deterministic for any worker count and chunk size.
+Map tasks (one per chunk) run in chunk order in the caller, with no thread
+pool; a task's keyed output joins the shuffle only once the task succeeds.
+A barrier separates the phases, then reduce tasks fold each key's values
+in key order.  Failed tasks re-execute from their chunk input up to an
+attempt cap, except on a ``DwkitError`` (a malformed cell, a text column),
+which would fail again and is raised at once; a test-only failure injector
+exercises the retry path.  The result is sorted by key, so a run is
+deterministic for any chunk size.
 
 ``make_ops_mapper`` and ``reduce_op`` answer several aggregate ops in one
 pass, with map-side combiners: the shuffle holds one partial per op per
@@ -15,16 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import chunkstore
 from .chunkstore import DataTable, Datastore
-from .errors import TaskFailedError
+from .errors import DwkitError, TaskFailedError
 
 DEFAULT_ATTEMPT_CAP = 3
 
@@ -40,43 +39,34 @@ class MapReduceResult:
     pairs: list[tuple]   # (key, reduced value) in key order, types kept
 
 
-class _SchedulerLog:
-    def __init__(self):
-        self._events = []
-        self._lock = threading.Lock()
-
-    def emit(self, kind, **detail):
-        with self._lock:
-            self._events.append({"seq": len(self._events), "kind": kind,
-                                 **detail})
-
-    @property
-    def events(self):
-        return self._events
-
-
 def write_log(events, path):
     with open(path, "w") as fh:
         for ev in events:
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
+def _emit(log, kind, **detail):
+    log.append({"seq": len(log), "kind": kind, **detail})
+
+
 def _run_task(task_id, kind, fn, attempt_cap, fail_injector, log):
     last_exc = None
     for attempt in range(1, attempt_cap + 1):
-        log.emit(f"{kind}-start", task=task_id, attempt=attempt)
+        _emit(log, f"{kind}-start", task=task_id, attempt=attempt)
         try:
             if fail_injector is not None and fail_injector(kind, task_id,
                                                           attempt):
                 raise InjectedFailure(f"{kind} task {task_id} "
                                       f"attempt {attempt}")
             out = fn()
+        except DwkitError:
+            raise   # deterministic: a retry would fail the same way
         except Exception as exc:
             last_exc = exc
-            log.emit(f"{kind}-failed", task=task_id, attempt=attempt,
-                     error=str(exc))
+            _emit(log, f"{kind}-failed", task=task_id, attempt=attempt,
+                  error=str(exc))
             continue
-        log.emit(f"{kind}-done", task=task_id, attempt=attempt)
+        _emit(log, f"{kind}-done", task=task_id, attempt=attempt)
         return out
     raise TaskFailedError(task_id, last_exc)
 
@@ -104,58 +94,42 @@ def _result_table(pairs):
                      {"key": kkind, "value": vkind})
 
 
-def mapreduce(ds: Datastore, map_fn, reduce_fn, *, workers=None,
+def mapreduce(ds: Datastore, map_fn, reduce_fn, *,
               attempt_cap=DEFAULT_ATTEMPT_CAP, fail_injector=None,
               log_path=None) -> MapReduceResult:
     """Apply ``map_fn`` to every chunk and fold each key with ``reduce_fn``.
 
     ``map_fn(table)`` yields (key, value) pairs; ``reduce_fn(key, values)``
-    returns the folded value for one key.  Values reach the reducer in
-    chunk order, so the grouping is independent of task completion order.
+    returns the folded value for one key.  Tasks run in order in the
+    caller, so values reach the reducer in chunk order.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    log = _SchedulerLog()
+    log = []
 
     # one enumeration pass indexes every chunk by its offset; a task
     # (and each of its retries) re-reads its own chunk from there
     tasks = [(fi, ci, offset) for fi in range(len(ds.sources))
              for ci, offset, _rows in chunkstore.iter_file_chunks(ds, fi)]
 
-    intermediate = {}   # task index -> list of (key, value), set when done
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def map_task(idx, fi, ci, offset):
-            def body():
-                chunk = chunkstore.read_chunk(ds, fi, ci, offset)
-                return list(map_fn(chunk))
-            return idx, _run_task(f"map-{fi}-{ci}", "map", body,
-                                  attempt_cap, fail_injector, log)
+    groups = {}
+    for fi, ci, offset in tasks:
+        def body():
+            chunk = chunkstore.read_chunk(ds, fi, ci, offset)
+            return list(map_fn(chunk))
+        for key, value in _run_task(f"map-{fi}-{ci}", "map", body,
+                                    attempt_cap, fail_injector, log):
+            groups.setdefault(key, []).append(value)
 
-        futures = [pool.submit(map_task, idx, *task)
-                   for idx, task in enumerate(tasks)]
-        for fut in futures:
-            idx, pairs = fut.result()
-            intermediate[idx] = pairs
+    _emit(log, "barrier", maps=len(tasks))
 
-        log.emit("barrier", maps=len(tasks))
-
-        groups = {}
-        for idx in range(len(tasks)):
-            for key, value in intermediate[idx]:
-                groups.setdefault(key, []).append(value)
-
-        keys = sorted(groups)
-        reduce_futures = [
-            pool.submit(_run_task, f"reduce-{k}", "reduce",
-                        (lambda key=k: (key, reduce_fn(key, groups[key]))),
-                        attempt_cap, fail_injector, log)
-            for k in keys]
-        reduced = [fut.result() for fut in reduce_futures]
+    reduced = [_run_task(f"reduce-{k}", "reduce",
+                         lambda: (k, reduce_fn(k, groups[k])),
+                         attempt_cap, fail_injector, log)
+               for k in sorted(groups)]
 
     table = _result_table(reduced)
     if log_path:
-        write_log(log.events, log_path)
-    return MapReduceResult(table=table, log=log.events, pairs=reduced)
+        write_log(log, log_path)
+    return MapReduceResult(table=table, log=log, pairs=reduced)
 
 
 # --- stock map/reduce functions (CLI building blocks) ---
@@ -204,7 +178,8 @@ def make_ops_mapper(ops):
     chunk, ``count`` emits the row count, ``sum``/``mean`` the column's
     non-missing values as one array, and ``max``/``min`` the first
     occurrence of the column's extreme.  A chunk without non-missing
-    values emits nothing for a column op."""
+    values emits nothing for a column op; a text column with values
+    raises ``DwkitError``."""
     def emit(table):
         for key, reducer, column in ops:
             if reducer == "count":
@@ -213,6 +188,8 @@ def make_ops_mapper(ops):
             values = table.column(column, skip_missing=True)
             if not len(values):
                 continue
+            if table.kinds[column] == "text":
+                raise DwkitError(f"{key}: column {column!r} is not numeric")
             if reducer in ("sum", "mean"):
                 yield key, values
             else:

@@ -27,11 +27,6 @@ from .units import parse_bytes, parse_rate, parse_seconds
 
 _EPS_BYTES = 1e-6
 
-EVENT_KINDS = ("alloc-granted", "alloc-denied", "alloc-expired",
-               "transfer-start", "transfer-progress", "transfer-complete",
-               "transfer-dropped", "failure-injected", "retry-scheduled",
-               "replica-placed")
-
 
 @dataclass(frozen=True)
 class StorageSite:
@@ -39,7 +34,6 @@ class StorageSite:
     capacity: float
     ingress_bw: float
     egress_bw: float
-    backend: bool = False   # fronts a tertiary tier
 
     def __post_init__(self):
         if self.capacity <= 0 or self.ingress_bw <= 0 or self.egress_bw <= 0:
@@ -508,8 +502,7 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
     sites = [StorageSite(id=s["id"],
                          capacity=parse_bytes(s["capacity"]),
                          ingress_bw=parse_rate(s["ingress_bw"]),
-                         egress_bw=parse_rate(s["egress_bw"]),
-                         backend=bool(s.get("backend", False)))
+                         egress_bw=parse_rate(s["egress_bw"]))
              for s in scenario["sites"]]
     pol = scenario.get("policy", {})
     policy = PlacementPolicy(

@@ -296,8 +296,7 @@ def test_criterion_9_property_suites(tmp_path):
         outs = set()
         for chunk_size in (1, int(rng.integers(2, 8)), max(n, 1)):
             ds = chunkstore.open_datastore(str(csv), chunk_size=chunk_size)
-            res = mapreduce(ds, make_column_emitter("v"), reduce_sum,
-                            workers=2)
+            res = mapreduce(ds, make_column_emitter("v"), reduce_sum)
             outs.add(int(res.table.column("value")[0]))
         assert outs == {int(vals.sum())}
 

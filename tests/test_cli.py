@@ -168,6 +168,13 @@ class TestSimulateCommand:
     def test_missing_scenario_is_usage_error(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "out")]) == 2
 
+    def test_unreadable_scenario_is_one_line_usage_error(self, tmp_path):
+        proc = run_process(["simulate", "--scenario",
+                            str(tmp_path / "nonexistent.json"),
+                            "--out", str(tmp_path / "out")])
+        assert_one_line_error(proc, 2)
+        assert "nonexistent.json" in proc.stderr
+
 
 class TestMapreduceCommand:
     def test_bundled_sample_aggregates(self, tmp_path):
@@ -226,7 +233,7 @@ def fused_csv(tmp_path):
 
 class TestFusedMapreduce:
     OPS = ["count", "sum:n", "max:n", "min:n", "sum:r", "mean:r", "max:r",
-           "min:r", "mean:m"]
+           "min:r", "mean:m", "sum:m", "max:m", "min:m"]
 
     def run_ops(self, tmp_path, csv, chunk_size, workers):
         out = str(tmp_path / f"out-{chunk_size}-{workers}")
@@ -254,7 +261,7 @@ class TestFusedMapreduce:
         assert reports[1] == reports[7] == reports[1000]
         results = json.loads(reports[1])["results"]["results"]
         assert results["count"] == 200
-        for key in ("sum:n", "max:n", "min:n"):
+        for key in ("sum:n", "max:n", "min:n", "sum:m", "max:m", "min:m"):
             assert type(results[key]) is int, key
         assert type(results["mean:m"]) is float
 
@@ -306,6 +313,15 @@ class TestFusedMapreduce:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "not numeric" in capsys.readouterr().err
+
+    def test_text_column_mean_is_one_line_error(self, tmp_path):
+        csv = tmp_path / "text.csv"
+        csv.write_text("a,t\n1,x\n2,y\n")
+        proc = run_process(["mapreduce", "--input", str(csv), "--op",
+                            "mean:t", "--out", str(tmp_path / "out")])
+        assert_one_line_error(proc, 1)
+        assert "not numeric" in proc.stderr
+
 
 class TestRegressCommand:
     def test_default_fixture_run(self, tmp_path):

@@ -1,10 +1,11 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from dwkit import chunkstore as cs
-from dwkit.errors import TaskFailedError
+from dwkit.errors import MalformedValueError, TaskFailedError
 from dwkit.fixtures import server_records_path
 from dwkit.mapreduce import (BUILTIN_REDUCERS, InjectedFailure,
                              make_column_emitter, make_ops_mapper,
@@ -55,12 +56,25 @@ class TestOracles:
 
 class TestChunkInvariance:
     @pytest.mark.parametrize("chunk_size", [1, 3, 8, 100])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_same_answer(self, chunk_size, workers):
+    def test_same_answer(self, chunk_size):
         res = mapreduce(open_sample(chunk_size),
-                        make_column_emitter("Delay"), reduce_mean,
-                        workers=workers)
+                        make_column_emitter("Delay"), reduce_mean)
         assert as_dict(res.table)["Delay"] == pytest.approx(15.875)
+
+    def test_tasks_run_on_the_callers_thread(self):
+        threads = set()
+
+        def map_fn(table):
+            threads.add(threading.get_ident())
+            yield "rows", table.nrows
+
+        def reduce_fn(key, values):
+            threads.add(threading.get_ident())
+            return sum(values)
+
+        res = mapreduce(open_sample(1), map_fn, reduce_fn)
+        assert as_dict(res.table) == {"rows": 8}
+        assert threads == {threading.get_ident()}
 
 
 class TestFailureHandling:
@@ -92,7 +106,7 @@ class TestFailureHandling:
                 raise RuntimeError("boom")
             yield "rows", table.nrows
 
-        res = mapreduce(open_sample(), flaky_map, reduce_sum, workers=1)
+        res = mapreduce(open_sample(), flaky_map, reduce_sum)
         # the failed chunk (the 2-row one) was re-read and mapped again
         assert sorted(seen) == [2, 2, 3, 3]
         assert as_dict(res.table) == {"rows": 8}
@@ -118,11 +132,22 @@ class TestFailureHandling:
                       attempt_cap=4, fail_injector=injector)
         assert attempts == [1, 2, 3, 4]
 
+    def test_dwkit_error_is_not_retried(self):
+        calls = []
+
+        def bad_map(table):
+            calls.append(table.nrows)
+            raise MalformedValueError("x", "integer", "test")
+            yield
+
+        with pytest.raises(MalformedValueError):
+            mapreduce(open_sample(), bad_map, reduce_sum)
+        assert len(calls) == 1
+
 
 class TestSchedulerLog:
     def test_barrier_separates_phases(self):
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum,
-                        workers=4)
+        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
         kinds = [e["kind"] for e in res.log]
         barrier = kinds.index("barrier")
         assert all(k.startswith("map-") for k in kinds[:barrier])
@@ -143,8 +168,7 @@ class TestSchedulerLog:
     def test_single_worker_log_is_deterministic(self, tmp_path):
         logs = []
         for _ in range(2):
-            res = mapreduce(open_sample(), map_count_rows, reduce_sum,
-                            workers=1)
+            res = mapreduce(open_sample(), map_count_rows, reduce_sum)
             logs.append(res.log)
         assert logs[0] == logs[1]
 
@@ -186,8 +210,7 @@ class TestCombiners:
         ops = [("count", "count", None)] + [
             (f"{r}:{c}", r, c) for r in ("sum", "mean", "max", "min")
             for c in ("i", "r")]
-        fused = dict(mapreduce(ds, make_ops_mapper(ops), reduce_op,
-                               workers=2).pairs)
+        fused = dict(mapreduce(ds, make_ops_mapper(ops), reduce_op).pairs)
         assert fused["count"] == mapreduce(
             ds, map_count_rows, reduce_sum).pairs[0][1] == 200
         for key, reducer, column in ops[1:]:
