@@ -7,6 +7,15 @@ records the offset at which each chunk starts, so ``read_chunk`` re-reads
 any one chunk by seeking to it instead of re-scanning its file.
 Column types are inferred from a sample; configured missing tokens
 (default ``NA``) become NaN in numeric columns.
+
+Numeric columns are parsed a column at a time, for inference and for
+building tables alike: the missing tokens are dropped, one regular
+expression checks that every other token is a plain ASCII number, and one
+``np.array`` call converts them all with Python's own ``int``/``float``.
+A column that fails either step (quoted or padded cells, Unicode digits,
+``1_000``, integers past int64, malformed cells) is parsed cell by cell
+with ``parse_value``, which gives the same values and names the first
+malformed cell with its file, chunk and column.
 """
 from __future__ import annotations
 
@@ -16,6 +25,7 @@ import os
 import re
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +35,8 @@ from .errors import (InconsistentHeaderError, MalformedValueError,
 KINDS = ("integer", "real", "text")
 DEFAULT_MISSING_TOKENS = ("NA",)
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_PLAIN_INTEGER = re.compile(r"[-+0-9\n]*")
+_PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
 
 
 def strip_quotes(token: str) -> str:
@@ -82,6 +94,19 @@ class DataTable:
     def missing_count(self, name):
         return int(self.missing[name].sum())
 
+    def complete_cases(self, names):
+        """This table without the rows missing a value in any of
+        ``names``, and the number of rows dropped."""
+        keep = np.ones(self.nrows, dtype=bool)
+        for n in names:
+            keep &= ~self.missing[n]
+        dropped = self.nrows - int(keep.sum())
+        if not dropped:
+            return self, 0
+        return DataTable({n: v[keep] for n, v in self.columns.items()},
+                         {n: m[keep] for n, m in self.missing.items()},
+                         dict(self.kinds)), dropped
+
     def __len__(self):
         return self.nrows
 
@@ -112,7 +137,71 @@ def _is_missing(token, missing_tokens):
     return strip_quotes(token.strip()) in missing_tokens
 
 
+def _plain_kind(present):
+    """The narrowest numeric kind whose plain alphabet holds every token.
+
+    ``integer`` for tokens of ASCII signs and digits only; ``real`` also
+    allows ``.``, ``e`` and ``E``; None for anything else, or no tokens.
+    A plain token has no whitespace, quotes, underscores or letters of
+    ``nan``/``inf``, so ``parse_value``'s strip and unquote leave it as it
+    is and ``int``/``float`` give it the same value.  One C-level match
+    runs over all tokens joined by newlines; the newline count rules out
+    a token that holds one itself.
+    """
+    joined = "\n".join(present)
+    if not present or joined.count("\n") != len(present) - 1:
+        return None
+    if _PLAIN_INTEGER.fullmatch(joined):
+        return "integer"
+    if _PLAIN_REAL.fullmatch(joined):
+        return "real"
+    return None
+
+
+def _parse_plain(tokens, kind, missing_tokens):
+    """Parse a column of raw tokens as numbers in one numpy call.
+
+    ``kind`` is the column's kind, or None for the narrowest kind that
+    fits.  Returns (kind, float64 values with NaN at missing cells,
+    missing mask), or None when a token is not plain for ``kind`` or
+    ``int``/``float`` rejects it: the caller then parses cell by cell,
+    which gives the same result or names the malformed cell.  Only
+    missing tokens that are their own stripped, unquoted form are
+    dropped here, so every dropped cell is one ``parse_value`` also
+    calls missing.
+    """
+    drop = {t for t in missing_tokens if strip_quotes(t.strip()) == t}
+    # list membership compares strings; a set test would hash every token
+    if not any(t in tokens for t in drop):
+        present, mask = tokens, np.zeros(len(tokens), dtype=bool)
+    else:
+        present = [t for t in tokens if t not in drop]
+        mask = np.array([t in drop for t in tokens], dtype=bool)
+    plain = _plain_kind(present)
+    if plain is None or (plain == "real" and kind == "integer"):
+        return None
+    kind = kind or plain
+    try:
+        if kind == "integer":
+            # through int64, as parse_value's ints stored in float64
+            values = np.array(present, dtype=np.int64).astype(np.float64)
+        else:
+            values = np.array(present, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if len(present) < len(tokens):
+        full = np.full(len(tokens), np.nan)
+        full[~mask] = values
+        values = full
+    return kind, values, mask
+
+
 def _infer_kind(tokens, missing_tokens):
+    # A plain integer column that fails its parse (past int64) is decided
+    # cell by cell, not tried as real: _INT_RE still calls it integer.
+    parsed = _parse_plain(tokens, None, missing_tokens)
+    if parsed is not None:
+        return parsed[0]
     present = [strip_quotes(t.strip()) for t in tokens
                if not _is_missing(t, missing_tokens)]
     if not present:
@@ -125,6 +214,14 @@ def _infer_kind(tokens, missing_tokens):
         return "real"
     except ValueError:
         return "text"
+
+
+def _column_tokens(rows, j):
+    """Column ``j`` of ``rows``, or None if a row is too short for it."""
+    try:
+        return list(map(itemgetter(j), rows))
+    except IndexError:
+        return None
 
 
 def _read_header(path):
@@ -170,7 +267,9 @@ def open_datastore(paths, chunk_size=10000, missing_tokens=None,
             break
     kinds = {}
     for j, name in enumerate(header):
-        col_tokens = [row[j] for row in sample if j < len(row)]
+        col_tokens = _column_tokens(sample, j)
+        if col_tokens is None:
+            col_tokens = [row[j] for row in sample if j < len(row)]
         kinds[name] = _infer_kind(col_tokens, tokens)
     if column_types:
         for name, kind in column_types.items():
@@ -184,31 +283,48 @@ def open_datastore(paths, chunk_size=10000, missing_tokens=None,
                      missing_tokens=tokens, chunk_size=chunk_size)
 
 
-def _build_table(rows, schema, missing_tokens, context=""):
-    columns, missing, kinds = {}, {}, {}
+def _parse_cells(rows, j, spec, missing_tokens, context):
+    """Parse column ``j`` cell by cell with ``parse_value``; names the
+    short record or malformed cell that stops it."""
     n = len(rows)
-    for j, spec in enumerate(schema):
-        mask = np.zeros(n, dtype=bool)
-        if spec.kind == "text":
-            vals = np.empty(n, dtype=object)
+    mask = np.zeros(n, dtype=bool)
+    if spec.kind == "text":
+        vals = np.empty(n, dtype=object)
+    else:
+        vals = np.full(n, np.nan)
+    for i, row in enumerate(rows):
+        if j >= len(row):
+            raise MalformedValueError("<absent>", spec.kind,
+                                      f"{context} row {i}: short record")
+        try:
+            v = parse_value(row[j], spec.kind, missing_tokens)
+        except MalformedValueError as exc:
+            raise MalformedValueError(
+                row[j], spec.kind,
+                f"{context} column {spec.name!r}") from exc
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            mask[i] = True
+            if spec.kind != "text":
+                vals[i] = np.nan
         else:
-            vals = np.full(n, np.nan)
-        for i, row in enumerate(rows):
-            if j >= len(row):
-                raise MalformedValueError("<absent>", spec.kind,
-                                          f"{context} row {i}: short record")
-            try:
-                v = parse_value(row[j], spec.kind, missing_tokens)
-            except MalformedValueError as exc:
-                raise MalformedValueError(
-                    row[j], spec.kind,
-                    f"{context} column {spec.name!r}") from exc
-            if v is None or (isinstance(v, float) and math.isnan(v)):
-                mask[i] = True
-                if spec.kind != "text":
-                    vals[i] = np.nan
-            else:
-                vals[i] = v
+            vals[i] = v
+    return vals, mask
+
+
+def _build_table(rows, schema, missing_tokens, context=""):
+    """Numeric columns are parsed whole by ``_parse_plain``; text
+    columns, and numeric ones it declines, cell by cell."""
+    columns, missing, kinds = {}, {}, {}
+    for j, spec in enumerate(schema):
+        parsed = None
+        if spec.kind != "text":
+            tokens = _column_tokens(rows, j)
+            if tokens is not None:
+                parsed = _parse_plain(tokens, spec.kind, missing_tokens)
+        if parsed is None:
+            vals, mask = _parse_cells(rows, j, spec, missing_tokens, context)
+        else:
+            _, vals, mask = parsed
         if spec.kind == "integer" and not mask.any():
             vals = vals.astype(np.int64)
         columns[spec.name] = vals

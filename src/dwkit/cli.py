@@ -152,12 +152,20 @@ def _numeric_matrix_from_csv(path, chunk_size=100000):
     names = [c.name for c in ds.schema if c.kind in ("integer", "real")]
     if not names:
         raise ConfigError(f"{path} has no numeric columns")
-    keep = np.ones(table.nrows, dtype=bool)
-    for n in names:
-        keep &= ~table.missing[n]
-    values = np.column_stack([np.asarray(table.column(n), dtype=float)[keep]
+    table, dropped = table.complete_cases(names)
+    if table.nrows < 2:
+        raise DwkitError(f"{path} has {table.nrows} row(s) with every "
+                         f"numeric column present; design-schema needs 2")
+    values = np.column_stack([np.asarray(table.column(n), dtype=float)
                               for n in names])
-    return schema_pca.NumericMatrix(values=values, col_names=names)
+    return (schema_pca.NumericMatrix(values=values, col_names=names),
+            _dropped_warnings(dropped, "a numeric column"))
+
+
+def _dropped_warnings(dropped, where):
+    if not dropped:
+        return []
+    return [f"dropped {dropped} row(s) with a missing value in {where}"]
 
 
 def _cmd_design_schema(args):
@@ -171,7 +179,7 @@ def _cmd_design_schema(args):
         raise ConfigError("design-schema needs --input CSV")
     if not 0.0 < float(threshold) <= 1.0:
         raise ConfigError("threshold must be in (0, 1]")
-    data = _numeric_matrix_from_csv(path)
+    data, warnings = _numeric_matrix_from_csv(path)
     proposal = schema_pca.design_schema(data, float(threshold))
     pca = proposal.pca
     body = {
@@ -190,7 +198,7 @@ def _cmd_design_schema(args):
     notes = ["factor grouping rule: each variable joins the retained "
              "component with its largest absolute loading; floor "
              f"{schema_pca.ASSIGNMENT_FLOOR} on |loading|"]
-    return manifest, body, notes, []
+    return manifest, body, warnings + notes, []
 
 
 # --- simulate ---
@@ -203,8 +211,10 @@ def _cmd_simulate(args):
         raise ConfigError("simulate needs --scenario FILE")
     scenario = _load_config(scenario_path, "scenario")
     mode = args.mode or cfg.get("mode")
-    if mode is not None:
-        scenario.setdefault("policy", {})["mode"] = mode
+    policy = scenario.get("policy", {})
+    # a policy that is not an object is refused by run_scenario
+    if mode is not None and isinstance(policy, dict):
+        scenario["policy"] = dict(policy, mode=mode)
     until_raw = args.until if args.until is not None else cfg.get("until")
     until = parse_seconds(until_raw) if until_raw is not None else None
     events, metrics = placement.run_scenario(scenario, until=until)
@@ -239,16 +249,18 @@ def _cmd_mapreduce(args):
                 "mapreduce config")
     inputs = list(args.input or cfg.get("input") or [])
     ops = list(args.op or cfg.get("operations") or [])
-    chunk_size = args.chunk_size or cfg.get("chunk_size") or 1000
-    if chunk_size < 1:
-        raise ConfigError("chunk_size must be >= 1")
+    chunk_size = (args.chunk_size if args.chunk_size is not None
+                  else cfg.get("chunk_size", 1000))
+    if type(chunk_size) is not int or chunk_size < 1:
+        raise ConfigError(f"chunk_size must be an integer >= 1, "
+                          f"got {chunk_size!r}")
     if not inputs:
         inputs = [fixtures.server_records_path()]
     if not ops:
         raise ConfigError("mapreduce needs at least one --op")
     parsed = [(op, *_parse_op(op)) for op in dict.fromkeys(ops)]
     ds = chunkstore.open_datastore(
-        inputs, chunk_size=int(chunk_size),
+        inputs, chunk_size=chunk_size,
         treat_as_missing=tuple(cfg.get("missing_tokens", ())))
     names = ds.column_names()
     unknown = sorted({column for _, _, column in parsed
@@ -271,7 +283,7 @@ def _cmd_mapreduce(args):
         results[key] = (int(value) if isinstance(value, (int, np.integer))
                         else float(value))
     manifest = {"input": [str(p) for p in inputs],
-                "chunk_size": int(chunk_size), "operations": ops}
+                "chunk_size": chunk_size, "operations": ops}
     extra = [("scheduler.jsonl", lambda outdir: write_log(
         out.log, os.path.join(outdir, "scheduler.jsonl")))]
     return manifest, {"results": results}, [], extra
@@ -303,11 +315,27 @@ def _cmd_regress(args):
         source = str(path)
     encode = (args.encode.split(",") if args.encode
               else cfg.get("encode") or [])
+    unknown = sorted({response, *predictors, *encode}
+                     - set(table.column_names))
+    if unknown:
+        raise ConfigError(f"unknown column(s) {unknown}; the input has "
+                          f"{table.column_names}")
+    try:
+        spec = regress.ModelSpec(response, tuple(predictors))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if encode:
         table = regress.encode_binary(table, encode)
-
-    fit = regress.fit_model(table, regress.ModelSpec(response,
-                                                     tuple(predictors)))
+    text = [n for n in (response, *predictors) if table.kinds[n] == "text"]
+    if text:
+        raise ConfigError(f"column(s) {text} are not numeric; 0/1-encode "
+                          f"two-valued ones with --encode")
+    # incomplete rows are dropped, as design-schema does
+    table, dropped = table.complete_cases([response, *predictors])
+    try:
+        fit = regress.fit_model(table, spec)
+    except ValueError as exc:   # too few rows for the predictors
+        raise DwkitError(f"{source}: {exc}")
     summary = regress.summarize(fit)
     table_anova = regress.anova(fit)
     lines = regress.factor_lines(table, response, predictors)
@@ -352,7 +380,8 @@ def _cmd_regress(args):
                 identity["significance_at_published_f"],
         },
     }
-    warnings = list(identity["warnings"])
+    warnings = (_dropped_warnings(dropped, "the response or a predictor")
+                + list(identity["warnings"]))
 
     def write_lines(outdir):
         for ln in lines:

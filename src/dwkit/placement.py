@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import (AclDeniedError, InsufficientSitesError,
+from .errors import (AclDeniedError, ConfigError, InsufficientSitesError,
                      UnknownSiteError)
 from .units import parse_bytes, parse_rate, parse_seconds
 
@@ -497,8 +497,64 @@ def write_event_log(events, path):
 
 # --- scenario files ---
 
+# list section -> (required keys, optional keys) of each of its entries
+_SCENARIO_SECTIONS = {
+    "sites": ({"id", "capacity", "ingress_bw", "egress_bw"}, set()),
+    "allocations": ({"site", "size", "duration"}, {"at", "acl", "wait", "id"}),
+    "transfers": ({"source", "dest", "size"},
+                  {"at", "owner", "priority", "order", "allocation", "id"}),
+    "failures": ({"kind", "target"}, {"at", "duration"}),
+    "replications": ({"dataset", "size", "source"}, {"at", "sites"}),
+}
+_SCENARIO_KEYS = {"schema_version", "policy", *_SCENARIO_SECTIONS}
+_POLICY_KEYS = {"mode", "replica_count", "ordering", "retry_limit",
+                "queue_capacity"}
+
+
+def _check_object(obj, required, allowed, context):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    missing = sorted(required - obj.keys())
+    if missing:
+        raise ConfigError(f"{context} lacks required key(s) {missing}")
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {context}: {unknown}")
+
+
+def check_scenario(scenario: dict):
+    """Raise ConfigError unless every scenario object has its required
+    keys and no unknown one; ``sites`` is the one required section."""
+    _check_object(scenario, {"sites"}, _SCENARIO_KEYS, "scenario")
+    _check_object(scenario.get("policy", {}), set(), _POLICY_KEYS,
+                  "scenario policy")
+    for section, (required, optional) in _SCENARIO_SECTIONS.items():
+        entries = scenario.get(section, [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"scenario {section} must be a list")
+        allowed = required | optional
+        for i, entry in enumerate(entries):
+            # the test inline, the message only for an entry that fails
+            if not (isinstance(entry, dict)
+                    and required <= entry.keys() <= allowed):
+                _check_object(entry, required, allowed,
+                              f"scenario {section}[{i}]")
+
+
 def build_simulator(scenario: dict) -> PlacementSimulator:
-    """Materialize a scenario dict (sites, policy, scheduled requests)."""
+    """Materialize a scenario dict (sites, policy, scheduled requests).
+
+    The scenario is checked first (``check_scenario``); a value the
+    simulator's constructors reject is a ConfigError as well.
+    """
+    check_scenario(scenario)
+    try:
+        return _build_simulator(scenario)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid scenario: {exc}") from exc
+
+
+def _build_simulator(scenario):
     sites = [StorageSite(id=s["id"],
                          capacity=parse_bytes(s["capacity"]),
                          ingress_bw=parse_rate(s["ingress_bw"]),

@@ -176,6 +176,35 @@ class TestSimulateCommand:
         assert "nonexistent.json" in proc.stderr
 
 
+class TestScenarioValidation:
+    SITE = {"id": "a", "capacity": "1TB", "ingress_bw": "1GB/s",
+            "egress_bw": "1GB/s"}
+
+    @pytest.mark.parametrize("scenario, needle", [
+        ({}, "['sites']"),
+        ({"sites": [{"id": "a", "capacity": "1TB"}]}, "sites[0]"),
+        ({"sites": [SITE], "transfers": [{"source": "a", "size": "1GB"}]},
+         "['dest']"),
+        ({"sites": [SITE], "failures": [{"target": "a"}]}, "['kind']"),
+        ({"sites": [SITE], "policy": {"turbo": 1}}, "['turbo']"),
+        ({"sites": [SITE], "extra": []}, "['extra']"),
+        ({"sites": {"a": SITE}}, "sites must be a list"),
+        ({"sites": [SITE], "policy": []}, "policy must be a JSON object"),
+        ({"sites": [SITE], "policy": {"ordering": "bogus"}}, "bogus"),
+        ({"sites": [SITE], "transfers": [
+            {"source": "a", "dest": "a", "size": "1GB", "priority": "hi"}]},
+         "'hi'"),
+    ])
+    def test_malformed_scenario_is_one_line_usage_error(
+            self, tmp_path, capsys, scenario, needle):
+        path = write_config(tmp_path, dict(scenario, schema_version=1),
+                            "scenario.json")
+        err = run_one_line_error(["simulate", "--scenario", path,
+                                  "--mode", "managed",
+                                  "--out", str(tmp_path / "out")], capsys, 2)
+        assert needle in err
+
+
 class TestMapreduceCommand:
     def test_bundled_sample_aggregates(self, tmp_path):
         out = str(tmp_path / "out")
@@ -214,6 +243,14 @@ def assert_one_line_error(proc, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def run_one_line_error(argv, capsys, code):
+    """Run in process; the command must fail with ``code`` and one line."""
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    return err
 
 
 @pytest.fixture
@@ -351,6 +388,80 @@ class TestRegressCommand:
         code = run(["regress", "--input", server_records_path(),
                     "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+class TestIncompleteRows:
+    CSV = "y,a,b,t\n1,2,3,u\n2,NA,5,v\n3,4,4,w\n5,1,2,x\n6,2,8,y\n"
+
+    def test_regress_drops_rows_missing_a_predictor(self, tmp_path):
+        p = tmp_path / "na.csv"
+        p.write_text(self.CSV)
+        out = str(tmp_path / "out")
+        assert run(["regress", "--input", str(p), "--response", "y",
+                    "--predictors", "a,b", "--out", out]) == 0
+        rep = load_report(out)
+        assert rep["results"]["summary"]["observations"] == 4
+        assert rep["warnings"][0] == ("dropped 1 row(s) with a missing "
+                                      "value in the response or a predictor")
+        # a factor line per predictor, over the complete rows only
+        with open(os.path.join(out, "factor_a.csv")) as fh:
+            assert len(fh.read().splitlines()) == 1 + 4
+
+    def test_regress_too_few_complete_rows(self, tmp_path, capsys):
+        p = tmp_path / "few.csv"
+        p.write_text("y,a\n1,2\n2,NA\n3,NA\n")
+        run_one_line_error(["regress", "--input", str(p), "--response", "y",
+                            "--predictors", "a", "--out",
+                            str(tmp_path / "out")], capsys, 1)
+
+    @pytest.mark.parametrize("predictors", ["a,nosuch", "a,a", "a,t"])
+    def test_regress_bad_model_is_usage_error(self, tmp_path, capsys,
+                                              predictors):
+        p = tmp_path / "na.csv"
+        p.write_text(self.CSV)
+        run_one_line_error(["regress", "--input", str(p), "--response", "y",
+                            "--predictors", predictors, "--out",
+                            str(tmp_path / "out")], capsys, 2)
+
+    def test_design_schema_reports_dropped_rows(self, tmp_path):
+        p = tmp_path / "na.csv"
+        p.write_text(self.CSV)
+        out = str(tmp_path / "out")
+        assert run(["design-schema", "--input", str(p), "--out", out]) == 0
+        assert load_report(out)["warnings"][0] == (
+            "dropped 1 row(s) with a missing value in a numeric column")
+
+    @pytest.mark.parametrize("body", ["1,2\n", "1,2\nNA,3\n4,NA\n"])
+    def test_design_schema_fewer_than_two_complete_rows(self, tmp_path,
+                                                        capsys, body):
+        p = tmp_path / "one.csv"
+        p.write_text("a,b\n" + body)
+        err = run_one_line_error(["design-schema", "--input", str(p),
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        assert "needs 2" in err
+
+
+class TestChunkSizeValidation:
+    @pytest.mark.parametrize("flag", ["0", "-1"])
+    def test_flag_below_one(self, tmp_path, capsys, flag):
+        out = str(tmp_path / "out")
+        err = run_one_line_error(["mapreduce", "--chunk-size", flag, "--op",
+                                  "count", "--out", out], capsys, 2)
+        assert "chunk_size" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["x", 0, 2.5, True, None])
+    def test_config_value(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"chunk_size": value})
+        run_one_line_error(["mapreduce", "--config", cfg, "--op", "count",
+                            "--out", str(tmp_path / "out")], capsys, 2)
+
+    def test_config_value_used(self, tmp_path):
+        cfg = write_config(tmp_path, {"chunk_size": 3})
+        out = str(tmp_path / "out")
+        assert run(["mapreduce", "--config", cfg, "--op", "count",
+                    "--out", out]) == 0
+        assert load_report(out)["config"]["chunk_size"] == 3
 
 
 class TestDesignSchemaCommand:

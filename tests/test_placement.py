@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from dwkit.errors import (AclDeniedError, InsufficientSitesError,
-                          UnknownSiteError)
+from dwkit.errors import (AclDeniedError, ConfigError,
+                          InsufficientSitesError, UnknownSiteError)
 from dwkit.fixtures import overload_scenario_path
 from dwkit.placement import (PlacementPolicy, PlacementSimulator, SimEvent,
                              StorageSite, build_simulator, drop_rate,
@@ -281,6 +281,14 @@ class TestScenarioRuns:
         assert m_managed["drop_rate"] == 0
         assert drop_rate(ev_lossy) > 0
         assert drop_rate(ev_managed) == 0.0
+
+    def test_scenario_checked_before_build(self):
+        # the library entry points check as the CLI does: ConfigError,
+        # not a KeyError from deep inside the build
+        with pytest.raises(ConfigError, match=r"transfers\[0\] lacks"):
+            run_scenario({"sites": [], "transfers": [{"source": "a"}]})
+        with pytest.raises(ConfigError, match="unknown key"):
+            build_simulator(dict(overload_scenario(), typo=1))
 
     def test_drop_rate_no_drops(self):
         sim = PlacementSimulator(two_sites())
