@@ -233,8 +233,8 @@ def _read_header(path):
     return [strip_quotes(t.strip()) for t in row]
 
 
-def open_datastore(paths, chunk_size=10000, missing_tokens=None,
-                   treat_as_missing=(), column_types=None) -> Datastore:
+def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
+                   column_types=None) -> Datastore:
     """Open one or more delimited files as a single datastore.
 
     ``treat_as_missing`` extends the default missing tokens;
@@ -248,9 +248,7 @@ def open_datastore(paths, chunk_size=10000, missing_tokens=None,
     for p in paths:
         if not os.path.isfile(p):
             raise MissingFileError(p)
-    if missing_tokens is None:
-        missing_tokens = DEFAULT_MISSING_TOKENS
-    tokens = frozenset(missing_tokens) | frozenset(treat_as_missing)
+    tokens = frozenset(DEFAULT_MISSING_TOKENS) | frozenset(treat_as_missing)
 
     header = _read_header(paths[0])
     for p in paths[1:]:

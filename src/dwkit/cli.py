@@ -40,6 +40,20 @@ _WORKLOAD_FIELDS = {
 }
 
 
+# JSON type name -> test of a config value
+_JSON_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "a number": lambda v: type(v) in (int, float),
+    "an integer": lambda v: type(v) is int,
+    "a quantity": lambda v: type(v) in (int, float, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of strings": lambda v: (isinstance(v, list)
+                                    and all(isinstance(x, str) for x in v)),
+    "a list of objects": lambda v: (isinstance(v, list)
+                                    and all(isinstance(x, dict) for x in v)),
+}
+
+
 def _check_keys(obj, allowed, context):
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -65,12 +79,34 @@ def _load_config(path, what="config"):
     return cfg
 
 
+def _command_config(args, types):
+    """Load ``--config``; every key must be in ``types`` (key -> JSON type
+    name) and hold a value of that type."""
+    cfg = _load_config(args.config)
+    context = f"{args.subcommand} config"
+    _check_keys(cfg, types, context)
+    for key, value in cfg.items():
+        if not _JSON_TYPES[types[key]](value):
+            raise ConfigError(f"{context} {key} must be {types[key]}, "
+                              f"got {value!r}")
+    return cfg
+
+
 def _normalize_block(raw, fields, context):
     _check_keys(raw, fields, context)
     out = {}
     for key, value in raw.items():
-        out[key] = fields[key](value)
+        try:
+            out[key] = fields[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{context} {key}: {exc}") from None
     return out
+
+
+def _flags(args, fields):
+    """The flags among ``fields`` given on the command line."""
+    return {key: getattr(args, key) for key in fields
+            if getattr(args, key, None) is not None}
 
 
 def _outdir(args):
@@ -80,22 +116,24 @@ def _outdir(args):
 # --- plan ---
 
 def _cmd_plan(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, ("cluster", "workload", "kernels"), "plan config")
-    cluster = _normalize_block(cfg.get("cluster", {}), _CLUSTER_FIELDS,
-                               "cluster")
-    workload = _normalize_block(cfg.get("workload", {}), _WORKLOAD_FIELDS,
-                                "workload")
-    for key in _CLUSTER_FIELDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cluster[key] = _CLUSTER_FIELDS[key](flag)
-    for key in _WORKLOAD_FIELDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            workload[key] = _WORKLOAD_FIELDS[key](flag)
-    kernels = [{"name": k["name"], "throughput": parse_rate(k["throughput"])}
-               for k in cfg.get("kernels", [])]
+    cfg = _command_config(args, {"cluster": "an object",
+                                 "workload": "an object",
+                                 "kernels": "a list of objects"})
+    # flags override the config's values
+    cluster = _normalize_block(
+        dict(cfg.get("cluster", {}), **_flags(args, _CLUSTER_FIELDS)),
+        _CLUSTER_FIELDS, "cluster")
+    workload = _normalize_block(
+        dict(cfg.get("workload", {}), **_flags(args, _WORKLOAD_FIELDS)),
+        _WORKLOAD_FIELDS, "workload")
+    kernels = []
+    for i, k in enumerate(cfg.get("kernels", [])):
+        _check_keys(k, ("name", "throughput"), f"kernels[{i}]")
+        if not (isinstance(k.get("name"), str) and "throughput" in k):
+            raise ConfigError(f"kernels[{i}] needs a string name and a "
+                              f"throughput")
+        kernels.append({"name": k["name"],
+                        "throughput": parse_rate(k["throughput"])})
     for spec in args.kernel or []:
         if "=" not in spec:
             raise ConfigError(f"--kernel expects NAME=THROUGHPUT, "
@@ -169,8 +207,8 @@ def _dropped_warnings(dropped, where):
 
 
 def _cmd_design_schema(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, ("input", "threshold"), "design-schema config")
+    cfg = _command_config(args, {"input": "a string",
+                                 "threshold": "a number"})
     path = args.input or cfg.get("input")
     threshold = (args.threshold if args.threshold is not None
                  else cfg.get("threshold",
@@ -204,8 +242,8 @@ def _cmd_design_schema(args):
 # --- simulate ---
 
 def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, ("scenario", "until", "mode"), "simulate config")
+    cfg = _command_config(args, {"scenario": "a string",
+                                 "until": "a quantity", "mode": "a string"})
     scenario_path = args.scenario or cfg.get("scenario")
     if scenario_path is None:
         raise ConfigError("simulate needs --scenario FILE")
@@ -244,14 +282,15 @@ def _parse_op(spec):
 
 
 def _cmd_mapreduce(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, ("input", "chunk_size", "operations", "missing_tokens"),
-                "mapreduce config")
+    cfg = _command_config(args, {"input": "a list of strings",
+                                 "chunk_size": "an integer",
+                                 "operations": "a list of strings",
+                                 "missing_tokens": "a list of strings"})
     inputs = list(args.input or cfg.get("input") or [])
     ops = list(args.op or cfg.get("operations") or [])
     chunk_size = (args.chunk_size if args.chunk_size is not None
                   else cfg.get("chunk_size", 1000))
-    if type(chunk_size) is not int or chunk_size < 1:
+    if chunk_size < 1:
         raise ConfigError(f"chunk_size must be an integer >= 1, "
                           f"got {chunk_size!r}")
     if not inputs:
@@ -292,9 +331,9 @@ def _cmd_mapreduce(args):
 # --- regress ---
 
 def _cmd_regress(args):
-    cfg = _load_config(args.config)
-    _check_keys(cfg, ("input", "response", "predictors", "encode"),
-                "regress config")
+    cfg = _command_config(args, {"input": "a string", "response": "a string",
+                                 "predictors": "a list of strings",
+                                 "encode": "a list of strings"})
     path = args.input or cfg.get("input")
     if path is None:
         table = fixtures.warehouse_survey_table()

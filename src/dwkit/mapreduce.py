@@ -95,8 +95,8 @@ def _result_table(pairs):
 
 
 def mapreduce(ds: Datastore, map_fn, reduce_fn, *,
-              attempt_cap=DEFAULT_ATTEMPT_CAP, fail_injector=None,
-              log_path=None) -> MapReduceResult:
+              attempt_cap=DEFAULT_ATTEMPT_CAP,
+              fail_injector=None) -> MapReduceResult:
     """Apply ``map_fn`` to every chunk and fold each key with ``reduce_fn``.
 
     ``map_fn(table)`` yields (key, value) pairs; ``reduce_fn(key, values)``
@@ -126,10 +126,8 @@ def mapreduce(ds: Datastore, map_fn, reduce_fn, *,
                          attempt_cap, fail_injector, log)
                for k in sorted(groups)]
 
-    table = _result_table(reduced)
-    if log_path:
-        write_log(log, log_path)
-    return MapReduceResult(table=table, log=log, pairs=reduced)
+    return MapReduceResult(table=_result_table(reduced), log=log,
+                           pairs=reduced)
 
 
 # --- stock map/reduce functions (CLI building blocks) ---

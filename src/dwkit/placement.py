@@ -9,6 +9,10 @@ retried through failures, never silently discarded) and
 queue; overload evicts the lowest-priority job), so the drop-rate contrast
 between the two designs can be measured on one scenario.
 
+Outages are counted per kind and target: a site or link stays down until
+the last overlapping outage of that kind ends, and a ``disk-overflow``
+(which blocks inbound transfers only) never masks a ``site-down``.
+
 Time is continuous (seconds).  Link bandwidth is shared equally among the
 concurrent transfers on each site interface and recomputed at every event,
 so completion times are exact and runs are byte-identical for identical
@@ -19,6 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import (AclDeniedError, ConfigError, InsufficientSitesError,
@@ -129,10 +134,10 @@ class PlacementSimulator:
         self._order = 0
         self._seq = 0
         self._queue: list[str] = []  # queued/retrying job ids
-        self._active: list[str] = []
-        self._rates: dict[str, float] = {}
-        self._down: dict[str, tuple[float, str]] = {}    # site -> (until, kind)
-        self._down_links: dict[tuple[str, str], float] = {}
+        # active job id -> its rate, in start order; None until first rated
+        self._active: dict[str, float | None] = {}
+        # (kind, site or (src, dst) link) -> number of open outages
+        self._outages: Counter = Counter()
         self._stored: dict[str, float] = {s: 0.0 for s in self.sites}
         self._wait_allocs: list[tuple] = []
         self._ids = {"alloc": 0, "job": 0}
@@ -183,22 +188,29 @@ class PlacementSimulator:
         self._site(site_id)
         if size <= 0:
             raise ValueError("allocation size must be > 0")
-        alloc_id = alloc_id or self._fresh_id("alloc")
-        if self.allocated_bytes(site_id) + size <= self.sites[site_id].capacity:
-            alloc = Allocation(id=alloc_id, site=site_id, size=size,
-                               duration=duration, acl=tuple(map(tuple, acl)),
-                               created_at=self.now)
-            self.allocations[alloc_id] = alloc
-            self._emit("alloc-granted", alloc_id, site=site_id, size=size,
-                       duration=duration)
-            self.schedule(alloc.expires_at, self._expire_allocation, alloc_id)
-            return alloc
-        self._emit("alloc-denied", alloc_id, site=site_id, size=size,
-                   reason="insufficient-space")
-        if wait:
-            self._wait_allocs.append((alloc_id, site_id, size, duration,
-                                      tuple(map(tuple, acl))))
-        return None
+        request = (alloc_id or self._fresh_id("alloc"), site_id, size,
+                   duration, tuple(map(tuple, acl)))
+        alloc = self._grant(request)
+        if alloc is None:
+            self._emit("alloc-denied", request[0], site=site_id, size=size,
+                       reason="insufficient-space")
+            if wait:
+                self._wait_allocs.append(request)
+        return alloc
+
+    def _grant(self, request, **detail):
+        """Grant ``request`` if the site has room for it, else None."""
+        alloc_id, site_id, size, duration, acl = request
+        if not (self.allocated_bytes(site_id) + size
+                <= self.sites[site_id].capacity):
+            return None
+        alloc = Allocation(id=alloc_id, site=site_id, size=size,
+                           duration=duration, acl=acl, created_at=self.now)
+        self.allocations[alloc_id] = alloc
+        self._emit("alloc-granted", alloc_id, site=site_id, size=size,
+                   duration=duration, **detail)
+        self.schedule(alloc.expires_at, self._expire_allocation, alloc_id)
+        return alloc
 
     def _expire_allocation(self, alloc_id):
         alloc = self.allocations[alloc_id]
@@ -207,21 +219,9 @@ class PlacementSimulator:
         alloc.active = False
         self._emit("alloc-expired", alloc_id, site=alloc.site,
                    size=alloc.size)
-        still_waiting = []
-        for req in self._wait_allocs:
-            wid, site_id, size, duration, acl = req
-            if (self.allocated_bytes(site_id) + size
-                    <= self.sites[site_id].capacity):
-                alloc = Allocation(id=wid, site=site_id, size=size,
-                                   duration=duration, acl=acl,
-                                   created_at=self.now)
-                self.allocations[wid] = alloc
-                self._emit("alloc-granted", wid, site=site_id, size=size,
-                           duration=duration, waited=True)
-                self.schedule(alloc.expires_at, self._expire_allocation, wid)
-            else:
-                still_waiting.append(req)
-        self._wait_allocs = still_waiting
+        # grant, in request order, each waiting request that now fits
+        self._wait_allocs = [r for r in self._wait_allocs
+                             if self._grant(r, waited=True) is None]
 
     # --- transfers ---
 
@@ -269,40 +269,42 @@ class PlacementSimulator:
                        reason="queue-evicted", priority=victim.priority,
                        bytes_moved=victim.bytes_moved)
 
-    def _site_down_for(self, job):
-        for site_id, direction in ((job.source, "out"), (job.dest, "in")):
-            if site_id in self._down:
-                _, kind = self._down[site_id]
-                if kind != "disk-overflow" or direction == "in":
-                    return True
-        return (job.source, job.dest) in self._down_links
+    def _blocked(self, job):
+        """Whether an open outage stops ``job``: a site-down at either
+        end, a disk-overflow at its destination, or its link down."""
+        down = self._outages
+        return bool(down["site-down", job.source]
+                    or down["site-down", job.dest]
+                    or down["disk-overflow", job.dest]
+                    or down["link-down", (job.source, job.dest)])
 
     def _dispatch(self):
         if self.policy.mode == "lossy-priority-baseline":
-            while not self._active and self._queue:
-                nxt = max(self._queue,
-                          key=lambda j: (self.jobs[j].priority,
-                                         -self.jobs[j].submitted_at))
-                if self._site_down_for(self.jobs[nxt]):
-                    break
+            # a single server: start the best queued job once it is idle
+            if self._active or not self._queue:
+                return
+            nxt = max(self._queue,
+                      key=lambda j: (self.jobs[j].priority,
+                                     -self.jobs[j].submitted_at))
+            if not self._blocked(self.jobs[nxt]):
                 self._queue.remove(nxt)
                 self._start(self.jobs[nxt])
             return
+        pending = self._queue
         if self.policy.ordering == "by-request-order-field":
-            pending = sorted(self._queue,
-                             key=lambda j: (self.jobs[j].order, j))
-        else:
-            pending = list(self._queue)
+            pending = sorted(pending, key=lambda j: (self.jobs[j].order, j))
+        self._queue = []
         for jid in pending:
             job = self.jobs[jid]
-            if not self._site_down_for(job):
-                self._queue.remove(jid)
+            if self._blocked(job):
+                self._queue.append(jid)
+            else:
                 self._start(job)
 
     def _start(self, job):
         retry = job.state == "failed-retrying"
         job.state = "active"
-        self._active.append(job.id)
+        self._active[job.id] = None
         self._emit("transfer-start", job.id, source=job.source,
                    dest=job.dest, size=job.size,
                    bytes_moved=job.bytes_moved, retry=retry)
@@ -313,38 +315,37 @@ class PlacementSimulator:
             job = self.jobs[jid]
             out_count[job.source] = out_count.get(job.source, 0) + 1
             in_count[job.dest] = in_count.get(job.dest, 0) + 1
-        for jid in self._active:
+        for jid, old in self._active.items():
             job = self.jobs[jid]
             rate = min(self.sites[job.source].egress_bw / out_count[job.source],
                        self.sites[job.dest].ingress_bw / in_count[job.dest])
-            if jid in self._rates and self._rates[jid] != rate:
+            if old is not None and old != rate:
                 self._emit("transfer-progress", jid, rate=rate,
                            bytes_moved=job.bytes_moved)
-            self._rates[jid] = rate
-        self._rates = {jid: self._rates[jid] for jid in self._active}
+            self._active[jid] = rate
 
     def _advance(self, t):
         dt = t - self.now
         if dt < 0:
             raise RuntimeError("time moved backwards")
-        for jid in self._active:
-            self.jobs[jid].bytes_moved += self._rates[jid] * dt
+        for jid, rate in self._active.items():
+            self.jobs[jid].bytes_moved += rate * dt
         self.now = t
 
     def _complete_finished(self):
         now = self.now
-        for jid in list(self._active):
+        for jid, rate in list(self._active.items()):
             job = self.jobs[jid]
             # the size-relative tolerance absorbs accumulated float residue;
             # a residue the job's rate moves in less than one tick of the
             # clock would otherwise be due at self.now forever
             remaining = job.remaining
             if (remaining <= _EPS_BYTES or remaining <= 1e-12 * job.size
-                    or now + remaining / self._rates[jid] == now):
+                    or now + remaining / rate == now):
                 job.bytes_moved = job.size
                 job.state = "done"
                 job.completed_at = self.now
-                self._active.remove(jid)
+                del self._active[jid]
                 self._stored[job.dest] += job.size
                 self._emit("transfer-complete", jid, dest=job.dest,
                            bytes_moved=job.size)
@@ -359,40 +360,32 @@ class PlacementSimulator:
         if kind not in ("link-down", "site-down", "disk-overflow"):
             raise ValueError(f"unknown failure kind {kind!r}")
         if kind == "link-down":
-            src, dst = target
+            src, dst = target = tuple(target)
             self._site(src), self._site(dst)
         else:
             self._site(target)
         self.schedule(at, self._fail, kind, target, duration)
 
     def _fail(self, kind, target, duration):
-        until = (math.inf if duration is None or math.isinf(duration)
-                 else self.now + duration)
+        """Open an outage; it stays open until its own recovery, whatever
+        other outages of the same target do meanwhile."""
         subject = "->".join(target) if kind == "link-down" else target
         self._emit("failure-injected", subject, failure=kind,
                    duration=duration)
-        if kind == "link-down":
-            self._down_links[tuple(target)] = until
-            if math.isfinite(until):
-                self.schedule(until, self._recover_link, tuple(target))
-        else:
-            self._down[target] = (until, kind)
-            if math.isfinite(until):
-                self.schedule(until, self._recover_site, target)
+        self._outages[kind, target] += 1
+        end = math.inf if duration is None else self.now + duration
+        if end < math.inf:
+            self.schedule(end, self._recover, kind, target)
         for jid in list(self._active):
             job = self.jobs[jid]
-            if self._site_down_for(job):
+            if self._blocked(job):
                 self._interrupt(job)
 
-    def _recover_site(self, site_id):
-        self._down.pop(site_id, None)
-
-    def _recover_link(self, link):
-        self._down_links.pop(link, None)
+    def _recover(self, kind, target):
+        self._outages[kind, target] -= 1
 
     def _interrupt(self, job):
-        self._active.remove(job.id)
-        self._rates.pop(job.id, None)
+        del self._active[job.id]
         if job.retries < self.policy.retry_limit:
             job.retries += 1
             job.state = "failed-retrying"
@@ -427,8 +420,7 @@ class PlacementSimulator:
 
     def _next_completion(self):
         best = None
-        for jid in self._active:
-            rate = self._rates[jid]
+        for jid, rate in self._active.items():
             if rate <= 0:
                 continue
             t = self.now + self.jobs[jid].remaining / rate

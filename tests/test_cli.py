@@ -490,3 +490,44 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type is a one-line usage error that
+    names its key; a string is never read as a list of characters."""
+    CSV = server_records_path()
+
+    @pytest.mark.parametrize("command, cfg, extra, key", [
+        ("design-schema", {"threshold": "x"}, ["--input", CSV],
+         "threshold"),
+        ("design-schema", {"threshold": None}, ["--input", CSV],
+         "threshold"),
+        ("design-schema", {"input": 5}, [], "input"),
+        ("plan", {"cluster": {"n_compute": "x"}}, [], "n_compute"),
+        ("plan", {"cluster": []}, [], "cluster"),
+        ("plan", {"kernels": [{"name": "k"}]}, [], "kernels[0]"),
+        ("plan", {"kernels": "x"}, [], "kernels"),
+        ("mapreduce", {"operations": [5]}, [], "operations"),
+        ("mapreduce", {"missing_tokens": [1]}, ["--op", "count"],
+         "missing_tokens"),
+        ("mapreduce", {"missing_tokens": "NA"}, ["--op", "count"],
+         "missing_tokens"),
+        ("mapreduce", {"input": CSV}, ["--op", "count"], "input"),
+        ("regress", {"predictors": [1], "response": "y"}, [], "predictors"),
+        ("regress", {"encode": "Flag"}, [], "encode"),
+    ])
+    def test_wrong_type_is_one_line_usage_error(self, tmp_path, capsys,
+                                                command, cfg, extra, key):
+        out = str(tmp_path / "out")
+        err = run_one_line_error([command, "--config",
+                                  write_config(tmp_path, cfg), *extra,
+                                  "--out", out], capsys, 2)
+        assert key in err
+        assert not os.path.exists(out)
+
+    def test_plan_flag_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        err = run_one_line_error(["plan", "--config",
+                                  write_config(tmp_path, PLAN_CONFIG),
+                                  "--n-compute", "many",
+                                  "--out", str(tmp_path / "out")], capsys, 2)
+        assert "n_compute" in err

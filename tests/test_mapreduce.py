@@ -160,8 +160,8 @@ class TestSchedulerLog:
 
     def test_log_written_to_file(self, tmp_path):
         path = tmp_path / "sched.jsonl"
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum,
-                        log_path=str(path))
+        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
+        write_log(res.log, str(path))
         lines = path.read_text().splitlines()
         assert [json.loads(l) for l in lines] == res.log
 

@@ -1,8 +1,11 @@
 import copy
+import hashlib
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dwkit.errors import (AclDeniedError, ConfigError,
                           InsufficientSitesError, UnknownSiteError)
@@ -312,3 +315,212 @@ class TestScenarioRuns:
         dropped = [j for j in sim.jobs.values() if j.state == "dropped"]
         assert len(dropped) == 2
         assert sorted(j.id for j in dropped) == ["j1", "j2"]
+
+
+class TestOverlappingOutages:
+    """An outage keeps its target down until the last overlapping outage
+    of that kind ends; a disk-overflow never masks a site-down."""
+
+    def test_stacked_site_downs(self):
+        sim = PlacementSimulator(two_sites())
+        sim.inject_failure("site-down", "b", at=0.0, duration=10.0)
+        sim.inject_failure("site-down", "b", at=5.0, duration=10.0)
+        sim.schedule(6.0, sim.submit_transfer, "a", "b", 10 * GB, "u",
+                     job_id="t")
+        sim.run()
+        start, = [e for e in sim.events if e.kind == "transfer-start"]
+        assert start.time == 15.0
+        assert sim.jobs["t"].completed_at == 16.0
+
+    def test_disk_overflow_does_not_mask_site_down(self):
+        sim = PlacementSimulator(two_sites())
+        sim.inject_failure("site-down", "b", at=0.0, duration=10.0)
+        sim.inject_failure("disk-overflow", "b", at=5.0, duration=1.0)
+        sim.schedule(6.5, sim.submit_transfer, "b", "a", 10 * GB, "u",
+                     job_id="out")
+        sim.run()
+        start, = [e for e in sim.events if e.kind == "transfer-start"]
+        assert start.time == 10.0
+        assert sim.jobs["out"].completed_at == 11.0
+
+    def test_stacked_link_downs(self):
+        sim = PlacementSimulator(two_sites())
+        sim.inject_failure("link-down", ("a", "b"), at=0.0, duration=10.0)
+        sim.inject_failure("link-down", ("a", "b"), at=5.0, duration=10.0)
+        sim.schedule(6.0, sim.submit_transfer, "a", "b", 10 * GB, "u",
+                     job_id="t")
+        sim.schedule(6.0, sim.submit_transfer, "b", "a", 10 * GB, "u",
+                     job_id="reverse")
+        sim.run()
+        starts = {e.subject: e.time for e in sim.events
+                  if e.kind == "transfer-start"}
+        assert starts == {"t": 15.0, "reverse": 6.0}
+
+    def test_outage_ending_as_another_starts(self):
+        # the second outage fires before the first one's recovery at t=10
+        sim = PlacementSimulator(two_sites())
+        sim.inject_failure("site-down", "b", at=0.0, duration=10.0)
+        sim.inject_failure("site-down", "b", at=10.0, duration=5.0)
+        sim.schedule(1.0, sim.submit_transfer, "a", "b", 10 * GB, "u",
+                     job_id="t")
+        sim.run()
+        start, = [e for e in sim.events if e.kind == "transfer-start"]
+        assert start.time == 15.0
+
+    @given(st.data())
+    def test_no_transfer_starts_inside_an_open_outage(self, data):
+        sites = ["a", "b", "c"]
+        sim = PlacementSimulator(
+            [StorageSite(s, 1e15, 10 * GB, 10 * GB) for s in sites],
+            PlacementPolicy(mode=data.draw(st.sampled_from(
+                ["managed", "lossy-priority-baseline"])), retry_limit=5))
+        times = st.integers(0, 30).map(float)
+        routes = st.permutations(sites).map(lambda p: tuple(p[:2]))
+        for _ in range(data.draw(st.integers(1, 6))):
+            src, dst = data.draw(routes)
+            sim.schedule(data.draw(times), sim.submit_transfer, src, dst,
+                         data.draw(st.integers(1, 40)) * GB, "u")
+        outages = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(
+                ["site-down", "disk-overflow", "link-down"]))
+            target = (data.draw(routes) if kind == "link-down"
+                      else data.draw(st.sampled_from(sites)))
+            at, duration = data.draw(times), data.draw(times)
+            sim.inject_failure(kind, target, at=at, duration=duration)
+            outages.append((kind, target, at, at + duration))
+        sim.run()
+        for ev in sim.events:
+            if ev.kind != "transfer-start":
+                continue
+            src, dst = ev.detail["source"], ev.detail["dest"]
+            blockers = {("site-down", src), ("site-down", dst),
+                        ("disk-overflow", dst), ("link-down", (src, dst))}
+            for kind, target, start, end in outages:
+                assert not ((kind, target) in blockers
+                            and start <= ev.time < end), (ev, outages)
+
+
+def golden_scenario(seed=2016):
+    """A seeded scenario with leases, waiting allocations, replications and
+    every failure kind, where no two outages of one site or one link
+    overlap or touch: its logs do not depend on how stacked outages are
+    counted."""
+    rng = random.Random(seed)
+    sites = [f"s{i}" for i in range(4)]
+    routes = [(a, b) for a in sites for b in sites if a != b]
+    scenario = {
+        "schema_version": 1,
+        "sites": [{"id": s, "capacity": f"{rng.choice((200, 300, 400))}GB",
+                   "ingress_bw": f"{rng.choice((2, 5, 10))}GB/s",
+                   "egress_bw": f"{rng.choice((2, 5, 10))}GB/s"}
+                  for s in sites],
+        "policy": {"mode": "managed", "replica_count": 2, "retry_limit": 2,
+                   "queue_capacity": 5},
+        # one long lease per site for the transfers that write into one
+        "allocations": [{"id": f"lease-{s}", "site": s, "size": "10GB",
+                         "duration": "1000s", "acl": [["etl", "write"]]}
+                        for s in sites],
+        "transfers": [], "failures": [], "replications": [],
+    }
+    for i in range(10):
+        scenario["allocations"].append({
+            "id": f"a{i}", "at": round(rng.uniform(0, 60), 3),
+            "site": rng.choice(sites), "size": f"{rng.randint(40, 150)}GB",
+            "duration": round(rng.uniform(10, 40), 3),
+            "wait": rng.random() < 0.6})
+    for i in range(40):
+        src, dst = rng.choice(routes)
+        transfer = {"id": f"t{i:02d}", "at": round(rng.uniform(0, 80), 3),
+                    "source": src, "dest": dst,
+                    "size": f"{rng.randint(1, 30)}GB", "owner": "etl",
+                    "priority": rng.randint(0, 9),
+                    "order": rng.randint(0, 20)}
+        if i % 8 == 0:
+            transfer["allocation"] = f"lease-{dst}"
+        scenario["transfers"].append(transfer)
+    for i in range(3):
+        scenario["replications"].append({
+            "dataset": f"d{i}", "at": round(rng.uniform(0, 60), 3),
+            "source": rng.choice(sites), "size": f"{rng.randint(5, 20)}GB"})
+    # site-downs and disk-overflows share one timeline per site
+    for s in sites:
+        t = rng.uniform(0, 10)
+        for _ in range(3):
+            duration = rng.uniform(1, 6)
+            scenario["failures"].append({
+                "kind": rng.choice(("site-down", "disk-overflow")),
+                "target": s, "at": round(t, 3),
+                "duration": round(duration, 3)})
+            t += duration + rng.uniform(2, 10)
+    for src, dst in rng.sample(routes, 3):
+        t = rng.uniform(0, 20)
+        for _ in range(2):
+            duration = rng.uniform(1, 8)
+            scenario["failures"].append({
+                "kind": "link-down", "target": [src, dst], "at": round(t, 3),
+                "duration": round(duration, 3)})
+            t += duration + rng.uniform(5, 20)
+    # and one link that never comes back
+    src, dst = rng.choice(routes)
+    scenario["failures"].append({"kind": "link-down", "target": [src, dst],
+                                 "at": 90.0})
+    return scenario
+
+
+class TestGoldenLog:
+    # sha256 of events.jsonl and report.json as written by the simulator
+    # that kept one outage per target and cleared it at the first
+    # recovery; this scenario never stacks two, so counting them must
+    # change nothing
+    GOLDEN = {
+        ("managed", "fifo"): (
+            "000a8542eca1b7924a0f96eb899cb9a53c9de7428770be67e5c726bfe9e582e5",
+            "9be78f4f2858ac95812e14ac74f28c769d408230190c88a7e1294fdcdb6b1815",
+        ),
+        ("managed", "by-request-order-field"): (
+            "02d218a6d9f092d3de5e023132f5d32fcdfa5ab858244437b4f5055b9c02bc1e",
+            "9be78f4f2858ac95812e14ac74f28c769d408230190c88a7e1294fdcdb6b1815",
+        ),
+        ("lossy-priority-baseline", "fifo"): (
+            "26762e03c843c96e731e58d7b789c7d5775ec1029eeaa33c0875d8a6c50e0897",
+            "03cd49177e377f25a61b99d056b0e37c573492c4dfb6c82cff02482e8bb21a23",
+        ),
+    }
+
+    def test_scenario_outages_never_stack(self):
+        spans = {}
+        for f in golden_scenario()["failures"]:
+            key = (tuple(f["target"]) if f["kind"] == "link-down"
+                   else f["target"])
+            spans.setdefault(key, []).append(
+                (f["at"], f["at"] + f.get("duration", math.inf)))
+        for intervals in spans.values():
+            intervals.sort()
+            assert all(end < nxt for (_, end), (nxt, _) in
+                       zip(intervals, intervals[1:]))
+
+    @pytest.mark.parametrize("mode, ordering", sorted(GOLDEN))
+    def test_logs_match_pinned_digests(self, tmp_path, monkeypatch, mode,
+                                       ordering):
+        from dwkit.cli import main
+        scenario = golden_scenario()
+        scenario["policy"]["ordering"] = ordering
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DWKIT_OUT", raising=False)
+        assert main(["simulate", "--scenario", "scenario.json", "--mode",
+                     mode, "--out", "out"]) == 0
+        kinds = {json.loads(line)["kind"] for line in
+                 (tmp_path / "out" / "events.jsonl").read_text().splitlines()}
+        # lossy mode evicts every priority-0 replication from its queue
+        assert {"alloc-denied", "retry-scheduled", "replica-placed"
+                if mode == "managed" else "transfer-dropped"} <= kinds
+        events = (tmp_path / "out" / "events.jsonl").read_bytes()
+        assert b'"waited": true' in events
+        for kind in ("site-down", "disk-overflow", "link-down"):
+            assert f'"failure": "{kind}"'.encode() in events
+        digests = tuple(hashlib.sha256(
+            (tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("events.jsonl", "report.json"))
+        assert digests == self.GOLDEN[mode, ordering]
