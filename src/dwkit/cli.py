@@ -24,40 +24,28 @@ from . import regress, report, schema_pca, staging
 from .mapreduce import (BUILTIN_REDUCERS, make_ops_mapper,
                         mapreduce as run_mapreduce, reduce_op, write_log)
 from .errors import ConfigError, DwkitError
-from .units import (parse_bytes, parse_quantity, parse_rate, parse_seconds,
-                    parse_watts)
+from .units import (accept, choice, fraction, integer, list_of, normalize,
+                    quantity, string, table)
 
 CONFIG_SCHEMA_VERSION = 1
 
+_RATE = quantity("rate", positive=True)
 _CLUSTER_FIELDS = {
-    "n_compute": int, "bw_pfs": parse_rate, "bw_host2ssd": parse_rate,
-    "bw_fm2c": parse_rate, "bw_c2m": parse_rate, "c_ssd": parse_bytes,
-    "p_active": parse_watts, "p_idle": parse_watts,
+    "n_compute": integer(1), "bw_pfs": _RATE, "bw_host2ssd": _RATE,
+    "bw_fm2c": _RATE, "bw_c2m": _RATE, "c_ssd": quantity("bytes", True),
+    "p_active": quantity("watts"), "p_idle": quantity("watts"),
 }
 _WORKLOAD_FIELDS = {
-    "lambda_a": parse_bytes, "lambda_c": parse_bytes, "num_chkpts": int,
-    "interval": parse_seconds, "alpha": float,
+    "lambda_a": quantity("bytes"), "lambda_c": quantity("bytes"),
+    "num_chkpts": integer(0), "interval": quantity("seconds", True),
+    "alpha": fraction(),
 }
-
-
-# JSON type name -> test of a config value
-_JSON_TYPES = {
-    "a string": lambda v: isinstance(v, str),
-    "a number": lambda v: type(v) in (int, float),
-    "an integer": lambda v: type(v) is int,
-    "a quantity": lambda v: type(v) in (int, float, str),
-    "an object": lambda v: isinstance(v, dict),
-    "a list of strings": lambda v: (isinstance(v, list)
-                                    and all(isinstance(x, str) for x in v)),
-    "a list of objects": lambda v: (isinstance(v, list)
-                                    and all(isinstance(x, dict) for x in v)),
-}
-
-
-def _check_keys(obj, allowed, context):
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {unknown}")
+_KERNEL_FIELDS = {"name": string, "throughput": _RATE}
+_NAMES = list_of(string)
+_OP = accept(f"count or REDUCER:COLUMN with REDUCER in "
+             f"{sorted(BUILTIN_REDUCERS)}",
+             lambda op: op == "count" or type(op) is str
+             and op.partition(":")[0] in BUILTIN_REDUCERS and ":" in op)
 
 
 def _load_config(path, what="config"):
@@ -69,7 +57,7 @@ def _load_config(path, what="config"):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
@@ -79,34 +67,22 @@ def _load_config(path, what="config"):
     return cfg
 
 
-def _command_config(args, types):
-    """Load ``--config``; every key must be in ``types`` (key -> JSON type
-    name) and hold a value of that type."""
+def _command_config(args, fields):
+    """``--config`` with the flags of its keys' names merged in over it,
+    normalized by ``fields``."""
     cfg = _load_config(args.config)
-    context = f"{args.subcommand} config"
-    _check_keys(cfg, types, context)
-    for key, value in cfg.items():
-        if not _JSON_TYPES[types[key]](value):
-            raise ConfigError(f"{context} {key} must be {types[key]}, "
-                              f"got {value!r}")
-    return cfg
+    cfg.update((key, getattr(args, key)) for key in fields
+               if getattr(args, key, None) not in (None, ""))
+    return normalize(cfg, fields, args.subcommand)
 
 
-def _normalize_block(raw, fields, context):
-    _check_keys(raw, fields, context)
-    out = {}
-    for key, value in raw.items():
-        try:
-            out[key] = fields[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context} {key}: {exc}") from None
-    return out
-
-
-def _flags(args, fields):
-    """The flags among ``fields`` given on the command line."""
-    return {key: getattr(args, key) for key in fields
-            if getattr(args, key, None) is not None}
+def _flag_value(raw):
+    """A flag's text as the JSON number it spells, else as given."""
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        return raw
+    return value if type(value) in (int, float) else raw
 
 
 def _outdir(args):
@@ -116,34 +92,29 @@ def _outdir(args):
 # --- plan ---
 
 def _cmd_plan(args):
-    cfg = _command_config(args, {"cluster": "an object",
-                                 "workload": "an object",
-                                 "kernels": "a list of objects"})
-    # flags override the config's values
-    cluster = _normalize_block(
-        dict(cfg.get("cluster", {}), **_flags(args, _CLUSTER_FIELDS)),
-        _CLUSTER_FIELDS, "cluster")
-    workload = _normalize_block(
-        dict(cfg.get("workload", {}), **_flags(args, _WORKLOAD_FIELDS)),
-        _WORKLOAD_FIELDS, "workload")
-    kernels = []
-    for i, k in enumerate(cfg.get("kernels", [])):
-        _check_keys(k, ("name", "throughput"), f"kernels[{i}]")
-        if not (isinstance(k.get("name"), str) and "throughput" in k):
-            raise ConfigError(f"kernels[{i}] needs a string name and a "
-                              f"throughput")
-        kernels.append({"name": k["name"],
-                        "throughput": parse_rate(k["throughput"])})
+    cfg = _load_config(args.config)
+    # flags override the config's values; a block that is not an object
+    # is refused with the rest
+    for name, fields in (("cluster", _CLUSTER_FIELDS),
+                         ("workload", _WORKLOAD_FIELDS)):
+        if isinstance(cfg.setdefault(name, {}), dict):
+            cfg[name].update((key, getattr(args, key)) for key in fields
+                             if getattr(args, key) is not None)
+    cfg = normalize(cfg, {
+        "cluster": table(_CLUSTER_FIELDS, _CLUSTER_FIELDS),
+        "workload": table(_WORKLOAD_FIELDS, _WORKLOAD_FIELDS),
+        "kernels": list_of(table(_KERNEL_FIELDS, _KERNEL_FIELDS))}, "plan")
+    cluster, workload = cfg["cluster"], cfg["workload"]
+    # in the manifest, a kernel's keys come in one order whatever the config's
+    kernels = [{"name": k["name"], "throughput": k["throughput"]}
+               for k in cfg.get("kernels", [])]
     for spec in args.kernel or []:
         if "=" not in spec:
             raise ConfigError(f"--kernel expects NAME=THROUGHPUT, "
                               f"got {spec!r}")
         name, rate = spec.split("=", 1)
-        kernels.append({"name": name, "throughput": parse_rate(rate)})
-    missing = ([k for k in _CLUSTER_FIELDS if k not in cluster]
-               + [k for k in _WORKLOAD_FIELDS if k not in workload])
-    if missing:
-        raise ConfigError(f"plan needs values for: {sorted(missing)}")
+        kernels.append(normalize({"name": name, "throughput": rate},
+                                 _KERNEL_FIELDS, f"--kernel {spec!r}"))
     if not kernels:
         raise ConfigError("plan needs at least one kernel "
                           "(--kernel NAME=THROUGHPUT)")
@@ -196,6 +167,9 @@ def _numeric_matrix_from_csv(path, chunk_size=100000):
                          f"numeric column present; design-schema needs 2")
     values = np.column_stack([np.asarray(table.column(n), dtype=float)
                               for n in names])
+    infinite = [n for n, col in zip(names, values.T) if np.isinf(col).any()]
+    if infinite:
+        raise DwkitError(f"{path}: column {infinite[0]!r} holds an infinity")
     return (schema_pca.NumericMatrix(values=values, col_names=names),
             _dropped_warnings(dropped, "a numeric column"))
 
@@ -207,18 +181,14 @@ def _dropped_warnings(dropped, where):
 
 
 def _cmd_design_schema(args):
-    cfg = _command_config(args, {"input": "a string",
-                                 "threshold": "a number"})
-    path = args.input or cfg.get("input")
-    threshold = (args.threshold if args.threshold is not None
-                 else cfg.get("threshold",
-                              schema_pca.DEFAULT_VARIANCE_THRESHOLD))
-    if path is None:
+    cfg = _command_config(args, {"input": string,
+                                 "threshold": fraction(zero=False)})
+    if "input" not in cfg:
         raise ConfigError("design-schema needs --input CSV")
-    if not 0.0 < float(threshold) <= 1.0:
-        raise ConfigError("threshold must be in (0, 1]")
+    path = cfg["input"]
+    threshold = cfg.get("threshold", schema_pca.DEFAULT_VARIANCE_THRESHOLD)
     data, warnings = _numeric_matrix_from_csv(path)
-    proposal = schema_pca.design_schema(data, float(threshold))
+    proposal = schema_pca.design_schema(data, threshold)
     pca = proposal.pca
     body = {
         "variables": pca.col_names,
@@ -232,7 +202,7 @@ def _cmd_design_schema(args):
         "unassigned": proposal.unassigned,
         "assignment_floor": schema_pca.ASSIGNMENT_FLOOR,
     }
-    manifest = {"input": str(path), "threshold": float(threshold)}
+    manifest = {"input": path, "threshold": threshold}
     notes = ["factor grouping rule: each variable joins the retained "
              "component with its largest absolute loading; floor "
              f"{schema_pca.ASSIGNMENT_FLOOR} on |loading|"]
@@ -242,24 +212,21 @@ def _cmd_design_schema(args):
 # --- simulate ---
 
 def _cmd_simulate(args):
-    cfg = _command_config(args, {"scenario": "a string",
-                                 "until": "a quantity", "mode": "a string"})
-    scenario_path = args.scenario or cfg.get("scenario")
-    if scenario_path is None:
+    cfg = _command_config(args, {
+        "scenario": string, "until": quantity("seconds"),
+        "mode": choice("managed", "lossy-priority-baseline")})
+    if "scenario" not in cfg:
         raise ConfigError("simulate needs --scenario FILE")
-    scenario = _load_config(scenario_path, "scenario")
-    mode = args.mode or cfg.get("mode")
+    scenario = _load_config(cfg["scenario"], "scenario")
     policy = scenario.get("policy", {})
     # a policy that is not an object is refused by run_scenario
-    if mode is not None and isinstance(policy, dict):
-        scenario["policy"] = dict(policy, mode=mode)
-    until_raw = args.until if args.until is not None else cfg.get("until")
-    until = parse_seconds(until_raw) if until_raw is not None else None
-    events, metrics = placement.run_scenario(scenario, until=until)
+    if "mode" in cfg and isinstance(policy, dict):
+        scenario["policy"] = dict(policy, mode=cfg["mode"])
+    events, metrics = placement.run_scenario(scenario, cfg.get("until"))
     body = dict(metrics)
     body["events"] = len(events)
     body["drop_rate_from_log"] = placement.drop_rate(events)
-    manifest = {"scenario": str(scenario_path), "until": until,
+    manifest = {"scenario": cfg["scenario"], "until": cfg.get("until"),
                 "mode": scenario.get("policy", {}).get("mode", "managed")}
     extra = [("events.jsonl", lambda outdir: placement.write_event_log(
         events, os.path.join(outdir, "events.jsonl")))]
@@ -268,39 +235,20 @@ def _cmd_simulate(args):
 
 # --- mapreduce ---
 
-def _parse_op(spec):
-    if spec == "count":
-        return ("count", None)
-    if ":" not in spec:
-        raise ConfigError(f"operation {spec!r}: expected count or "
-                          f"REDUCER:COLUMN with reducer in "
-                          f"{sorted(BUILTIN_REDUCERS)}")
-    reducer, column = spec.split(":", 1)
-    if reducer not in BUILTIN_REDUCERS:
-        raise ConfigError(f"unknown reducer {reducer!r}")
-    return (reducer, column)
-
-
 def _cmd_mapreduce(args):
-    cfg = _command_config(args, {"input": "a list of strings",
-                                 "chunk_size": "an integer",
-                                 "operations": "a list of strings",
-                                 "missing_tokens": "a list of strings"})
-    inputs = list(args.input or cfg.get("input") or [])
-    ops = list(args.op or cfg.get("operations") or [])
-    chunk_size = (args.chunk_size if args.chunk_size is not None
-                  else cfg.get("chunk_size", 1000))
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be an integer >= 1, "
-                          f"got {chunk_size!r}")
-    if not inputs:
-        inputs = [fixtures.server_records_path()]
+    cfg = _command_config(args, {"input": _NAMES, "chunk_size": integer(1),
+                                 "operations": list_of(_OP),
+                                 "missing_tokens": _NAMES})
+    inputs = cfg.get("input") or [fixtures.server_records_path()]
+    ops = cfg.get("operations")
+    chunk_size = cfg.get("chunk_size", 1000)
     if not ops:
         raise ConfigError("mapreduce needs at least one --op")
-    parsed = [(op, *_parse_op(op)) for op in dict.fromkeys(ops)]
+    parsed = [(op, "count", None) if op == "count" else (op, *op.split(":", 1))
+              for op in dict.fromkeys(ops)]
     ds = chunkstore.open_datastore(
         inputs, chunk_size=chunk_size,
-        treat_as_missing=tuple(cfg.get("missing_tokens", ())))
+        treat_as_missing=cfg.get("missing_tokens", ()))
     names = ds.column_names()
     unknown = sorted({column for _, _, column in parsed
                       if column is not None and column not in names})
@@ -321,7 +269,7 @@ def _cmd_mapreduce(args):
             value = reduced[key]
         results[key] = (int(value) if isinstance(value, (int, np.integer))
                         else float(value))
-    manifest = {"input": [str(p) for p in inputs],
+    manifest = {"input": inputs,
                 "chunk_size": chunk_size, "operations": ops}
     extra = [("scheduler.jsonl", lambda outdir: write_log(
         out.log, os.path.join(outdir, "scheduler.jsonl")))]
@@ -331,36 +279,30 @@ def _cmd_mapreduce(args):
 # --- regress ---
 
 def _cmd_regress(args):
-    cfg = _command_config(args, {"input": "a string", "response": "a string",
-                                 "predictors": "a list of strings",
-                                 "encode": "a list of strings"})
-    path = args.input or cfg.get("input")
+    cfg = _command_config(args, {"input": string, "response": string,
+                                 "predictors": _NAMES, "encode": _NAMES})
+    path = cfg.get("input")
+    response = cfg.get("response")
+    predictors = cfg.get("predictors")
     if path is None:
         table = fixtures.warehouse_survey_table()
-        response = args.response or cfg.get("response") \
-            or fixtures.WAREHOUSE_RESPONSE
-        predictors = (args.predictors.split(",") if args.predictors
-                      else cfg.get("predictors")
-                      or list(fixtures.WAREHOUSE_PREDICTORS))
+        response = response or fixtures.WAREHOUSE_RESPONSE
+        predictors = predictors or list(fixtures.WAREHOUSE_PREDICTORS)
         source = "bundled synthetic warehouse survey"
     else:
         ds = chunkstore.open_datastore(path)
         table = chunkstore.read_all(ds)
-        response = args.response or cfg.get("response")
-        predictors = (args.predictors.split(",") if args.predictors
-                      else cfg.get("predictors"))
         if response is None or not predictors:
             raise ConfigError("regress needs --response and --predictors")
-        source = str(path)
-    encode = (args.encode.split(",") if args.encode
-              else cfg.get("encode") or [])
+        source = path
+    encode = cfg.get("encode") or []
     unknown = sorted({response, *predictors, *encode}
                      - set(table.column_names))
     if unknown:
         raise ConfigError(f"unknown column(s) {unknown}; the input has "
                           f"{table.column_names}")
     try:
-        spec = regress.ModelSpec(response, tuple(predictors))
+        spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
         raise ConfigError(str(exc))
     if encode:
@@ -429,7 +371,7 @@ def _cmd_regress(args):
                 [ln.predictor, response, "fitted"],
                 list(zip(ln.x, ln.y, ln.fitted)))
     manifest = {"input": source, "response": response,
-                "predictors": list(predictors), "encode": encode}
+                "predictors": predictors, "encode": encode}
     return manifest, body, warnings, [("factor CSVs", write_lines)]
 
 
@@ -442,9 +384,14 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line, as every other usage error
+        self.exit(2, f"dwkit: usage error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dwkit", description=__doc__.split("\n\n")[1])
+    parser = _Parser(prog="dwkit", description=__doc__.split("\n\n")[1])
     parser.add_argument("--version", action="version",
                         version=f"dwkit {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -456,10 +403,9 @@ def build_parser():
 
     p = sub.add_parser("plan", help="size an SSD staging tier")
     common(p)
-    for key in _CLUSTER_FIELDS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
-    for key in _WORKLOAD_FIELDS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key)
+    for key in (*_CLUSTER_FIELDS, *_WORKLOAD_FIELDS):
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       type=_flag_value)
     p.add_argument("--kernel", action="append",
                    help="NAME=THROUGHPUT, repeatable")
 
@@ -484,15 +430,17 @@ def build_parser():
     p.add_argument("--chunk-size", type=int, dest="chunk_size")
     p.add_argument("--workers", type=int,
                    help="ignored; map tasks run in order in one thread")
-    p.add_argument("--op", action="append",
+    p.add_argument("--op", action="append", dest="operations", metavar="OP",
                    help="count or REDUCER:COLUMN (sum/mean/max/min)")
 
     p = sub.add_parser("regress", help="OLS + ANOVA + factor lines")
     common(p)
     p.add_argument("--input", help="CSV (default: bundled survey fixture)")
     p.add_argument("--response")
-    p.add_argument("--predictors", help="comma-separated column names")
-    p.add_argument("--encode", help="binary columns to 0/1-encode")
+    p.add_argument("--predictors", type=lambda text: text.split(","),
+                   help="comma-separated column names")
+    p.add_argument("--encode", type=lambda text: text.split(","),
+                   help="binary columns to 0/1-encode")
     return parser
 
 
@@ -518,7 +466,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"dwkit: usage error: {exc}", file=sys.stderr)
         return 2
-    except DwkitError as exc:
+    except (DwkitError, UnicodeDecodeError) as exc:   # bytes not UTF-8
         print(f"dwkit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -96,6 +96,6 @@ class ConfigError(DwkitError):
     """Invalid configuration file or flag value (usage error, exit 2)."""
 
 
-class UnitError(ConfigError):
+class UnitError(ConfigError, ValueError):
     def __init__(self, text, reason):
         super().__init__(f"cannot parse quantity {text!r}: {reason}")

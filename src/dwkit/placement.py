@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 from .errors import (AclDeniedError, ConfigError, InsufficientSitesError,
                      UnknownSiteError)
-from .units import parse_bytes, parse_rate, parse_seconds
+from .units import (boolean, choice, integer, list_of, normalize, optional,
+                    quantity, string, table)
 
 _EPS_BYTES = 1e-6
 
@@ -489,104 +490,89 @@ def write_event_log(events, path):
 
 # --- scenario files ---
 
-# list section -> (required keys, optional keys) of each of its entries
-_SCENARIO_SECTIONS = {
-    "sites": ({"id", "capacity", "ingress_bw", "egress_bw"}, set()),
-    "allocations": ({"site", "size", "duration"}, {"at", "acl", "wait", "id"}),
-    "transfers": ({"source", "dest", "size"},
-                  {"at", "owner", "priority", "order", "allocation", "id"}),
-    "failures": ({"kind", "target"}, {"at", "duration"}),
-    "replications": ({"dataset", "size", "source"}, {"at", "sites"}),
+_SECONDS = quantity("seconds")
+_BYTES = quantity("bytes", positive=True)
+_RATE = quantity("rate", positive=True)
+_NAMES = list_of(string)
+_SCENARIO_FIELDS = {
+    "schema_version": integer(),
+    "policy": table({
+        "mode": choice("managed", "lossy-priority-baseline"),
+        "replica_count": integer(1),
+        "ordering": choice("fifo", "by-request-order-field"),
+        "retry_limit": integer(0),
+        "queue_capacity": optional(integer(0))}),
+    "sites": list_of(table({"id": string, "capacity": _BYTES,
+                            "ingress_bw": _RATE, "egress_bw": _RATE},
+                           ("id", "capacity", "ingress_bw", "egress_bw"))),
+    "allocations": list_of(table({
+        "site": string, "size": _BYTES, "duration": _SECONDS,
+        "at": _SECONDS, "acl": list_of(_NAMES), "wait": boolean,
+        "id": string}, ("site", "size", "duration"))),
+    "transfers": list_of(table({
+        "source": string, "dest": string, "size": _BYTES, "at": _SECONDS,
+        "owner": string, "priority": integer(), "order": integer(),
+        "allocation": string, "id": string}, ("source", "dest", "size"))),
+    "failures": list_of(table({
+        "kind": choice("link-down", "site-down", "disk-overflow"),
+        "target": lambda t: _NAMES(t) if type(t) is list else string(t),
+        "at": _SECONDS, "duration": optional(_SECONDS)},
+        ("kind", "target"))),
+    "replications": list_of(table({
+        "dataset": string, "size": _BYTES, "source": string,
+        "at": _SECONDS, "sites": _NAMES},
+        ("dataset", "size", "source"))),
 }
-_SCENARIO_KEYS = {"schema_version", "policy", *_SCENARIO_SECTIONS}
-_POLICY_KEYS = {"mode", "replica_count", "ordering", "retry_limit",
-                "queue_capacity"}
-
-
-def _check_object(obj, required, allowed, context):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    missing = sorted(required - obj.keys())
-    if missing:
-        raise ConfigError(f"{context} lacks required key(s) {missing}")
-    unknown = sorted(obj.keys() - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {unknown}")
-
-
-def check_scenario(scenario: dict):
-    """Raise ConfigError unless every scenario object has its required
-    keys and no unknown one; ``sites`` is the one required section."""
-    _check_object(scenario, {"sites"}, _SCENARIO_KEYS, "scenario")
-    _check_object(scenario.get("policy", {}), set(), _POLICY_KEYS,
-                  "scenario policy")
-    for section, (required, optional) in _SCENARIO_SECTIONS.items():
-        entries = scenario.get(section, [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"scenario {section} must be a list")
-        allowed = required | optional
-        for i, entry in enumerate(entries):
-            # the test inline, the message only for an entry that fails
-            if not (isinstance(entry, dict)
-                    and required <= entry.keys() <= allowed):
-                _check_object(entry, required, allowed,
-                              f"scenario {section}[{i}]")
+# section -> the site ids an entry of it names
+_SITE_REFS = {
+    "allocations": lambda a: [a["site"]],
+    "transfers": lambda t: [t["source"], t["dest"]],
+    "failures": lambda f: (f["target"] if type(f["target"]) is list
+                           else [f["target"]]),
+    "replications": lambda r: [r["source"], *r.get("sites", ())],
+}
 
 
 def build_simulator(scenario: dict) -> PlacementSimulator:
     """Materialize a scenario dict (sites, policy, scheduled requests).
 
-    The scenario is checked first (``check_scenario``); a value the
-    simulator's constructors reject is a ConfigError as well.
+    Every value is converted first, and every site reference checked, so
+    a malformed scenario is a ConfigError before the simulator exists.
     """
-    check_scenario(scenario)
-    try:
-        return _build_simulator(scenario)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid scenario: {exc}") from exc
-
-
-def _build_simulator(scenario):
-    sites = [StorageSite(id=s["id"],
-                         capacity=parse_bytes(s["capacity"]),
-                         ingress_bw=parse_rate(s["ingress_bw"]),
-                         egress_bw=parse_rate(s["egress_bw"]))
-             for s in scenario["sites"]]
-    pol = scenario.get("policy", {})
-    policy = PlacementPolicy(
-        mode=pol.get("mode", "managed"),
-        replica_count=int(pol.get("replica_count", 1)),
-        ordering=pol.get("ordering", "fifo"),
-        retry_limit=int(pol.get("retry_limit", 3)),
-        queue_capacity=(int(pol["queue_capacity"])
-                        if pol.get("queue_capacity") is not None else None))
-    sim = PlacementSimulator(sites, policy)
-    for a in scenario.get("allocations", []):
-        sim.schedule(parse_seconds(a.get("at", 0)), sim.allocate,
-                     a["site"], parse_bytes(a["size"]),
-                     parse_seconds(a["duration"]),
-                     [tuple(e) for e in a.get("acl", [])],
-                     wait=bool(a.get("wait", False)),
-                     alloc_id=a.get("id"))
-    for t in scenario.get("transfers", []):
-        sim.schedule(parse_seconds(t.get("at", 0)), sim.submit_transfer,
-                     t["source"], t["dest"], parse_bytes(t["size"]),
-                     t.get("owner", "anonymous"),
-                     priority=int(t.get("priority", 0)),
-                     order=int(t.get("order", 0)),
-                     allocation=t.get("allocation"),
-                     job_id=t.get("id"))
-    for f in scenario.get("failures", []):
-        target = f["target"]
-        if f["kind"] == "link-down":
-            target = tuple(target)
-        sim.inject_failure(f["kind"], target, parse_seconds(f.get("at", 0)),
-                           parse_seconds(f["duration"])
-                           if f.get("duration") is not None else None)
-    for r in scenario.get("replications", []):
-        sim.schedule(parse_seconds(r.get("at", 0)), sim.replicate,
-                     r["dataset"], parse_bytes(r["size"]), r["source"],
-                     candidate_sites=r.get("sites"))
+    s = normalize(scenario, _SCENARIO_FIELDS, "scenario", ("sites",))
+    ids = {site["id"] for site in s["sites"]}
+    if len(ids) < len(s["sites"]):
+        raise ConfigError("scenario sites define an id more than once")
+    for i, f in enumerate(s.get("failures", ())):
+        link = type(f["target"]) is list and len(f["target"]) == 2
+        if link != (f["kind"] == "link-down"):
+            raise ConfigError(f"scenario failures[{i}] target "
+                              f"{f['target']!r} does not fit a {f['kind']}: "
+                              f"a link-down targets a [source, dest] pair, "
+                              f"the other kinds one site id")
+    for section, names in _SITE_REFS.items():
+        for i, entry in enumerate(s.get(section, ())):
+            if not ids.issuperset(names(entry)):
+                unknown = sorted(set(names(entry)) - ids)
+                raise ConfigError(f"scenario {section}[{i}] names unknown "
+                                  f"site(s) {unknown}")
+    sim = PlacementSimulator([StorageSite(**site) for site in s["sites"]],
+                             PlacementPolicy(**s.get("policy", {})))
+    for a in s.get("allocations", ()):
+        sim.schedule(a.get("at", 0.0), sim.allocate, a["site"], a["size"],
+                     a["duration"], a.get("acl", ()),
+                     wait=a.get("wait", False), alloc_id=a.get("id"))
+    for t in s.get("transfers", ()):
+        sim.schedule(t.get("at", 0.0), sim.submit_transfer, t["source"],
+                     t["dest"], t["size"], t.get("owner", "anonymous"),
+                     priority=t.get("priority", 0), order=t.get("order", 0),
+                     allocation=t.get("allocation"), job_id=t.get("id"))
+    for f in s.get("failures", ()):
+        sim.inject_failure(f["kind"], f["target"], f.get("at", 0.0),
+                           f.get("duration"))
+    for r in s.get("replications", ()):
+        sim.schedule(r.get("at", 0.0), sim.replicate, r["dataset"],
+                     r["size"], r["source"], candidate_sites=r.get("sites"))
     return sim
 
 

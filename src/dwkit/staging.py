@@ -121,6 +121,8 @@ def staging_ratio(cfg: ClusterConfig, wl: Workload) -> int:
         raise InfeasibleHardwareError(
             f"staging ratio {ratio:.4g} < 1: one staging node cannot "
             f"serve a single compute node")
+    if ratio == math.inf:
+        raise DegenerateWorkloadError("the staging ratio overflows a float")
     return math.floor(ratio)
 
 

@@ -176,9 +176,31 @@ class TestSimulateCommand:
         assert "nonexistent.json" in proc.stderr
 
 
+def overload_with(section, entry=None, **fields):
+    """The bundled overload scenario plus ``entry`` in ``section``, or with
+    ``fields`` set in the first object of ``section``."""
+    with open(overload_scenario_path()) as fh:
+        scenario = json.load(fh)
+    if entry is not None:
+        scenario.setdefault(section, []).append(entry)
+    else:
+        target = scenario[section]
+        (target[0] if isinstance(target, list) else target).update(fields)
+    return scenario
+
+
+def plan_with(block, **fields):
+    """PLAN_CONFIG with ``fields`` set in its ``block``."""
+    cfg = json.loads(json.dumps(PLAN_CONFIG))
+    cfg[block] = (dict(cfg[block], **fields) if block != "kernels"
+                  else [dict(cfg[block][0], **fields)])
+    return cfg
+
+
 class TestScenarioValidation:
     SITE = {"id": "a", "capacity": "1TB", "ingress_bw": "1GB/s",
             "egress_bw": "1GB/s"}
+    TRANSFER = {"source": "ingest", "dest": "archive", "size": "1GB"}
 
     @pytest.mark.parametrize("scenario, needle", [
         ({}, "['sites']"),
@@ -194,15 +216,45 @@ class TestScenarioValidation:
         ({"sites": [SITE], "transfers": [
             {"source": "a", "dest": "a", "size": "1GB", "priority": "hi"}]},
          "'hi'"),
+        (overload_with("failures", {"kind": "site-down", "target": "archive",
+                                    "at": 1, "duration": -5}),
+         "failures[0] duration"),
+        (overload_with("allocations", {"site": "archive", "size": "1GB",
+                                       "duration": -5}),
+         "allocations[0] duration"),
+        (overload_with("transfers", dict(TRANSFER, size=-1)),
+         "transfers[8] size"),
+        (overload_with("transfers", dict(TRANSFER, size=True)),
+         "transfers[8] size"),
+        (overload_with("failures", {"kind": "link-down", "target": "ab"}),
+         "failures[0] target"),
+        (overload_with("replications", {"dataset": "d", "size": "1GB",
+                                        "source": "ingest", "sites": "x"}),
+         "sites must be a list"),
+        (overload_with("transfers", dict(TRANSFER, source="nowhere")),
+         "'nowhere'"),
+        (overload_with("transfers", dict(TRANSFER, priority=2.7)),
+         "transfers[8] priority"),
+        (overload_with("policy", queue_capacity=3.9),
+         "policy queue_capacity"),
+        (overload_with("policy", queue_capacity=-1),
+         "policy queue_capacity"),
+        (overload_with("allocations", {"site": "archive", "size": "1GB",
+                                       "duration": 5, "wait": "no"}),
+         "allocations[0] wait"),
+        (overload_with("sites", id=7), "sites[0] id"),
+        (overload_with("sites", capacity=float("nan")), "sites[0] capacity"),
     ])
     def test_malformed_scenario_is_one_line_usage_error(
             self, tmp_path, capsys, scenario, needle):
         path = write_config(tmp_path, dict(scenario, schema_version=1),
                             "scenario.json")
+        out = str(tmp_path / "out")
         err = run_one_line_error(["simulate", "--scenario", path,
                                   "--mode", "managed",
-                                  "--out", str(tmp_path / "out")], capsys, 2)
+                                  "--out", out], capsys, 2)
         assert needle in err
+        assert not os.path.exists(out)
 
 
 class TestMapreduceCommand:
@@ -450,7 +502,7 @@ class TestChunkSizeValidation:
         assert "chunk_size" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("value", ["x", 0, 2.5, True, None])
+    @pytest.mark.parametrize("value", ["x", 0, 2.5, True, None, 2**63])
     def test_config_value(self, tmp_path, capsys, value):
         cfg = write_config(tmp_path, {"chunk_size": value})
         run_one_line_error(["mapreduce", "--config", cfg, "--op", "count",
@@ -485,6 +537,13 @@ class TestDesignSchemaCommand:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run(["design-schema", "--out", str(tmp_path / "out")]) == 2
 
+    def test_infinite_cell_is_one_line_error(self, tmp_path, capsys):
+        p = tmp_path / "inf.csv"
+        p.write_text("a,b\n1,2\n2,inf\n3,5\n4,4\n")
+        err = run_one_line_error(["design-schema", "--input", str(p),
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        assert "'b'" in err
+
 
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
@@ -515,6 +574,16 @@ class TestConfigValueTypes:
         ("mapreduce", {"input": CSV}, ["--op", "count"], "input"),
         ("regress", {"predictors": [1], "response": "y"}, [], "predictors"),
         ("regress", {"encode": "Flag"}, [], "encode"),
+        ("plan", plan_with("cluster", n_compute=128.9), [], "n_compute"),
+        ("plan", plan_with("workload", num_chkpts=2.5), [], "num_chkpts"),
+        ("plan", plan_with("cluster", n_compute=True), [], "n_compute"),
+        ("plan", plan_with("kernels", throughput=-1), [], "throughput"),
+        ("plan", plan_with("cluster", bw_pfs=float("nan")), [], "bw_pfs"),
+        ("plan", plan_with("cluster", c_ssd=10**400), [], "c_ssd"),
+        ("simulate", {}, ["--scenario", overload_scenario_path(),
+                          "--until", "-5"], "until"),
+        ("simulate", {}, ["--scenario", overload_scenario_path(),
+                          "--until", "1e400"], "until"),
     ])
     def test_wrong_type_is_one_line_usage_error(self, tmp_path, capsys,
                                                 command, cfg, extra, key):

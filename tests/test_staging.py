@@ -62,6 +62,13 @@ class TestRatios:
         with pytest.raises(DegenerateWorkloadError):
             s_capacity(worked_config(), wl)
 
+    def test_ratio_past_the_float_range_is_degenerate(self):
+        # both ratios overflow to inf, which has no floor
+        cfg = worked_config(c_ssd=1e308, bw_host2ssd=1e308, bw_pfs=1e-300)
+        wl = worked_workload(lambda_a=5e-324, lambda_c=0.0)
+        with pytest.raises(DegenerateWorkloadError):
+            staging_ratio(cfg, wl)
+
     def test_s_bandwidth_hand_value(self):
         assert s_bandwidth(worked_config()) == pytest.approx(128 * 3 / 50)
 
