@@ -448,8 +448,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        manifest, body, warnings, extra = _COMMANDS[args.subcommand](args)
         outdir = _outdir(args)
+        # the nearest path at or above outdir that exists must be a
+        # directory, or the report cannot be written there
+        existing = outdir
+        while existing and not os.path.lexists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise ConfigError(f"output directory {outdir} cannot be made: "
+                              f"{existing} is not a directory")
+        manifest, body, warnings, extra = _COMMANDS[args.subcommand](args)
         manifest["schema_version"] = CONFIG_SCHEMA_VERSION
         full = {
             "tool_version": __version__,

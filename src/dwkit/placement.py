@@ -14,9 +14,13 @@ the last overlapping outage of that kind ends, and a ``disk-overflow``
 (which blocks inbound transfers only) never masks a ``site-down``.
 
 Time is continuous (seconds).  Link bandwidth is shared equally among the
-concurrent transfers on each site interface and recomputed at every event,
-so completion times are exact and runs are byte-identical for identical
-scenarios.
+concurrent transfers on each site interface and recomputed whenever the
+set of active transfers changes, so completion times are exact and runs
+are byte-identical for identical scenarios.  The active set is kept as
+numpy columns in start order, and each step updates every active transfer
+with a few array operations: the same IEEE operations, rounded once each,
+as one transfer at a time in Python floats, which is how a set of exactly
+one is updated.
 """
 from __future__ import annotations
 
@@ -24,7 +28,12 @@ import heapq
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (AclDeniedError, ConfigError, InsufficientSitesError,
                      UnknownSiteError)
@@ -32,6 +41,11 @@ from .units import (boolean, choice, integer, list_of, normalize, optional,
                     quantity, string, table)
 
 _EPS_BYTES = 1e-6
+_JSON = json.JSONEncoder(sort_keys=True)
+# one row per active transfer, in start order: (attribute, dtype)
+_COLUMNS = (("_job_ids", object), ("_src", np.intp), ("_dst", np.intp),
+            ("_size", float), ("_moved", float), ("_rate", float),
+            ("_tol", float))
 
 
 @dataclass(frozen=True)
@@ -76,6 +90,8 @@ class TransferJob:
     allocation: str | None = None
     dataset: str | None = None   # set for replication transfers
     state: str = "queued"
+    # while the job is active its progress lives in the simulator's active
+    # set; it is written back here when the job leaves it or run() returns
     bytes_moved: float = 0.0
     retries: int = 0
     submitted_at: float = 0.0
@@ -103,18 +119,17 @@ class PlacementPolicy:
             raise ValueError("replica_count >= 1 and retry_limit >= 0")
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     time: float
     seq: int
     kind: str
     subject: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_json(self):
-        return json.dumps({"time": self.time, "seq": self.seq,
-                           "kind": self.kind, "subject": self.subject,
-                           "detail": self.detail}, sort_keys=True)
+        return _JSON.encode({"time": self.time, "seq": self.seq,
+                             "kind": self.kind, "subject": self.subject,
+                             "detail": self.detail})
 
 
 class PlacementSimulator:
@@ -135,22 +150,35 @@ class PlacementSimulator:
         self._order = 0
         self._seq = 0
         self._queue: list[str] = []  # queued/retrying job ids
-        # active job id -> its rate, in start order; None until first rated
-        self._active: dict[str, float | None] = {}
+        # managed mode: how many leading queue entries were blocked at the
+        # last dispatch; only a recovery can unblock them
+        self._held = 0
         # (kind, site or (src, dst) link) -> number of open outages
         self._outages: Counter = Counter()
         self._stored: dict[str, float] = {s: 0.0 for s in self.sites}
         self._wait_allocs: list[tuple] = []
         self._ids = {"alloc": 0, "job": 0}
+        self._used = {"alloc": set(), "job": set()}
+        # ids a scenario gives out later, which generated ids skip
+        self._named = {"alloc": set(), "job": set()}
+        self._index = {s: i for i, s in enumerate(self.sites)}
+        self._egress = np.array([s.egress_bw for s in self.sites.values()],
+                                float)
+        self._ingress = np.array([s.ingress_bw for s in self.sites.values()],
+                                 float)
+        # the active set: _n rows of _COLUMNS, of which the first _rated
+        # hold the rates of the last recompute; _stale once it changes
+        for name, dtype in _COLUMNS:
+            setattr(self, name, np.empty(64, dtype))
+        self._n = self._rated = 0
+        self._stale = False
 
     # --- plumbing ---
 
     def _emit(self, kind, subject, **detail):
-        ev = SimEvent(time=self.now, seq=self._seq, kind=kind,
-                      subject=subject, detail=detail)
+        self.events.append(SimEvent(self.now, self._seq, kind, subject,
+                                    detail))
         self._seq += 1
-        self.events.append(ev)
-        return ev
 
     def schedule(self, time, fn, *args, **kwargs):
         if time < self.now:
@@ -159,9 +187,19 @@ class PlacementSimulator:
                                         lambda: fn(*args, **kwargs)))
         self._order += 1
 
-    def _fresh_id(self, kind):
-        self._ids[kind] += 1
-        return f"{kind}-{self._ids[kind]}"
+    def _take_id(self, kind, wanted):
+        """``wanted`` if no one has it yet, else ValueError; without one,
+        the next ``kind-N`` that is neither given out nor named ahead."""
+        used = self._used[kind]
+        if wanted:
+            if wanted in used:
+                raise ValueError(f"{kind} id {wanted!r} is already in use")
+        else:
+            while not wanted or wanted in used or wanted in self._named[kind]:
+                self._ids[kind] += 1
+                wanted = f"{kind}-{self._ids[kind]}"
+        used.add(wanted)
+        return wanted
 
     def _site(self, site_id):
         if site_id not in self.sites:
@@ -185,11 +223,12 @@ class PlacementSimulator:
         Oversubscription is refused outright, so granted space can never
         overflow the site.  With ``wait=True`` a refused request stays
         pending and is granted the moment an expiry frees enough space.
+        An ``alloc_id`` already requested is a ValueError.
         """
         self._site(site_id)
         if size <= 0:
             raise ValueError("allocation size must be > 0")
-        request = (alloc_id or self._fresh_id("alloc"), site_id, size,
+        request = (self._take_id("alloc", alloc_id), site_id, size,
                    duration, tuple(map(tuple, acl)))
         alloc = self._grant(request)
         if alloc is None:
@@ -229,9 +268,9 @@ class PlacementSimulator:
     def submit_transfer(self, source, dest, size, owner, priority=0,
                         order=0, allocation=None, job_id=None,
                         dataset=None):
-        """Queue a transfer request; raises on unknown sites or an ACL
-        that does not grant the owner write access to the destination
-        allocation."""
+        """Queue a transfer request; raises on unknown sites, a ``job_id``
+        already submitted, or an ACL that does not grant the owner write
+        access to the destination allocation."""
         self._site(source)
         self._site(dest)
         if size <= 0:
@@ -245,7 +284,7 @@ class PlacementSimulator:
                 raise AclDeniedError(
                     f"principal {owner!r} lacks write permission on "
                     f"allocation {allocation!r}")
-        job_id = job_id or self._fresh_id("job")
+        job_id = self._take_id("job", job_id)
         job = TransferJob(id=job_id, source=source, dest=dest,
                           size=float(size), owner=owner, priority=priority,
                           order=order, allocation=allocation,
@@ -282,7 +321,7 @@ class PlacementSimulator:
     def _dispatch(self):
         if self.policy.mode == "lossy-priority-baseline":
             # a single server: start the best queued job once it is idle
-            if self._active or not self._queue:
+            if self._n or not self._queue:
                 return
             nxt = max(self._queue,
                       key=lambda j: (self.jobs[j].priority,
@@ -291,68 +330,129 @@ class PlacementSimulator:
                 self._queue.remove(nxt)
                 self._start(self.jobs[nxt])
             return
-        pending = self._queue
+        # outages only add blocks until a recovery clears _held, so the
+        # held entries are not tested again before then
+        held, pending = self._queue[:self._held], self._queue[self._held:]
         if self.policy.ordering == "by-request-order-field":
-            pending = sorted(pending, key=lambda j: (self.jobs[j].order, j))
-        self._queue = []
+            pending.sort(key=lambda j: (self.jobs[j].order, j))
         for jid in pending:
             job = self.jobs[jid]
             if self._blocked(job):
-                self._queue.append(jid)
+                held.append(jid)
             else:
                 self._start(job)
+        self._queue = held
+        self._held = len(held)
 
     def _start(self, job):
         retry = job.state == "failed-retrying"
         job.state = "active"
-        self._active[job.id] = None
+        n = self._n
+        if n == len(self._size):
+            for name, dtype in _COLUMNS:
+                grown = np.empty(2 * n, dtype)
+                grown[:n] = getattr(self, name)
+                setattr(self, name, grown)
+        self._job_ids[n] = job.id
+        self._src[n] = self._index[job.source]
+        self._dst[n] = self._index[job.dest]
+        self._size[n] = job.size
+        self._moved[n] = job.bytes_moved
+        # the size-relative tolerance absorbs accumulated float residue
+        self._tol[n] = max(_EPS_BYTES, 1e-12 * job.size)
+        self._n = n + 1
+        self._stale = True
         self._emit("transfer-start", job.id, source=job.source,
                    dest=job.dest, size=job.size,
                    bytes_moved=job.bytes_moved, retry=retry)
 
+    def _remove(self, rows):
+        """Take the ascending indices ``rows`` out of the active set; the
+        rest keep their start order."""
+        n, k = self._n, self._n - len(rows)
+        if k:
+            keep = np.ones(n, bool)
+            keep[rows] = False
+            for name, _ in _COLUMNS:
+                column = getattr(self, name)
+                column[:k] = column[:n][keep]
+            self._rated = int(np.count_nonzero(keep[:self._rated]))
+        else:
+            self._rated = 0
+        self._n = k
+        self._stale = True
+
     def _recompute_rates(self):
-        out_count, in_count = {}, {}
-        for jid in self._active:
-            job = self.jobs[jid]
-            out_count[job.source] = out_count.get(job.source, 0) + 1
-            in_count[job.dest] = in_count.get(job.dest, 0) + 1
-        for jid, old in self._active.items():
-            job = self.jobs[jid]
-            rate = min(self.sites[job.source].egress_bw / out_count[job.source],
-                       self.sites[job.dest].ingress_bw / in_count[job.dest])
-            if old is not None and old != rate:
-                self._emit("transfer-progress", jid, rate=rate,
-                           bytes_moved=job.bytes_moved)
-            self._active[jid] = rate
+        if not self._stale:
+            return   # same set, same rates
+        self._stale = False
+        n, rated = self._n, self._rated
+        if n == 1:
+            rate = min(self._egress.item(self._src.item(0)),
+                       self._ingress.item(self._dst.item(0)))
+            changed = [0] if rated and self._rate.item(0) != rate else []
+            self._rate[0] = rate
+        else:
+            src, dst = self._src[:n], self._dst[:n]
+            rates = np.minimum(self._egress[src] / np.bincount(src)[src],
+                               self._ingress[dst] / np.bincount(dst)[dst])
+            # rows rated for the first time emit no progress
+            changed = np.flatnonzero(
+                self._rate[:rated] != rates[:rated]).tolist()
+            self._rate[:n] = rates
+        self._rated = n
+        if changed:
+            seq, self._seq = self._seq, self._seq + len(changed)
+            details = [{"rate": rate, "bytes_moved": moved} for rate, moved
+                       in zip(self._rate[changed].tolist(),
+                              self._moved[changed].tolist())]
+            # tuple.__new__ builds each SimEvent without a Python call
+            self.events.extend(map(tuple.__new__, repeat(SimEvent), zip(
+                repeat(self.now), range(seq, self._seq),
+                repeat("transfer-progress"),
+                self._job_ids[changed].tolist(), details)))
 
     def _advance(self, t):
         dt = t - self.now
         if dt < 0:
             raise RuntimeError("time moved backwards")
-        for jid, rate in self._active.items():
-            self.jobs[jid].bytes_moved += rate * dt
+        n = self._n
+        if n == 1:
+            self._moved[0] = self._moved.item(0) + self._rate.item(0) * dt
+        elif n:
+            self._moved[:n] += self._rate[:n] * dt
         self.now = t
 
     def _complete_finished(self):
-        now = self.now
-        for jid, rate in list(self._active.items()):
+        n, now = self._n, self.now
+        # a residue the job's rate moves in less than one tick of the
+        # clock would otherwise be due at self.now forever
+        if n == 1:
+            remaining = self._size.item(0) - self._moved.item(0)
+            done = ([0] if remaining <= self._tol.item(0)
+                    or now + remaining / self._rate.item(0) == now else [])
+        elif n:
+            remaining = self._size[:n] - self._moved[:n]
+            done = np.flatnonzero(
+                (remaining <= self._tol[:n])
+                | (now + remaining / self._rate[:n] == now)).tolist()
+        else:
+            return
+        if not done:
+            return
+        finished = self._job_ids[done].tolist()
+        self._remove(done)
+        for jid in finished:
             job = self.jobs[jid]
-            # the size-relative tolerance absorbs accumulated float residue;
-            # a residue the job's rate moves in less than one tick of the
-            # clock would otherwise be due at self.now forever
-            remaining = job.remaining
-            if (remaining <= _EPS_BYTES or remaining <= 1e-12 * job.size
-                    or now + remaining / rate == now):
-                job.bytes_moved = job.size
-                job.state = "done"
-                job.completed_at = self.now
-                del self._active[jid]
-                self._stored[job.dest] += job.size
-                self._emit("transfer-complete", jid, dest=job.dest,
-                           bytes_moved=job.size)
-                if job.dataset is not None:
-                    self._emit("replica-placed", job.dataset, site=job.dest,
-                               size=job.size, job=jid)
+            job.bytes_moved = job.size
+            job.state = "done"
+            job.completed_at = now
+            self._stored[job.dest] += job.size
+            self._emit("transfer-complete", jid, dest=job.dest,
+                       bytes_moved=job.size)
+            if job.dataset is not None:
+                self._emit("replica-placed", job.dataset, site=job.dest,
+                           size=job.size, job=jid)
 
     # --- failures ---
 
@@ -377,16 +477,22 @@ class PlacementSimulator:
         end = math.inf if duration is None else self.now + duration
         if end < math.inf:
             self.schedule(end, self._recover, kind, target)
-        for jid in list(self._active):
-            job = self.jobs[jid]
-            if self._blocked(job):
+        active = self._job_ids[:self._n].tolist()
+        hit = [i for i, jid in enumerate(active)
+               if self._blocked(self.jobs[jid])]
+        if hit:
+            moved = self._moved[hit].tolist()
+            self._remove(hit)
+            for i, bytes_moved in zip(hit, moved):
+                job = self.jobs[active[i]]
+                job.bytes_moved = bytes_moved
                 self._interrupt(job)
 
     def _recover(self, kind, target):
         self._outages[kind, target] -= 1
+        self._held = 0   # every queued job may run again
 
     def _interrupt(self, job):
-        del self._active[job.id]
         if job.retries < self.policy.retry_limit:
             job.retries += 1
             job.state = "failed-retrying"
@@ -420,36 +526,46 @@ class PlacementSimulator:
     # --- main loop ---
 
     def _next_completion(self):
-        best = None
-        for jid, rate in self._active.items():
-            if rate <= 0:
-                continue
-            t = self.now + self.jobs[jid].remaining / rate
-            if best is None or t < best:
-                best = t
-        return best
+        n = self._n
+        if n == 1:
+            rate = self._rate.item(0)
+            return (self.now + (self._size.item(0) - self._moved.item(0))
+                    / rate if rate > 0 else None)
+        if not n:
+            return None
+        rates = self._rate[:n]
+        # a zero rate (a subnormal bandwidth shared) is due at infinity
+        best = (self.now + (self._size[:n] - self._moved[:n])
+                / rates).min().item()
+        return None if best == math.inf and not rates.any() else best
 
     def run(self, until=None):
         """Process everything in time order; returns the metrics dict."""
-        self._dispatch()
-        self._recompute_rates()
-        while True:
-            t_event = self._timeline[0][0] if self._timeline else None
-            t_done = self._next_completion()
-            candidates = [t for t in (t_event, t_done) if t is not None]
-            if not candidates:
-                break
-            t = min(candidates)
-            if until is not None and t > until:
-                self._advance(until)
-                break
-            self._advance(t)
-            self._complete_finished()
-            while self._timeline and self._timeline[0][0] <= self.now:
-                _, _, fn = heapq.heappop(self._timeline)
-                fn()
+        # IEEE results, as Python floats give, and no warnings
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             self._dispatch()
             self._recompute_rates()
+            while True:
+                t_event = self._timeline[0][0] if self._timeline else None
+                t_done = self._next_completion()
+                candidates = [t for t in (t_event, t_done) if t is not None]
+                if not candidates:
+                    break
+                t = min(candidates)
+                if until is not None and t > until:
+                    self._advance(until)
+                    break
+                self._advance(t)
+                self._complete_finished()
+                while self._timeline and self._timeline[0][0] <= self.now:
+                    _, _, fn = heapq.heappop(self._timeline)
+                    fn()
+                self._dispatch()
+                self._recompute_rates()
+        n = self._n
+        for jid, moved in zip(self._job_ids[:n].tolist(),
+                              self._moved[:n].tolist()):
+            self.jobs[jid].bytes_moved = moved
         return self.metrics()
 
     def metrics(self):
@@ -483,9 +599,39 @@ def drop_rate(events) -> float:
 
 
 def write_event_log(events, path):
+    """One ``SimEvent.to_json`` line per event."""
     with open(path, "w") as fh:
-        for ev in events:
-            fh.write(ev.to_json() + "\n")
+        fh.writelines(_log_lines(events))
+
+
+def _log_lines(events):
+    # transfer-progress events, nearly all of a managed log, carry a rate
+    # and a byte count; with a str subject and finite float values they
+    # are formatted directly, as json.dumps would.  The events of one step
+    # share their time object, and rates take few values, so the text of
+    # each is made once
+    last_time = time_text = None
+    rate_texts = {}
+    for time, seq, kind, subject, detail in events:
+        if kind == "transfer-progress":
+            rate, moved = detail["rate"], detail["bytes_moved"]
+            if (type(subject) is str
+                    and type(time) is type(rate) is type(moved) is float
+                    and math.isfinite(time + rate + moved)):
+                if time is not last_time:
+                    last_time, time_text = time, repr(time)
+                # a positive float's value fixes its text; 0.0 and -0.0
+                # are equal keys with different texts
+                rate_text = rate_texts.get(rate) if rate > 0 else repr(rate)
+                if rate_text is None:
+                    rate_text = rate_texts[rate] = repr(rate)
+                yield (f'{{"detail": {{"bytes_moved": {moved!r}, "rate": '
+                       f'{rate_text}}}, "kind": "transfer-progress", "seq": '
+                       f'{seq}, "subject": {encode_basestring_ascii(subject)}'
+                       f', "time": {time_text}}}\n')
+                continue
+        yield _JSON.encode({"time": time, "seq": seq, "kind": kind,
+                            "subject": subject, "detail": detail}) + "\n"
 
 
 # --- scenario files ---
@@ -543,6 +689,14 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
     ids = {site["id"] for site in s["sites"]}
     if len(ids) < len(s["sites"]):
         raise ConfigError("scenario sites define an id more than once")
+    named = {}
+    for section, kind in (("allocations", "alloc"), ("transfers", "job")):
+        given = Counter(e["id"] for e in s.get(section, ()) if e.get("id"))
+        repeated = sorted(i for i, count in given.items() if count > 1)
+        if repeated:
+            raise ConfigError(f"scenario {section} name id(s) {repeated} "
+                              f"more than once")
+        named[kind] = set(given)
     for i, f in enumerate(s.get("failures", ())):
         link = type(f["target"]) is list and len(f["target"]) == 2
         if link != (f["kind"] == "link-down"):
@@ -558,6 +712,7 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
                                   f"site(s) {unknown}")
     sim = PlacementSimulator([StorageSite(**site) for site in s["sites"]],
                              PlacementPolicy(**s.get("policy", {})))
+    sim._named = named   # no generated id may take a name given here
     for a in s.get("allocations", ()):
         sim.schedule(a.get("at", 0.0), sim.allocate, a["site"], a["size"],
                      a["duration"], a.get("acl", ()),

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
+
+from .errors import DwkitError
 
 
 def _sanitize(value):
@@ -61,15 +64,41 @@ def _scalar(v):
     return str(v)
 
 
+def _non_finite(value, path):
+    """(path, value) of the first NaN or infinity in ``value``, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (path, value)
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return None
+    for key, v in items:
+        found = _non_finite(v, f"{path}.{key}")
+        if found:
+            return found
+    return None
+
+
 def emit_report(report: dict, outdir) -> dict:
-    """Write report.json and report.txt; returns the written paths."""
+    """Write report.json and report.txt; returns the written paths.
+
+    JSON has no NaN or infinity (RFC 8259), so a report holding one is a
+    DwkitError that names it, raised before anything is written.
+    """
     report = _sanitize(report)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        path, value = _non_finite(report, "report")
+        raise DwkitError(f"{path} is {value}, which report.json cannot "
+                         f"hold") from None
     os.makedirs(outdir, exist_ok=True)
     json_path = os.path.join(outdir, "report.json")
     txt_path = os.path.join(outdir, "report.txt")
     with open(json_path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     with open(txt_path, "w") as fh:
         fh.write("\n".join(_render(report)) + "\n")
     return {"json": json_path, "txt": txt_path}

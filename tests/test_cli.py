@@ -168,6 +168,20 @@ class TestSimulateCommand:
     def test_missing_scenario_is_usage_error(self, tmp_path):
         assert run(["simulate", "--out", str(tmp_path / "out")]) == 2
 
+    def test_generated_ids_skip_scenario_ids(self, tmp_path):
+        # the replication's generated job id must not replace the transfer
+        # the scenario names job-1
+        scenario = overload_with("replications", {
+            "dataset": "d", "size": "1GB", "source": "ingest", "at": "5s"})
+        scenario["transfers"][0]["id"] = "job-1"
+        out = str(tmp_path / "out")
+        assert run(["simulate", "--scenario",
+                    write_config(tmp_path, scenario, "scenario.json"),
+                    "--mode", "managed", "--out", out]) == 0
+        results = load_report(out)["results"]
+        assert results["submitted"] == 9
+        assert results["bytes_moved"] == 81e9
+
     def test_unreadable_scenario_is_one_line_usage_error(self, tmp_path):
         proc = run_process(["simulate", "--scenario",
                             str(tmp_path / "nonexistent.json"),
@@ -201,6 +215,7 @@ class TestScenarioValidation:
     SITE = {"id": "a", "capacity": "1TB", "ingress_bw": "1GB/s",
             "egress_bw": "1GB/s"}
     TRANSFER = {"source": "ingest", "dest": "archive", "size": "1GB"}
+    LEASE = {"id": "x", "site": "archive", "size": "1GB", "duration": 5}
 
     @pytest.mark.parametrize("scenario, needle", [
         ({}, "['sites']"),
@@ -244,6 +259,10 @@ class TestScenarioValidation:
          "allocations[0] wait"),
         (overload_with("sites", id=7), "sites[0] id"),
         (overload_with("sites", capacity=float("nan")), "sites[0] capacity"),
+        (overload_with("transfers", dict(TRANSFER, id="job-a")),
+         "transfers name id(s) ['job-a']"),
+        (dict(overload_with("allocations", LEASE), allocations=[LEASE, LEASE]),
+         "allocations name id(s) ['x']"),
     ])
     def test_malformed_scenario_is_one_line_usage_error(
             self, tmp_path, capsys, scenario, needle):
@@ -402,6 +421,17 @@ class TestFusedMapreduce:
                     "--out", str(tmp_path / "out")])
         assert code == 1
         assert "not numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["sum:b", "max:b", "mean:b"])
+    def test_non_finite_aggregate_is_one_line_error(self, tmp_path, capsys,
+                                                    op):
+        csv = tmp_path / "inf.csv"
+        csv.write_text("a,b,c\n1,2,x\n2,inf,y\n3,4,x\n5,1,y\n")
+        out = tmp_path / "out"
+        err = run_one_line_error(["mapreduce", "--input", str(csv), "--op",
+                                  op, "--out", str(out)], capsys, 1)
+        assert op in err
+        assert not out.exists()
 
     def test_text_column_mean_is_one_line_error(self, tmp_path):
         csv = tmp_path / "text.csv"
@@ -584,13 +614,21 @@ class TestConfigValueTypes:
                           "--until", "-5"], "until"),
         ("simulate", {}, ["--scenario", overload_scenario_path(),
                           "--until", "1e400"], "until"),
+        # an --out in extra comes last, so it wins: an existing file, and a
+        # path under one
+        ("simulate", {}, ["--scenario", overload_scenario_path(),
+                          "--out", overload_scenario_path()],
+         "is not a directory"),
+        ("regress", {}, ["--out", os.path.join(overload_scenario_path(),
+                                               "out")],
+         "is not a directory"),
     ])
     def test_wrong_type_is_one_line_usage_error(self, tmp_path, capsys,
                                                 command, cfg, extra, key):
         out = str(tmp_path / "out")
         err = run_one_line_error([command, "--config",
-                                  write_config(tmp_path, cfg), *extra,
-                                  "--out", out], capsys, 2)
+                                  write_config(tmp_path, cfg), "--out", out,
+                                  *extra], capsys, 2)
         assert key in err
         assert not os.path.exists(out)
 

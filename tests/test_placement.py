@@ -2,17 +2,19 @@ import copy
 import hashlib
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dwkit.errors import (AclDeniedError, ConfigError,
                           InsufficientSitesError, UnknownSiteError)
 from dwkit.fixtures import overload_scenario_path
 from dwkit.placement import (PlacementPolicy, PlacementSimulator, SimEvent,
                              StorageSite, build_simulator, drop_rate,
-                             run_scenario)
+                             run_scenario, write_event_log)
 
 GB = 1e9
 
@@ -92,6 +94,16 @@ class TestSubmitAndAcl:
         with pytest.raises(UnknownSiteError):
             sim.submit_transfer("a", "nowhere", 1 * GB, "alice")
 
+    def test_id_in_use_is_refused(self):
+        sim = PlacementSimulator(two_sites())
+        sim.submit_transfer("a", "b", 1 * GB, "u", job_id="job-1")
+        assert sim.submit_transfer("a", "b", 1 * GB, "u") == "job-2"
+        with pytest.raises(ValueError, match="in use"):
+            sim.submit_transfer("a", "b", 1 * GB, "u", job_id="job-2")
+        sim.allocate("b", 1 * GB, 60, [], alloc_id="x")
+        with pytest.raises(ValueError, match="in use"):
+            sim.allocate("b", 1 * GB, 60, [], alloc_id="x")
+
     def test_baseline_queue_evicts_lowest_priority(self):
         policy = PlacementPolicy(mode="lossy-priority-baseline",
                                  queue_capacity=2)
@@ -132,6 +144,16 @@ class TestTransferOracles:
         sim.run()
         assert sim.jobs["small"].completed_at == 12.0
         assert sim.jobs["large"].completed_at == 16.0
+
+    def test_progress_is_on_the_jobs_when_run_stops_at_until(self):
+        sim = PlacementSimulator([StorageSite("a", 1e15, 10 * GB, 10 * GB),
+                                  StorageSite("b", 1e15, 100 * GB, 100 * GB)])
+        sim.submit_transfer("a", "b", 100 * GB, "u", job_id="t1")
+        sim.submit_transfer("a", "b", 100 * GB, "u", job_id="t2")
+        m = sim.run(until=4.0)
+        assert sim.jobs["t1"].bytes_moved == sim.jobs["t2"].bytes_moved \
+            == 20 * GB
+        assert m["bytes_moved"] == 40 * GB
 
     def test_byte_conservation(self):
         sim = PlacementSimulator(two_sites())
@@ -399,6 +421,38 @@ class TestOverlappingOutages:
             for kind, target, start, end in outages:
                 assert not ((kind, target) in blockers
                             and start <= ev.time < end), (ev, outages)
+
+
+# finite floats, with subnormals, integral values, values past 1e16 and
+# the two zeros, equal but written differently, drawn often
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 3.0, 1e16,
+                     2.0**53 + 2, 1.2345678901234567e21,
+                     1.7976931348623157e308]),
+    st.integers(-2**60, 2**60).map(float))
+SUBJECTS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'),
+                             st.characters()), max_size=12)
+
+
+@given(st.lists(st.tuples(st.booleans(), FINITE, FINITE, FINITE, SUBJECTS),
+                min_size=1, max_size=6))
+@example([(False, 0.0, 0.0, 1.0, "a"), (False, -0.0, -0.0, 1.0, "b")])
+def test_progress_lines_match_to_json(rows):
+    # events of one step share a time object, as the simulator builds them
+    events = []
+    for same_step, t, rate, moved, subject in rows:
+        if same_step and events:
+            t = events[-1].time
+        events.append(SimEvent(t, len(events), "transfer-progress", subject,
+                               {"rate": rate, "bytes_moved": moved}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        write_event_log(events, path)
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    assert lines == [ev.to_json() for ev in events] + [""]
 
 
 def golden_scenario(seed=2016):
