@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -319,6 +320,8 @@ def _cmd_regress(args):
         raise DwkitError(f"{source}: {exc}")
     summary = regress.summarize(fit)
     table_anova = regress.anova(fit)
+    # an exact fit has F = inf, which JSON cannot hold: it is written null
+    exact = not math.isfinite(table_anova.f)
     lines = regress.factor_lines(table, response, predictors)
     identity = regress.survey_identity_report()
     body = {
@@ -340,7 +343,7 @@ def _cmd_regress(args):
             "ss_total": table_anova.ss_total,
             "ms_regression": table_anova.ms_regression,
             "ms_residual": table_anova.ms_residual,
-            "f": table_anova.f,
+            "f": None if exact else table_anova.f,
             "significance_f": table_anova.significance_f,
         },
         "factor_ranking": [{"predictor": ln.predictor,
@@ -361,8 +364,11 @@ def _cmd_regress(args):
                 identity["significance_at_published_f"],
         },
     }
-    warnings = (_dropped_warnings(dropped, "the response or a predictor")
-                + list(identity["warnings"]))
+    warnings = _dropped_warnings(dropped, "the response or a predictor")
+    if exact:
+        warnings.append("the residual sum of squares is 0, so F is "
+                        "infinite; anova.f is written null")
+    warnings += identity["warnings"]
 
     def write_lines(outdir):
         for ln in lines:

@@ -29,7 +29,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -135,7 +134,8 @@ class SimEvent(NamedTuple):
 class PlacementSimulator:
     """Single-threaded deterministic event-loop simulator."""
 
-    def __init__(self, sites, policy: PlacementPolicy | None = None):
+    def __init__(self, sites, policy: PlacementPolicy | None = None,
+                 reserved_ids=()):
         self.sites = {}
         for s in sites:
             if s.id in self.sites:
@@ -158,9 +158,10 @@ class PlacementSimulator:
         self._stored: dict[str, float] = {s: 0.0 for s in self.sites}
         self._wait_allocs: list[tuple] = []
         self._ids = {"alloc": 0, "job": 0}
-        self._used = {"alloc": set(), "job": set()}
-        # ids a scenario gives out later, which generated ids skip
-        self._named = {"alloc": set(), "job": set()}
+        # every allocation id requested, granted or not
+        self._alloc_ids: set[str] = set()
+        # ids a caller gives out later, which generated ids skip
+        self._reserved = set(reserved_ids)
         self._index = {s: i for i, s in enumerate(self.sites)}
         self._egress = np.array([s.egress_bw for s in self.sites.values()],
                                 float)
@@ -187,19 +188,18 @@ class PlacementSimulator:
                                         lambda: fn(*args, **kwargs)))
         self._order += 1
 
-    def _take_id(self, kind, wanted):
-        """``wanted`` if no one has it yet, else ValueError; without one,
-        the next ``kind-N`` that is neither given out nor named ahead."""
-        used = self._used[kind]
+    def _take_id(self, kind, wanted, taken):
+        """``wanted`` unless ``taken`` holds it (ValueError); without one,
+        the next ``kind-N`` that is neither taken nor reserved."""
         if wanted:
-            if wanted in used:
+            if wanted in taken:
                 raise ValueError(f"{kind} id {wanted!r} is already in use")
-        else:
-            while not wanted or wanted in used or wanted in self._named[kind]:
-                self._ids[kind] += 1
-                wanted = f"{kind}-{self._ids[kind]}"
-        used.add(wanted)
-        return wanted
+            return wanted
+        while True:
+            self._ids[kind] += 1
+            wanted = f"{kind}-{self._ids[kind]}"
+            if wanted not in taken and wanted not in self._reserved:
+                return wanted
 
     def _site(self, site_id):
         if site_id not in self.sites:
@@ -228,11 +228,12 @@ class PlacementSimulator:
         self._site(site_id)
         if size <= 0:
             raise ValueError("allocation size must be > 0")
-        request = (self._take_id("alloc", alloc_id), site_id, size,
-                   duration, tuple(map(tuple, acl)))
+        alloc_id = self._take_id("alloc", alloc_id, self._alloc_ids)
+        self._alloc_ids.add(alloc_id)
+        request = (alloc_id, site_id, size, duration, tuple(map(tuple, acl)))
         alloc = self._grant(request)
         if alloc is None:
-            self._emit("alloc-denied", request[0], site=site_id, size=size,
+            self._emit("alloc-denied", alloc_id, site=site_id, size=size,
                        reason="insufficient-space")
             if wait:
                 self._wait_allocs.append(request)
@@ -284,7 +285,7 @@ class PlacementSimulator:
                 raise AclDeniedError(
                     f"principal {owner!r} lacks write permission on "
                     f"allocation {allocation!r}")
-        job_id = self._take_id("job", job_id)
+        job_id = self._take_id("job", job_id, self.jobs)
         job = TransferJob(id=job_id, source=source, dest=dest,
                           size=float(size), owner=owner, priority=priority,
                           order=order, allocation=allocation,
@@ -406,11 +407,11 @@ class PlacementSimulator:
             details = [{"rate": rate, "bytes_moved": moved} for rate, moved
                        in zip(self._rate[changed].tolist(),
                               self._moved[changed].tolist())]
-            # tuple.__new__ builds each SimEvent without a Python call
-            self.events.extend(map(tuple.__new__, repeat(SimEvent), zip(
-                repeat(self.now), range(seq, self._seq),
-                repeat("transfer-progress"),
-                self._job_ids[changed].tolist(), details)))
+            self.events.extend(
+                SimEvent(self.now, i, "transfer-progress", job, detail)
+                for i, job, detail in zip(range(seq, self._seq),
+                                          self._job_ids[changed].tolist(),
+                                          details))
 
     def _advance(self, t):
         dt = t - self.now
@@ -608,10 +609,8 @@ def _log_lines(events):
     # transfer-progress events, nearly all of a managed log, carry a rate
     # and a byte count; with a str subject and finite float values they
     # are formatted directly, as json.dumps would.  The events of one step
-    # share their time object, and rates take few values, so the text of
-    # each is made once
+    # share their time object, so its text is made once per step
     last_time = time_text = None
-    rate_texts = {}
     for time, seq, kind, subject, detail in events:
         if kind == "transfer-progress":
             rate, moved = detail["rate"], detail["bytes_moved"]
@@ -620,13 +619,8 @@ def _log_lines(events):
                     and math.isfinite(time + rate + moved)):
                 if time is not last_time:
                     last_time, time_text = time, repr(time)
-                # a positive float's value fixes its text; 0.0 and -0.0
-                # are equal keys with different texts
-                rate_text = rate_texts.get(rate) if rate > 0 else repr(rate)
-                if rate_text is None:
-                    rate_text = rate_texts[rate] = repr(rate)
                 yield (f'{{"detail": {{"bytes_moved": {moved!r}, "rate": '
-                       f'{rate_text}}}, "kind": "transfer-progress", "seq": '
+                       f'{rate!r}}}, "kind": "transfer-progress", "seq": '
                        f'{seq}, "subject": {encode_basestring_ascii(subject)}'
                        f', "time": {time_text}}}\n')
                 continue
@@ -689,14 +683,14 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
     ids = {site["id"] for site in s["sites"]}
     if len(ids) < len(s["sites"]):
         raise ConfigError("scenario sites define an id more than once")
-    named = {}
-    for section, kind in (("allocations", "alloc"), ("transfers", "job")):
+    named = set()
+    for section in ("allocations", "transfers"):
         given = Counter(e["id"] for e in s.get(section, ()) if e.get("id"))
         repeated = sorted(i for i, count in given.items() if count > 1)
         if repeated:
             raise ConfigError(f"scenario {section} name id(s) {repeated} "
                               f"more than once")
-        named[kind] = set(given)
+        named.update(given)
     for i, f in enumerate(s.get("failures", ())):
         link = type(f["target"]) is list and len(f["target"]) == 2
         if link != (f["kind"] == "link-down"):
@@ -710,9 +704,10 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
                 unknown = sorted(set(names(entry)) - ids)
                 raise ConfigError(f"scenario {section}[{i}] names unknown "
                                   f"site(s) {unknown}")
+    # no generated id may take an id the scenario names
     sim = PlacementSimulator([StorageSite(**site) for site in s["sites"]],
-                             PlacementPolicy(**s.get("policy", {})))
-    sim._named = named   # no generated id may take a name given here
+                             PlacementPolicy(**s.get("policy", {})),
+                             reserved_ids=named)
     for a in s.get("allocations", ()):
         sim.schedule(a.get("at", 0.0), sim.allocate, a["site"], a["size"],
                      a["duration"], a.get("acl", ()),

@@ -422,17 +422,6 @@ class TestFusedMapreduce:
         assert code == 1
         assert "not numeric" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("op", ["sum:b", "max:b", "mean:b"])
-    def test_non_finite_aggregate_is_one_line_error(self, tmp_path, capsys,
-                                                    op):
-        csv = tmp_path / "inf.csv"
-        csv.write_text("a,b,c\n1,2,x\n2,inf,y\n3,4,x\n5,1,y\n")
-        out = tmp_path / "out"
-        err = run_one_line_error(["mapreduce", "--input", str(csv), "--op",
-                                  op, "--out", str(out)], capsys, 1)
-        assert op in err
-        assert not out.exists()
-
     def test_text_column_mean_is_one_line_error(self, tmp_path):
         csv = tmp_path / "text.csv"
         csv.write_text("a,t\n1,x\n2,y\n")
@@ -465,6 +454,17 @@ class TestRegressCommand:
         assert ranking[0]["predictor"] == "UP"
         r2s = [row["r_square"] for row in ranking]
         assert r2s == sorted(r2s, reverse=True)
+
+    def test_zero_residual_writes_null_f(self, tmp_path):
+        p = tmp_path / "zero.csv"
+        p.write_text("y,a\n0,1\n0,2\n0,3\n0,4\n")
+        out = str(tmp_path / "out")
+        assert run(["regress", "--input", str(p), "--response", "y",
+                    "--predictors", "a", "--out", out]) == 0
+        rep = load_report(out)
+        assert rep["results"]["anova"]["f"] is None
+        assert rep["results"]["anova"]["significance_f"] == 0.0
+        assert "F is infinite" in rep["warnings"][0]
 
     def test_external_csv_needs_model(self, tmp_path):
         code = run(["regress", "--input", server_records_path(),
@@ -573,6 +573,13 @@ class TestDesignSchemaCommand:
         err = run_one_line_error(["design-schema", "--input", str(p),
                                   "--out", str(tmp_path / "out")], capsys, 1)
         assert "'b'" in err
+        # a mapreduce result over the cell is not finite: nothing is written
+        for op in ("sum:b", "max:b", "mean:b"):
+            out = tmp_path / op
+            err = run_one_line_error(["mapreduce", "--input", str(p), "--op",
+                                      op, "--out", str(out)], capsys, 1)
+            assert op in err
+            assert not out.exists()
 
 
 def test_version_flag():
