@@ -5,8 +5,11 @@ row chunks.  ``read_chunks`` holds one chunk's rows at a time; ``read_all``
 holds the whole table.  One enumeration pass (``iter_file_chunks``) also
 records the offset at which each chunk starts, so ``read_chunk`` re-reads
 any one chunk by seeking to it instead of re-scanning its file.
-Column types are inferred from a sample; configured missing tokens
-(default ``NA``) become NaN in numeric columns.
+``parse_value`` defines a valid cell.  A column's kind is the narrowest
+of integer and real whose cells it accepts across a sample, or text.
+Integer columns are int64 and real columns float64; a missing cell
+(configured tokens, default ``NA``) is marked in the mask and holds 0 in
+an integer column, NaN in a real one and None in a text one.
 
 Numeric columns are parsed a column at a time, for inference and for
 building tables alike: the missing tokens are dropped, one regular
@@ -32,11 +35,11 @@ import numpy as np
 from .errors import (InconsistentHeaderError, MalformedValueError,
                      MissingFileError)
 
-KINDS = ("integer", "real", "text")
 DEFAULT_MISSING_TOKENS = ("NA",)
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _PLAIN_INTEGER = re.compile(r"[-+0-9\n]*")
 _PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
+_INT64 = np.iinfo(np.int64)
 
 
 def strip_quotes(token: str) -> str:
@@ -66,8 +69,9 @@ class Datastore:
 class DataTable:
     """Named typed columns of equal length with a per-cell missing mask.
 
-    Numeric columns are numpy arrays; missing numeric cells hold NaN.
-    Text columns are object arrays; missing text cells hold None.
+    Integer columns are int64 arrays and real columns float64 arrays;
+    text columns are object arrays.  A missing cell holds 0, NaN or None,
+    by kind; only the mask tells a missing integer cell from a 0.
     """
 
     def __init__(self, columns, missing, kinds):
@@ -85,11 +89,7 @@ class DataTable:
 
     def column(self, name, skip_missing=False):
         v = self.columns[name]
-        if skip_missing:
-            v = v[~self.missing[name]]
-            if self.kinds[name] == "integer":   # stored as float64 if NaN
-                v = v.astype(np.int64, copy=False)
-        return v
+        return v[~self.missing[name]] if skip_missing else v
 
     def missing_count(self, name):
         return int(self.missing[name].sum())
@@ -116,25 +116,25 @@ def parse_value(token, kind, missing_tokens=DEFAULT_MISSING_TOKENS):
 
     Missing tokens map to NaN for numeric kinds and None for text.
     Raises MalformedValueError for tokens that are neither missing nor
-    parseable.
+    parseable, an integer outside int64 included.
     """
     token = strip_quotes(token.strip())
     if token in missing_tokens:
         return math.nan if kind in ("integer", "real") else None
     if kind == "integer":
-        if not _INT_RE.match(token):
+        try:
+            value = int(token) if _INT_RE.match(token) else None
+        except ValueError:   # more digits than int() converts
+            value = None
+        if value is None or not _INT64.min <= value <= _INT64.max:
             raise MalformedValueError(token, kind)
-        return int(token)
+        return value
     if kind == "real":
         try:
             return float(token)
         except ValueError:
             raise MalformedValueError(token, kind) from None
     return token
-
-
-def _is_missing(token, missing_tokens):
-    return strip_quotes(token.strip()) in missing_tokens
 
 
 def _plain_kind(present):
@@ -162,13 +162,12 @@ def _parse_plain(tokens, kind, missing_tokens):
     """Parse a column of raw tokens as numbers in one numpy call.
 
     ``kind`` is the column's kind, or None for the narrowest kind that
-    fits.  Returns (kind, float64 values with NaN at missing cells,
-    missing mask), or None when a token is not plain for ``kind`` or
-    ``int``/``float`` rejects it: the caller then parses cell by cell,
-    which gives the same result or names the malformed cell.  Only
-    missing tokens that are their own stripped, unquoted form are
-    dropped here, so every dropped cell is one ``parse_value`` also
-    calls missing.
+    fits.  Returns (kind, values, missing mask), or None when a token is
+    not plain for ``kind`` or ``int``/``float`` rejects it: the caller
+    then parses cell by cell, which gives the same result or names the
+    malformed cell.  Only missing tokens that are their own stripped,
+    unquoted form are dropped here, so every dropped cell is one
+    ``parse_value`` also calls missing.
     """
     drop = {t for t in missing_tokens if strip_quotes(t.strip()) == t}
     # list membership compares strings; a set test would hash every token
@@ -182,38 +181,41 @@ def _parse_plain(tokens, kind, missing_tokens):
         return None
     kind = kind or plain
     try:
-        if kind == "integer":
-            # through int64, as parse_value's ints stored in float64
-            values = np.array(present, dtype=np.int64).astype(np.float64)
-        else:
-            values = np.array(present, dtype=np.float64)
+        values = np.array(present, dtype=np.int64 if kind == "integer"
+                          else np.float64)
     except (ValueError, OverflowError):
         return None
     if len(present) < len(tokens):
-        full = np.full(len(tokens), np.nan)
+        full = _empty_column(kind, len(tokens))
         full[~mask] = values
         values = full
     return kind, values, mask
 
 
+def _empty_column(kind, n):
+    """``n`` missing cells of ``kind``: 0, NaN or None."""
+    if kind == "text":
+        return np.empty(n, dtype=object)
+    return np.zeros(n, np.int64) if kind == "integer" else np.full(n, np.nan)
+
+
 def _infer_kind(tokens, missing_tokens):
-    # A plain integer column that fails its parse (past int64) is decided
-    # cell by cell, not tried as real: _INT_RE still calls it integer.
+    """The narrowest of integer and real whose ``parse_value`` accepts
+    every token, or text; an all-missing sample gives no evidence, so
+    it is text, the widest kind."""
     parsed = _parse_plain(tokens, None, missing_tokens)
     if parsed is not None:
         return parsed[0]
-    present = [strip_quotes(t.strip()) for t in tokens
-               if not _is_missing(t, missing_tokens)]
-    if not present:
-        return "text"   # an all-missing sample gives no evidence; widest kind
-    if all(_INT_RE.match(t) for t in present):
-        return "integer"
-    try:
-        for t in present:
-            float(t)
-        return "real"
-    except ValueError:
-        return "text"
+    for kind in ("integer", "real"):
+        try:
+            values = [parse_value(t, kind, missing_tokens) for t in tokens]
+        except MalformedValueError:
+            continue
+        # as an integer, only a missing cell parses to NaN
+        if kind == "integer" and all(map(math.isnan, values)):
+            return "text"
+        return kind
+    return "text"
 
 
 def _column_tokens(rows, j):
@@ -233,12 +235,11 @@ def _read_header(path):
     return [strip_quotes(t.strip()) for t in row]
 
 
-def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
-                   column_types=None) -> Datastore:
+def open_datastore(paths, chunk_size=10000,
+                   treat_as_missing=()) -> Datastore:
     """Open one or more delimited files as a single datastore.
 
-    ``treat_as_missing`` extends the default missing tokens;
-    ``column_types`` overrides inferred kinds per column name.
+    ``treat_as_missing`` extends the default missing tokens.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -269,13 +270,6 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
         if col_tokens is None:
             col_tokens = [row[j] for row in sample if j < len(row)]
         kinds[name] = _infer_kind(col_tokens, tokens)
-    if column_types:
-        for name, kind in column_types.items():
-            if name not in kinds:
-                raise ValueError(f"unknown column {name!r}")
-            if kind not in KINDS:
-                raise ValueError(f"unknown column kind {kind!r}")
-            kinds[name] = kind
     schema = tuple(ColumnSpec(n, kinds[n]) for n in header)
     return Datastore(sources=tuple(paths), schema=schema,
                      missing_tokens=tokens, chunk_size=chunk_size)
@@ -286,10 +280,7 @@ def _parse_cells(rows, j, spec, missing_tokens, context):
     short record or malformed cell that stops it."""
     n = len(rows)
     mask = np.zeros(n, dtype=bool)
-    if spec.kind == "text":
-        vals = np.empty(n, dtype=object)
-    else:
-        vals = np.full(n, np.nan)
+    vals = _empty_column(spec.kind, n)
     for i, row in enumerate(rows):
         if j >= len(row):
             raise MalformedValueError("<absent>", spec.kind,
@@ -302,8 +293,6 @@ def _parse_cells(rows, j, spec, missing_tokens, context):
                 f"{context} column {spec.name!r}") from exc
         if v is None or (isinstance(v, float) and math.isnan(v)):
             mask[i] = True
-            if spec.kind != "text":
-                vals[i] = np.nan
         else:
             vals[i] = v
     return vals, mask
@@ -323,8 +312,6 @@ def _build_table(rows, schema, missing_tokens, context=""):
             vals, mask = _parse_cells(rows, j, spec, missing_tokens, context)
         else:
             _, vals, mask = parsed
-        if spec.kind == "integer" and not mask.any():
-            vals = vals.astype(np.int64)
         columns[spec.name] = vals
         missing[spec.name] = mask
         kinds[spec.name] = spec.kind
@@ -403,11 +390,7 @@ def concat_tables(tables) -> DataTable:
     first = tables[0]
     columns, missing = {}, {}
     for name in first.columns:
-        parts = [t.columns[name] for t in tables]
-        if first.kinds[name] == "integer" and any(
-                p.dtype != np.int64 for p in parts):
-            parts = [p.astype(float) for p in parts]
-        columns[name] = np.concatenate(parts)
+        columns[name] = np.concatenate([t.columns[name] for t in tables])
         missing[name] = np.concatenate([t.missing[name] for t in tables])
     return DataTable(columns, missing, dict(first.kinds))
 

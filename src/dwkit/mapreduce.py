@@ -216,6 +216,10 @@ def reduce_op(key, partials):
     if reducer == "min":
         return min(partials)
     total = _fold_sum(partials)
+    # int64 addition wraps; it is exact unless the true total is past int64
+    if isinstance(total, np.integer) and int(total) != sum(
+            sum(p.tolist()) for p in partials):
+        raise DwkitError(f"{key}: the integer sum is past int64")
     if reducer == "sum":
         return total
     return total / sum(len(p) for p in partials)

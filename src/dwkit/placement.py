@@ -509,10 +509,11 @@ class PlacementSimulator:
 
     def replicate(self, dataset, size, source, candidate_sites=None):
         """Place replica_count copies on distinct sites, fullest-free
-        capacity first, ties broken by site id."""
+        capacity first, ties broken by site id.  A repeated candidate
+        counts once."""
         self._site(source)
-        eligible = [s for s in (candidate_sites or sorted(self.sites))
-                    if s != source]
+        candidates = dict.fromkeys(candidate_sites or sorted(self.sites))
+        eligible = [s for s in candidates if s != source]
         for s in eligible:
             self._site(s)
         count = self.policy.replica_count

@@ -139,11 +139,8 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
         else:
             truthy = [t for t in distinct if t.lower() in _TRUTHY]
             pos = truthy[0] if truthy else distinct[-1]
-        encoded = np.full(len(vals), np.nan)
-        for i, (v, m) in enumerate(zip(vals, mask)):
-            if not m:
-                encoded[i] = 1.0 if str(v) == pos else 0.0
-        new_cols[name] = encoded
+        new_cols[name] = np.array([not m and str(v) == pos
+                                   for v, m in zip(vals, mask)], np.int64)
         new_kinds[name] = "integer"
     return DataTable(new_cols, dict(table.missing), new_kinds)
 

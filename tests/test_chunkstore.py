@@ -52,12 +52,12 @@ class TestOpenAndInference:
 
     def test_type_override_and_extra_missing(self, tmp_path):
         p = write_csv(tmp_path / "m.csv", "x", ["1", "none", "3"])
-        ds = cs.open_datastore(p, treat_as_missing=("none",),
-                               column_types={"x": "real"})
+        ds = cs.open_datastore(p, treat_as_missing=("none",))
         t = cs.read_all(ds)
-        assert t.kinds["x"] == "real"
-        assert t.missing_count("x") == 1
-        assert math.isnan(t.column("x")[1])
+        assert t.kinds["x"] == "integer"
+        assert t.column("x").dtype == np.int64
+        assert t.missing["x"].tolist() == [False, True, False]
+        assert t.column("x", skip_missing=True).tolist() == [1, 3]
 
 
 class TestParseValue:
@@ -67,10 +67,15 @@ class TestParseValue:
 
     def test_integer(self):
         assert cs.parse_value("155", "integer") == 155
+        assert cs.parse_value("-9223372036854775808", "integer") == -2**63
+        assert cs.parse_value("9223372036854775807", "integer") == 2**63 - 1
 
     def test_malformed(self):
-        with pytest.raises(MalformedValueError):
-            cs.parse_value("12x", "integer")
+        # past int64, and past the digits int() converts
+        for token in ("12x", "9223372036854775808", "-9223372036854775809",
+                      "7" * 5000):
+            with pytest.raises(MalformedValueError):
+                cs.parse_value(token, "integer")
 
     def test_quotes_stripped(self):
         assert cs.parse_value('"hello"', "text") == "hello"
@@ -131,7 +136,7 @@ class TestPreviewAndChunks:
 
     def test_parse_error_carries_context(self, tmp_path):
         p = write_csv(tmp_path / "bad.csv", "x", ["1", "oops"])
-        ds = cs.open_datastore(p, column_types={"x": "integer"})
+        ds = cs.open_datastore(p, chunk_size=1)
         with pytest.raises(MalformedValueError) as err:
             list(cs.read_chunks(ds))
         assert "bad.csv" in str(err.value)
@@ -146,8 +151,8 @@ class TestRoundTrip:
         t1 = cs.read_all(ds)
         out = tmp_path / "out.csv"
         cs.write_table(t1, out)
-        t2 = cs.read_all(cs.open_datastore(
-            str(out), column_types={k: t1.kinds[k] for k in t1.kinds}))
+        t2 = cs.read_all(cs.open_datastore(str(out)))
+        assert t2.kinds == t1.kinds
         for name in t1.column_names:
             np.testing.assert_array_equal(t1.missing[name],
                                           t2.missing[name])

@@ -182,6 +182,20 @@ class TestSimulateCommand:
         assert results["submitted"] == 9
         assert results["bytes_moved"] == 81e9
 
+    def test_repeated_replica_site_counts_once(self, tmp_path, capsys):
+        scenario = overload_with("replications", {
+            "dataset": "d", "size": "1GB", "source": "ingest",
+            "sites": ["archive", "archive"]})
+        scenario["sites"].append(dict(scenario["sites"][1], id="spare"))
+        scenario["policy"]["replica_count"] = 2
+        out = tmp_path / "out"
+        err = run_one_line_error(
+            ["simulate", "--scenario",
+             write_config(tmp_path, scenario, "scenario.json"),
+             "--mode", "managed", "--out", str(out)], capsys, 1)
+        assert "need 2 sites, only 1 eligible" in err
+        assert not out.exists()
+
     def test_unreadable_scenario_is_one_line_usage_error(self, tmp_path):
         proc = run_process(["simulate", "--scenario",
                             str(tmp_path / "nonexistent.json"),
@@ -413,6 +427,49 @@ class TestFusedMapreduce:
                             "mean:b", "--out", str(tmp_path / "out")])
         assert_one_line_error(proc, 1)
         assert "no non-missing values" in proc.stderr
+
+    BIG = 9007199254740993   # 2**53 + 1, which float64 cannot hold
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body, chunk_size, ops, want", [
+        (f"x\n{BIG}\n1\n", 1000, ["max:x", "sum:x"],
+         {"max:x": BIG, "sum:x": BIG + 1}),
+        (f"x\n{BIG}\nNA\n", 1, ["max:x", "min:x", "sum:x"],
+         {"max:x": BIG, "min:x": BIG, "sum:x": BIG}),
+        # past int64 in the sample: the column is real
+        (f"x\n{2**63}\n1\n", 1000, ["max:x", "sum:x"],
+         {"max:x": 2.0**63, "sum:x": 2.0**63}),
+        (f"x\n1\n{'7' * 400}\n", 1000, ["count"], {"count": 2}),
+        # past int64 in a later chunk, or an int64 sum that overflows
+        (f"x\n1\n{'7' * 400}\n", 1, ["sum:x"], "chunk 1 column 'x'"),
+        (f"x\n{2**63 - 1}\n1\n", 1000, ["sum:x"],
+         "sum:x: the integer sum is past int64"),
+    ], ids=["past-2^53", "past-2^53-and-NA", "past-int64-in-sample",
+            "400-digits-in-sample", "400-digits-later", "sum-past-int64"])
+    def test_exact_integers(self, tmp_path, capsys, body, chunk_size, ops,
+                            want):
+        csv = tmp_path / "big.csv"
+        csv.write_text(body)
+        out = tmp_path / "out"
+        argv = ["mapreduce", "--input", str(csv), "--chunk-size",
+                str(chunk_size), "--out", str(out)]
+        for op in ops:
+            argv += ["--op", op]
+        if isinstance(want, str):
+            # one line and one attempt: a malformed cell is not retried
+            err = run_one_line_error(argv, capsys, 1)
+            assert want in err
+            assert "failed permanently" not in err
+            assert not out.exists()
+            return
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        results = load_report(str(out))["results"]["results"]
+        assert results == want
+        assert all(type(results[k]) is type(v) for k, v in want.items())
+        with open(out / "scheduler.jsonl") as fh:
+            kinds = [json.loads(line)["kind"] for line in fh]
+        assert "map-failed" not in kinds
 
     def test_text_column_max_is_an_error(self, tmp_path, capsys):
         csv = tmp_path / "text.csv"

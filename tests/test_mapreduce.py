@@ -1,16 +1,27 @@
 import json
+import os
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dwkit import chunkstore as cs
-from dwkit.errors import MalformedValueError, TaskFailedError
+from dwkit.errors import DwkitError, MalformedValueError, TaskFailedError
 from dwkit.fixtures import server_records_path
 from dwkit.mapreduce import (BUILTIN_REDUCERS, InjectedFailure,
                              make_column_emitter, make_ops_mapper,
                              map_count_rows, mapreduce, reduce_max,
                              reduce_mean, reduce_op, reduce_sum, write_log)
+
+
+# integers up to +-2**62: about half the columns hold a value past 2**53
+# that float64 cannot hold, and a fifth sum past int64
+WIDE_INTS = st.one_of(
+    st.builds(lambda hi, lo: hi * 2**31 + lo,
+              st.integers(-2**31, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    st.integers(2**62 - 2**10, 2**62), st.integers(-2**62, -2**62 + 2**10))
 
 
 def open_sample(chunk_size=3):
@@ -191,8 +202,8 @@ class TestCombiners:
 
     @pytest.fixture
     def mixed_ds(self, tmp_path):
-        # i is an integer column whose chunks are int64 or, where a value
-        # is missing, float64; r holds reals whose sum depends on order
+        # i is an integer column with missing cells; r holds reals whose
+        # sum depends on order
         rng = np.random.default_rng(7)
         lines = ["i,r"]
         for k in range(200):
@@ -218,6 +229,38 @@ class TestCombiners:
                                    BUILTIN_REDUCERS[reducer]).pairs
             assert type(fused[key]) is type(want), key
             assert fused[key] == want, key
+
+    # the first cell is present, so the first chunk infers integer
+    @given(WIDE_INTS, st.lists(st.one_of(st.none(), WIDE_INTS), max_size=29),
+           st.data())
+    def test_integer_ops_are_exact(self, first, rest, data):
+        cells = [first, *rest]
+        present = [v for v in cells if v is not None]
+        total = sum(present)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ints.csv")
+            with open(path, "w") as fh:
+                fh.write("x\n" + "".join(
+                    "NA\n" if v is None else f"{v}\n" for v in cells))
+            ds = cs.open_datastore(
+                path, chunk_size=data.draw(st.integers(1, len(cells))))
+
+            def run(*reducers):
+                ops = [("count", "count", None)] + [
+                    (f"{r}:x", r, "x") for r in reducers]
+                return dict(mapreduce(ds, make_ops_mapper(ops),
+                                      reduce_op).pairs)
+            assert run("max", "min") == {"count": len(cells),
+                                         "max:x": max(present),
+                                         "min:x": min(present)}
+            if not -2**63 <= total < 2**63:
+                with pytest.raises(DwkitError, match="past int64"):
+                    run("sum", "mean")
+                return
+            got = run("sum", "mean")
+            assert type(got["sum:x"]) is np.int64
+            assert got["sum:x"] == total
+            assert got["mean:x"] == float(total) / len(present)
 
     def test_one_partial_per_op_per_chunk(self):
         ds = open_sample(3)

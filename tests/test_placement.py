@@ -274,6 +274,19 @@ class TestReplication:
         placed = [e for e in sim.events if e.kind == "replica-placed"]
         assert placed[0].detail["site"] == "s1"
 
+    def test_repeated_candidate_counts_once(self):
+        sim = PlacementSimulator(self.sites(),
+                                 PlacementPolicy(replica_count=2))
+        with pytest.raises(InsufficientSitesError,
+                           match="need 2 sites, only 1 eligible"):
+            sim.replicate("d1", 10 * GB, "src", candidate_sites=["s1", "s1"])
+        sim.replicate("d1", 10 * GB, "src",
+                      candidate_sites=["s3", "s3", "s1"])
+        sim.run()
+        placed = [e.detail["site"] for e in sim.events
+                  if e.kind == "replica-placed"]
+        assert sorted(placed) == ["s1", "s3"]
+
     def test_insufficient_sites(self):
         sim = PlacementSimulator(self.sites(),
                                  PlacementPolicy(replica_count=4))
