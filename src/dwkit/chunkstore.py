@@ -2,14 +2,25 @@
 
 A datastore iterates a collection of comma-delimited files in bounded-size
 row chunks.  ``read_chunks`` holds one chunk's rows at a time; ``read_all``
-holds the whole table.  One enumeration pass (``iter_file_chunks``) also
-records the offset at which each chunk starts, so ``read_chunk`` re-reads
-any one chunk by seeking to it instead of re-scanning its file.
+holds the whole table.  ``iter_file_chunks`` also gives the offset at
+which each chunk starts, so ``read_chunk`` can re-read any one chunk by
+seeking to it instead of re-scanning its file.
 ``parse_value`` defines a valid cell.  A column's kind is the narrowest
 of integer and real whose cells it accepts across a sample, or text.
 Integer columns are int64 and real columns float64; a missing cell
 (configured tokens, default ``NA``) is marked in the mask and holds 0 in
 an integer column, NaN in a real one and None in a text one.
+
+Each record is tokenized once per datastore.  ``open_datastore`` infers
+the kinds from the first chunk of the first file holding data rows and
+keeps that chunk: its rows, the numeric columns it parsed, and the file
+position after it.  The first read of the datastore builds chunk 0 from
+them and goes on reading the file from there; the kept chunk is then
+dropped, so any later read goes back to the file.  A read builds only the
+columns it is asked for, and still checks every cell of the others:
+a numeric column is parsed and dropped, and a text column, whose every
+cell is valid, is checked only for short records.  So a malformed cell
+fails a read whichever columns it builds.
 
 Numeric columns are parsed a column at a time, for inference and for
 building tables alike: the missing tokens are dropped, one regular
@@ -26,14 +37,14 @@ import csv
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import (InconsistentHeaderError, MalformedValueError,
-                     MissingFileError)
+from .errors import (DwkitError, InconsistentHeaderError,
+                     MalformedValueError, MissingFileError)
 
 DEFAULT_MISSING_TOKENS = ("NA",)
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -61,9 +72,23 @@ class Datastore:
     schema: tuple[ColumnSpec, ...]
     missing_tokens: frozenset[str]
     chunk_size: int
+    # the chunk open_datastore tokenized, until the first read takes it
+    _first: list = field(default_factory=list, init=False, repr=False,
+                         compare=False)
 
     def column_names(self):
         return [c.name for c in self.schema]
+
+
+class _FirstChunk(list):
+    """The rows of the chunk ``open_datastore`` tokenized, with the
+    columns it parsed (name -> (values, mask)), the index of its file
+    and the file positions of its first record and of the next one."""
+
+    def __init__(self, rows, file_index, offset, end):
+        super().__init__(rows)
+        self.file_index, self.offset, self.end = file_index, offset, end
+        self.parsed = {}
 
 
 class DataTable:
@@ -72,13 +97,16 @@ class DataTable:
     Integer columns are int64 arrays and real columns float64 arrays;
     text columns are object arrays.  A missing cell holds 0, NaN or None,
     by kind; only the mask tells a missing integer cell from a 0.
+    ``nrows`` gives the length of a table without columns.
     """
 
-    def __init__(self, columns, missing, kinds):
+    def __init__(self, columns, missing, kinds, nrows=None):
         self.columns = columns
         self.missing = missing
         self.kinds = kinds
         lengths = {len(v) for v in columns.values()}
+        if nrows is not None:
+            lengths.add(nrows)
         if len(lengths) > 1:
             raise ValueError("columns have unequal lengths")
         self.nrows = lengths.pop() if lengths else 0
@@ -199,13 +227,14 @@ def _empty_column(kind, n):
     return np.zeros(n, np.int64) if kind == "integer" else np.full(n, np.nan)
 
 
-def _infer_kind(tokens, missing_tokens):
-    """The narrowest of integer and real whose ``parse_value`` accepts
-    every token, or text; an all-missing sample gives no evidence, so
-    it is text, the widest kind."""
+def _infer_column(tokens, missing_tokens):
+    """(kind, values, mask): the narrowest of integer and real whose
+    ``parse_value`` accepts every token, or text; an all-missing sample
+    gives no evidence, so it is text, the widest kind.  The values and
+    mask are ``_parse_plain``'s when it took the column, else None."""
     parsed = _parse_plain(tokens, None, missing_tokens)
     if parsed is not None:
-        return parsed[0]
+        return parsed
     for kind in ("integer", "real"):
         try:
             values = [parse_value(t, kind, missing_tokens) for t in tokens]
@@ -213,26 +242,26 @@ def _infer_kind(tokens, missing_tokens):
             continue
         # as an integer, only a missing cell parses to NaN
         if kind == "integer" and all(map(math.isnan, values)):
-            return "text"
-        return kind
-    return "text"
+            return "text", None, None
+        return kind, None, None
+    return "text", None, None
 
 
-def _column_tokens(rows, j):
-    """Column ``j`` of ``rows``, or None if a row is too short for it."""
+def _read_rows(reader, n, context):
+    """The next ``n`` records of ``reader``.  A record the csv module
+    refuses (a field past its size limit) is a one-line DwkitError."""
     try:
-        return list(map(itemgetter(j), rows))
-    except IndexError:
-        return None
+        return list(islice(reader, n))
+    except csv.Error as exc:
+        raise DwkitError(f"{context}: {exc}") from None
 
 
 def _read_header(path):
     with open(path, newline="") as fh:
-        try:
-            row = next(csv.reader(fh))
-        except StopIteration:
-            raise InconsistentHeaderError(f"{path}: empty file, no header")
-    return [strip_quotes(t.strip()) for t in row]
+        row = _read_rows(csv.reader(fh), 1, f"{path} header")
+    if not row:
+        raise InconsistentHeaderError(f"{path}: empty file, no header")
+    return [strip_quotes(t.strip()) for t in row[0]]
 
 
 def open_datastore(paths, chunk_size=10000,
@@ -257,22 +286,35 @@ def open_datastore(paths, chunk_size=10000,
             raise InconsistentHeaderError(
                 f"{p}: header differs from {paths[0]}")
 
-    # infer from the first chunk of the first file holding data rows
+    # infer from the first chunk of the first file holding data rows,
+    # and keep it for the first read
     sample = []
-    for p in paths:
+    for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
-            sample = list(islice(csv.reader(fh), 1, 1 + chunk_size))
-        if sample:
-            break
+            reader = csv.reader(iter(fh.readline, ""))
+            next(reader)   # header
+            offset = fh.tell()
+            rows = _read_rows(reader, chunk_size, f"{p} chunk 0")
+            if rows:
+                sample = _FirstChunk(rows, fi, offset, fh.tell())
+                break
+    width = min(map(len, sample), default=0)
+    columns = zip(*sample)   # one column at a time, up to the shortest row
     kinds = {}
     for j, name in enumerate(header):
-        col_tokens = _column_tokens(sample, j)
-        if col_tokens is None:
+        if j < width:
+            col_tokens = next(columns)
+        else:   # a short record, which the first read names
             col_tokens = [row[j] for row in sample if j < len(row)]
-        kinds[name] = _infer_kind(col_tokens, tokens)
+        kinds[name], values, mask = _infer_column(col_tokens, tokens)
+        if values is not None and j < width:
+            sample.parsed[name] = values, mask
     schema = tuple(ColumnSpec(n, kinds[n]) for n in header)
-    return Datastore(sources=tuple(paths), schema=schema,
-                     missing_tokens=tokens, chunk_size=chunk_size)
+    ds = Datastore(sources=tuple(paths), schema=schema,
+                   missing_tokens=tokens, chunk_size=chunk_size)
+    if sample:
+        ds._first.append(sample)
+    return ds
 
 
 def _parse_cells(rows, j, spec, missing_tokens, context):
@@ -298,24 +340,34 @@ def _parse_cells(rows, j, spec, missing_tokens, context):
     return vals, mask
 
 
-def _build_table(rows, schema, missing_tokens, context=""):
-    """Numeric columns are parsed whole by ``_parse_plain``; text
-    columns, and numeric ones it declines, cell by cell."""
-    columns, missing, kinds = {}, {}, {}
+def _build_table(rows, schema, missing_tokens, context="", columns=None):
+    """A table of the columns named in ``columns`` (default: all), with
+    every cell of every column checked.  Numeric columns are parsed whole
+    by ``_parse_plain``, or cell by cell when it declines; text columns
+    are built cell by cell, and one left out is only checked for short
+    records.  Columns parsed when the rows were first tokenized
+    (``_FirstChunk.parsed``) are taken as they are."""
+    parsed = getattr(rows, "parsed", {})
+    width = min(map(len, rows), default=len(schema))
+    table, missing, kinds = {}, {}, {}
     for j, spec in enumerate(schema):
-        parsed = None
-        if spec.kind != "text":
-            tokens = _column_tokens(rows, j)
-            if tokens is not None:
-                parsed = _parse_plain(tokens, spec.kind, missing_tokens)
-        if parsed is None:
-            vals, mask = _parse_cells(rows, j, spec, missing_tokens, context)
+        keep = columns is None or spec.name in columns
+        if spec.name in parsed:
+            vals, mask = parsed[spec.name]
+        elif spec.kind == "text" and not keep and j < width:
+            continue   # every cell of a complete text column is valid
         else:
-            _, vals, mask = parsed
-        columns[spec.name] = vals
-        missing[spec.name] = mask
-        kinds[spec.name] = spec.kind
-    return DataTable(columns, missing, kinds)
+            got = None
+            if spec.kind != "text" and j < width:
+                got = _parse_plain(list(map(itemgetter(j), rows)),
+                                   spec.kind, missing_tokens)
+            vals, mask = got[1:] if got else _parse_cells(
+                rows, j, spec, missing_tokens, context)
+        if keep:
+            table[spec.name] = vals
+            missing[spec.name] = mask
+            kinds[spec.name] = spec.kind
+    return DataTable(table, missing, kinds, nrows=len(rows))
 
 
 def iter_file_chunks(ds: Datastore, file_index: int):
@@ -326,16 +378,27 @@ def iter_file_chunks(ds: Datastore, file_index: int):
     offset.  ``csv.reader`` pulls whole lines only until a record is
     complete, so between chunks the file stands at a record boundary,
     quoted newlines included.  Lines are pulled with ``readline`` because
-    iterating a text file disables ``tell``.
+    iterating a text file disables ``tell``.  The chunk ``open_datastore``
+    kept is yielded from memory to the first call for its file, which
+    then reads on from the record after it.
     """
     path = ds.sources[file_index]
+    start, chunk_index = None, 0
+    if ds._first and ds._first[0].file_index == file_index:
+        first = ds._first.pop()
+        start = first.end
+        yield 0, first.offset, first
+        chunk_index, first = 1, None   # the kept rows are released
     with open(path, newline="") as fh:
         reader = csv.reader(iter(fh.readline, ""))
-        next(reader)   # header
-        chunk_index = 0
+        if start is None:
+            next(reader)   # header
+        else:
+            fh.seek(start)
         while True:
             offset = fh.tell()
-            rows = list(islice(reader, ds.chunk_size))
+            rows = _read_rows(reader, ds.chunk_size,
+                              f"{path} chunk {chunk_index}")
             if not rows:
                 return
             yield chunk_index, offset, rows
@@ -343,44 +406,51 @@ def iter_file_chunks(ds: Datastore, file_index: int):
 
 
 def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
-               offset: int) -> DataTable:
-    """Re-read one chunk (the unit of task re-execution), starting at the
-    offset ``iter_file_chunks`` gave for it."""
-    path = ds.sources[file_index]
-    with open(path, newline="") as fh:
-        fh.seek(offset)
-        rows = list(islice(csv.reader(fh), ds.chunk_size))
-    return _build_table(rows, ds.schema, ds.missing_tokens,
-                        context=f"{path} chunk {chunk_index}")
+               offset: int, columns=None, rows=None) -> DataTable:
+    """Build one chunk, the unit of task re-execution, from the ``rows``
+    ``iter_file_chunks`` yielded for it, or without them by re-reading it
+    from the offset it gave.  ``columns`` as for ``read_all``."""
+    context = f"{ds.sources[file_index]} chunk {chunk_index}"
+    if rows is None:
+        with open(ds.sources[file_index], newline="") as fh:
+            fh.seek(offset)
+            rows = _read_rows(csv.reader(fh), ds.chunk_size, context)
+    return _build_table(rows, ds.schema, ds.missing_tokens, context,
+                        columns)
 
 
-def read_chunks(ds: Datastore):
+def read_chunks(ds: Datastore, columns=None):
     """Yield DataTable chunks over all sources, in order.
 
     Chunks never span file boundaries, so every chunk is addressable as a
-    (file, chunk index) pair for re-execution.
+    (file, chunk index) pair for re-execution.  ``columns`` as for
+    ``read_all``.
     """
     for fi in range(len(ds.sources)):
         for ci, _offset, rows in iter_file_chunks(ds, fi):
             yield _build_table(rows, ds.schema, ds.missing_tokens,
-                               context=f"{ds.sources[fi]} chunk {ci}")
+                               f"{ds.sources[fi]} chunk {ci}", columns)
 
 
-def read_all(ds: Datastore) -> DataTable:
-    return concat_tables(list(read_chunks(ds)) or
-                         [_build_table([], ds.schema, ds.missing_tokens)])
+def read_all(ds: Datastore, columns=None) -> DataTable:
+    """The whole datastore as one table of the columns named in
+    ``columns`` (default: all); every cell of the others is checked."""
+    return concat_tables(list(read_chunks(ds, columns)) or
+                         [_build_table([], ds.schema, ds.missing_tokens,
+                                       columns=columns)])
 
 
 def preview(ds: Datastore, n=8) -> DataTable:
     """First min(n, total) rows; does not consume any iteration state."""
     rows = []
-    for fi, path in enumerate(ds.sources):
+    for path in ds.sources:
         if len(rows) >= n:
             break
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            rows.extend(islice(reader, n - len(rows)))
+            rows.extend(_read_rows(reader, n - len(rows),
+                                   f"{path} preview"))
     return _build_table(rows, ds.schema, ds.missing_tokens, context="preview")
 
 
@@ -388,11 +458,14 @@ def concat_tables(tables) -> DataTable:
     if not tables:
         raise ValueError("no tables to concatenate")
     first = tables[0]
+    if len(tables) == 1:
+        return first
     columns, missing = {}, {}
     for name in first.columns:
         columns[name] = np.concatenate([t.columns[name] for t in tables])
         missing[name] = np.concatenate([t.missing[name] for t in tables])
-    return DataTable(columns, missing, dict(first.kinds))
+    return DataTable(columns, missing, dict(first.kinds),
+                     nrows=sum(t.nrows for t in tables))
 
 
 def _render_cell(value, kind, is_missing, missing_token):

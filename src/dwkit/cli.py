@@ -158,8 +158,8 @@ def _cmd_plan(args):
 
 def _numeric_matrix_from_csv(path, chunk_size=100000):
     ds = chunkstore.open_datastore(path, chunk_size=chunk_size)
-    table = chunkstore.read_all(ds)
     names = [c.name for c in ds.schema if c.kind in ("integer", "real")]
+    table = chunkstore.read_all(ds, names)
     if not names:
         raise ConfigError(f"{path} has no numeric columns")
     table, dropped = table.complete_cases(names)
@@ -257,7 +257,8 @@ def _cmd_mapreduce(args):
         raise ConfigError(f"unknown column(s) {unknown}; the input has "
                           f"{names}")
     # one pass for every op: each chunk emits one partial per op
-    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op)
+    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
+                        columns={column for _, _, column in parsed if column})
     reduced = dict(out.pairs)
     results = {}
     for key, reducer, column in parsed:
@@ -285,23 +286,25 @@ def _cmd_regress(args):
     path = cfg.get("input")
     response = cfg.get("response")
     predictors = cfg.get("predictors")
+    encode = cfg.get("encode") or []
     if path is None:
         table = fixtures.warehouse_survey_table()
+        names = table.column_names
         response = response or fixtures.WAREHOUSE_RESPONSE
         predictors = predictors or list(fixtures.WAREHOUSE_PREDICTORS)
         source = "bundled synthetic warehouse survey"
     else:
         ds = chunkstore.open_datastore(path)
-        table = chunkstore.read_all(ds)
+        names = ds.column_names()
+        table = chunkstore.read_all(
+            ds, {response, *(predictors or ()), *encode})
         if response is None or not predictors:
             raise ConfigError("regress needs --response and --predictors")
         source = path
-    encode = cfg.get("encode") or []
-    unknown = sorted({response, *predictors, *encode}
-                     - set(table.column_names))
+    unknown = sorted({response, *predictors, *encode} - set(names))
     if unknown:
         raise ConfigError(f"unknown column(s) {unknown}; the input has "
-                          f"{table.column_names}")
+                          f"{names}")
     try:
         spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
@@ -375,7 +378,7 @@ def _cmd_regress(args):
             report.write_csv(
                 os.path.join(outdir, f"factor_{ln.predictor}.csv"),
                 [ln.predictor, response, "fitted"],
-                list(zip(ln.x, ln.y, ln.fitted)))
+                zip(ln.x.tolist(), ln.y.tolist(), ln.fitted.tolist()))
     manifest = {"input": source, "response": response,
                 "predictors": predictors, "encode": encode}
     return manifest, body, warnings, [("factor CSVs", write_lines)]

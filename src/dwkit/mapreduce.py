@@ -2,6 +2,9 @@
 
 Map tasks (one per chunk) run in chunk order in the caller, with no thread
 pool; a task's keyed output joins the shuffle only once the task succeeds.
+One pass over the input feeds the maps: each task builds its chunk from
+the rows just read, and only a retry seeks back to the chunk's offset to
+read it again, so without retries a run tokenizes each record once.
 A barrier separates the phases, then reduce tasks fold each key's values
 in key order.  Failed tasks re-execute from their chunk input up to an
 attempt cap, except on a ``DwkitError`` (a malformed cell, a text column),
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,32 +98,33 @@ def _result_table(pairs):
                      {"key": kkind, "value": vkind})
 
 
-def mapreduce(ds: Datastore, map_fn, reduce_fn, *,
+def mapreduce(ds: Datastore, map_fn, reduce_fn, *, columns=None,
               attempt_cap=DEFAULT_ATTEMPT_CAP,
               fail_injector=None) -> MapReduceResult:
     """Apply ``map_fn`` to every chunk and fold each key with ``reduce_fn``.
 
     ``map_fn(table)`` yields (key, value) pairs; ``reduce_fn(key, values)``
-    returns the folded value for one key.  Tasks run in order in the
-    caller, so values reach the reducer in chunk order.
+    returns the folded value for one key.  Chunks hold the columns named
+    in ``columns`` (default: all).  Tasks run in order in the caller, so
+    values reach the reducer in chunk order.
     """
     log = []
-
-    # one enumeration pass indexes every chunk by its offset; a task
-    # (and each of its retries) re-reads its own chunk from there
-    tasks = [(fi, ci, offset) for fi in range(len(ds.sources))
-             for ci, offset, _rows in chunkstore.iter_file_chunks(ds, fi)]
-
     groups = {}
-    for fi, ci, offset in tasks:
-        def body():
-            chunk = chunkstore.read_chunk(ds, fi, ci, offset)
-            return list(map_fn(chunk))
-        for key, value in _run_task(f"map-{fi}-{ci}", "map", body,
-                                    attempt_cap, fail_injector, log):
-            groups.setdefault(key, []).append(value)
+    maps = 0
+    for fi in range(len(ds.sources)):
+        for ci, offset, rows in chunkstore.iter_file_chunks(ds, fi):
+            def body():
+                nonlocal rows
+                chunk = chunkstore.read_chunk(ds, fi, ci, offset, columns,
+                                              rows)
+                rows = None   # a retry reads the chunk again
+                return list(map_fn(chunk))
+            for key, value in _run_task(f"map-{fi}-{ci}", "map", body,
+                                        attempt_cap, fail_injector, log):
+                groups.setdefault(key, []).append(value)
+            maps += 1
 
-    _emit(log, "barrier", maps=len(tasks))
+    _emit(log, "barrier", maps=maps)
 
     reduced = [_run_task(f"reduce-{k}", "reduce",
                          lambda: (k, reduce_fn(k, groups[k])),
@@ -146,12 +151,22 @@ def make_column_emitter(column, key=None):
     return emit
 
 
+def _exact_sum(key, total, values):
+    """``total``, the sum of ``values``, if it is exact.  An int64 sum
+    wraps past int64, so it must equal the Python-int sum of the values;
+    any other sum is returned as it is."""
+    if isinstance(total, np.integer) and int(total) != sum(map(int, values)):
+        raise DwkitError(f"{key}: the integer sum is past int64")
+    return total
+
+
 def reduce_sum(key, values):
-    return sum(values)
+    with np.errstate(over="ignore"):   # a wrapped sum is refused below
+        return _exact_sum(key, sum(values), values)
 
 
 def reduce_mean(key, values):
-    return sum(values) / len(values)
+    return reduce_sum(key, values) / len(values)
 
 
 def reduce_max(key, values):
@@ -215,11 +230,8 @@ def reduce_op(key, partials):
         return max(partials)
     if reducer == "min":
         return min(partials)
-    total = _fold_sum(partials)
-    # int64 addition wraps; it is exact unless the true total is past int64
-    if isinstance(total, np.integer) and int(total) != sum(
-            sum(p.tolist()) for p in partials):
-        raise DwkitError(f"{key}: the integer sum is past int64")
+    total = _exact_sum(key, _fold_sum(partials),
+                       chain.from_iterable(p.tolist() for p in partials))
     if reducer == "sum":
         return total
     return total / sum(len(p) for p in partials)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dwkit import chunkstore as cs
-from dwkit.errors import (InconsistentHeaderError, MalformedValueError,
-                          MissingFileError)
+from dwkit.errors import (DwkitError, InconsistentHeaderError,
+                          MalformedValueError, MissingFileError)
 from dwkit.fixtures import server_records_path
 
 
@@ -262,3 +262,72 @@ class TestChunkIndex:
             for (ci, offset, _rows), table in zip(
                     cs.iter_file_chunks(ds, 0), cs.read_chunks(ds)):
                 assert_same_table(cs.read_chunk(ds, 0, ci, offset), table)
+
+    @pytest.fixture
+    def with_empty_first(self, tmp_path, sources):
+        # a first file with no data rows: the kept chunk is the next one's
+        empty = write_bytes(tmp_path / "empty.csv", b"id,name,v\r\n")
+        return [empty, *sources]
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 9])
+    @pytest.mark.parametrize("columns", [["v"], ["name"], ["id", "v"], []])
+    def test_projection_equals_full_read(self, with_empty_first,
+                                         chunk_size, columns):
+        full = cs.read_all(cs.open_datastore(with_empty_first,
+                                             chunk_size=chunk_size))
+        ds = cs.open_datastore(with_empty_first, chunk_size=chunk_size)
+        part = cs.read_all(ds, columns)
+        assert part.nrows == full.nrows == 9
+        assert part.kinds == {n: full.kinds[n] for n in columns}
+        assert_same_table(part, cs.DataTable(
+            {n: full.columns[n] for n in columns},
+            {n: full.missing[n] for n in columns},
+            {n: full.kinds[n] for n in columns}))
+        # chunk by chunk, and chunk by chunk from the indexed offsets
+        for fi in range(len(ds.sources)):
+            for ci, offset, _rows in cs.iter_file_chunks(ds, fi):
+                table = cs.read_chunk(ds, fi, ci, offset, columns)
+                assert table.column_names == columns
+                assert table.nrows == min(chunk_size,
+                                          (5, 4)[fi - 1] - ci * chunk_size)
+
+    @pytest.mark.parametrize("chunk_size", [1, 3, 7, 9])
+    def test_reading_twice_gives_equal_tables(self, with_empty_first,
+                                              chunk_size, monkeypatch):
+        ds = cs.open_datastore(with_empty_first, chunk_size=chunk_size)
+        first = list(cs.read_chunks(ds))
+        # the first read took the chunk open_datastore kept; a second
+        # read tokenizes every record from the files again
+        records = []
+        reader = cs.csv.reader
+
+        def counting(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                records.append(row)
+                yield row
+        monkeypatch.setattr(cs.csv, "reader", counting)
+        second = list(cs.read_chunks(ds))
+        assert len(records) == 9 + len(ds.sources)   # and the headers
+        assert [len(t) for t in first] == [len(t) for t in second]
+        for a, b in zip(first, second):
+            assert_same_table(a, b)
+        assert_same_table(cs.read_all(ds), cs.concat_tables(first))
+        assert_same_table(cs.read_all(ds, ["v"]), cs.read_all(ds, ["v"]))
+
+    def test_lone_table_is_not_copied(self, sample_ds):
+        table = cs.read_all(sample_ds)
+        assert cs.concat_tables([table]) is table
+
+    def test_oversized_field_names_file_and_chunk(self, tmp_path):
+        p = write_csv(tmp_path / "big.csv", "a,b",
+                      ["1,2", "3," + "x" * 200000])
+        with pytest.raises(DwkitError, match=r"big.csv chunk 0: field "
+                           r"larger than field limit"):
+            cs.open_datastore(p)
+        ds = cs.open_datastore(p, chunk_size=1)
+        with pytest.raises(DwkitError, match=r"big.csv chunk 1: field "
+                           r"larger than field limit"):
+            cs.read_all(ds, ["a"])
+        with pytest.raises(DwkitError, match=r"head.csv header: field"):
+            cs.open_datastore(write_csv(tmp_path / "head.csv",
+                                        "a," + "x" * 200000, ["1,2"]))

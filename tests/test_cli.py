@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import dwkit
+from dwkit import chunkstore
 from dwkit.cli import main
 from dwkit.fixtures import overload_scenario_path, server_records_path
 
@@ -338,6 +340,27 @@ def run_one_line_error(argv, capsys, code):
     return err
 
 
+def assert_each_record_tokenized_once(monkeypatch, tmp_path, argv):
+    """Run ``argv`` on a CSV of 50 distinct records, counting each record
+    the chunk engine's ``csv.reader`` yields: every data record must be
+    yielded once."""
+    lines = [f"{k},{3 * k + k * k % 5},w{k % 4}" for k in range(50)]
+    p = tmp_path / "once.csv"
+    p.write_text("id,x,t\n" + "\n".join(lines) + "\n")
+    seen = collections.Counter()
+    reader = chunkstore.csv.reader
+
+    def counting(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            seen[",".join(row)] += 1
+            yield row
+    monkeypatch.setattr(chunkstore.csv, "reader", counting)
+    assert run([argv[0], "--input", str(p), *argv[1:],
+                "--out", str(tmp_path / "out")]) == 0
+    del seen["id,x,t"]
+    assert seen == dict.fromkeys(lines, 1)
+
+
 @pytest.fixture
 def fused_csv(tmp_path):
     # n: integers, never missing; r: reals with missing cells and a
@@ -398,6 +421,11 @@ class TestFusedMapreduce:
                          if ev["kind"] == "reduce-start")
         assert reduces == sorted(f"reduce-{op}" for op in self.OPS)
 
+    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
+        assert_each_record_tokenized_once(
+            monkeypatch, tmp_path, ["mapreduce", "--chunk-size", "7",
+                                    "--op", "count", "--op", "sum:x"])
+
     def test_unknown_column_is_usage_error_before_any_task(self, tmp_path):
         out = tmp_path / "out"
         proc = run_process(["mapreduce", "--op", "count",
@@ -444,8 +472,14 @@ class TestFusedMapreduce:
         (f"x\n1\n{'7' * 400}\n", 1, ["sum:x"], "chunk 1 column 'x'"),
         (f"x\n{2**63 - 1}\n1\n", 1000, ["sum:x"],
          "sum:x: the integer sum is past int64"),
+        # past the csv module's field limit, in the sample or later
+        (f"x\n1\n{'7' * 200000}\n", 1000, ["count"],
+         "big.csv chunk 0: field larger than field limit"),
+        (f"x\n1\n{'7' * 200000}\n", 1, ["count"],
+         "big.csv chunk 1: field larger than field limit"),
     ], ids=["past-2^53", "past-2^53-and-NA", "past-int64-in-sample",
-            "400-digits-in-sample", "400-digits-later", "sum-past-int64"])
+            "400-digits-in-sample", "400-digits-later", "sum-past-int64",
+            "field-limit-in-sample", "field-limit-later"])
     def test_exact_integers(self, tmp_path, capsys, body, chunk_size, ops,
                             want):
         csv = tmp_path / "big.csv"
@@ -523,6 +557,11 @@ class TestRegressCommand:
         assert rep["results"]["anova"]["significance_f"] == 0.0
         assert "F is infinite" in rep["warnings"][0]
 
+    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
+        assert_each_record_tokenized_once(
+            monkeypatch, tmp_path, ["regress", "--response", "x",
+                                    "--predictors", "id"])
+
     def test_external_csv_needs_model(self, tmp_path):
         code = run(["regress", "--input", server_records_path(),
                     "--out", str(tmp_path / "out")])
@@ -580,6 +619,37 @@ class TestIncompleteRows:
         assert "needs 2" in err
 
 
+    LATER = "y,a,b\n" + "".join(f"{k},{k % 7},{k}\n" for k in range(10000))
+
+    # a command builds only the columns it uses, and checks the others
+    @pytest.mark.parametrize("argv, body, message", [
+        (["mapreduce", "--op", "sum:a", "--chunk-size", "2"],
+         "a,b\n1,2\n3,4\n5,oops\n", "token 'oops' is neither missing nor "
+         "a valid integer ({} chunk 1 column 'b')"),
+        (["mapreduce", "--op", "sum:a", "--chunk-size", "2"],
+         "a,t\n1,x\n2,y\n3\n", "token '<absent>' is neither missing nor "
+         "a valid text ({} chunk 1 row 0: short record)"),
+        (["regress", "--response", "y", "--predictors", "a"],
+         LATER + "1,2,oops\n", "token 'oops' is neither missing nor a "
+         "valid integer ({} chunk 1 column 'b')"),
+        (["regress", "--response", "y", "--predictors", "a"],
+         "y,a,t\n1,2,u\n2,3\n3,5,w\n4,4,x\n", "token '<absent>' is "
+         "neither missing nor a valid text ({} chunk 0 row 1: short "
+         "record)"),
+        (["design-schema"], "a,b,t\n1,2,x\n2,3,y\n3,5\n4,4,z\n",
+         "token '<absent>' is neither missing nor a valid text ({} chunk 0 "
+         "row 2: short record)"),
+    ], ids=["mapreduce-cell", "mapreduce-short", "regress-cell",
+            "regress-short", "design-schema-short"])
+    def test_unused_columns_are_checked(self, tmp_path, capsys, argv, body,
+                                        message):
+        p = tmp_path / "bad.csv"
+        p.write_text(body)
+        err = run_one_line_error([argv[0], "--input", str(p), *argv[1:],
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        assert err == f"dwkit: error: {message.format(p)}\n"
+
+
 class TestChunkSizeValidation:
     @pytest.mark.parametrize("flag", ["0", "-1"])
     def test_flag_below_one(self, tmp_path, capsys, flag):
@@ -615,6 +685,10 @@ class TestDesignSchemaCommand:
         assert len(res["selected_components"]) >= 1
         assert len(res["proposed_dimensions"]) == \
             len(res["selected_components"])
+
+    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
+        assert_each_record_tokenized_once(monkeypatch, tmp_path,
+                                          ["design-schema"])
 
     def test_threshold_out_of_range(self, tmp_path):
         code = run(["design-schema", "--input", server_records_path(),

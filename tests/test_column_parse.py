@@ -1,7 +1,7 @@
 """The column parser against the per-cell reference.
 
 ``reference_build_table`` and ``reference_infer_kind`` parse cell by cell,
-as ``chunkstore._build_table`` and ``chunkstore._infer_kind`` did before
+as ``chunkstore._build_table`` and ``chunkstore._infer_column`` did before
 numeric columns were parsed a column at a time, with integers held as
 int64 plus the missing mask and refused outside int64.  For random columns
 both must agree exactly: dtype, missing mask, bit-identical values, and the
@@ -136,8 +136,16 @@ def test_build_table_equals_per_cell_reference(data):
 def test_infer_kind_equals_per_cell_reference(data):
     missing_tokens = data.draw(st.sampled_from(MISSING_SETS))
     col = data.draw(columns(data.draw(st.integers(0, 12))))
-    assert cs._infer_kind(col, missing_tokens) == \
-        reference_infer_kind(col, missing_tokens)
+    kind, values, mask = cs._infer_column(col, missing_tokens)
+    assert kind == reference_infer_kind(col, missing_tokens)
+    if values is not None:
+        # kept for the first read, so they must be what a build gives
+        want = reference_build_table([[c] for c in col],
+                                     (cs.ColumnSpec("c", kind),),
+                                     missing_tokens)
+        assert values.dtype == want.columns["c"].dtype
+        assert values.tobytes() == want.columns["c"].tobytes()
+        np.testing.assert_array_equal(mask, want.missing["c"])
 
 
 @pytest.mark.parametrize("cells, kind", [
@@ -158,7 +166,7 @@ def test_edge_columns(cells, kind):
     missing_tokens = MISSING_SETS[1]
     schema = (cs.ColumnSpec("c", kind),)
     rows = [[c] for c in cells]
-    assert cs._infer_kind(cells, missing_tokens) == \
+    assert cs._infer_column(cells, missing_tokens)[0] == \
         reference_infer_kind(cells, missing_tokens)
     assert_identical(
         outcome(cs._build_table, rows, schema, missing_tokens),

@@ -11,7 +11,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dwkit.cli import main
 from dwkit.fixtures import overload_scenario_path
@@ -194,6 +194,8 @@ def csv_bytes(draw):
 @settings(max_examples=300)
 @given(csv_bytes(), st.sampled_from(["mapreduce", "design-schema",
                                      "regress"]))
+# a field past the csv module's size limit
+@example(b"a,b\n1,2\n3," + b"x" * 200000 + b"\n", "regress")
 def test_csv(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = write(tmp, "in.csv", data)

@@ -262,6 +262,28 @@ class TestCombiners:
             assert got["sum:x"] == total
             assert got["mean:x"] == float(total) / len(present)
 
+    @pytest.mark.filterwarnings("error")
+    def test_stock_reducers_refuse_a_wrapped_sum(self, tmp_path):
+        # the stock reducers add int64 scalars; past int64 they wrapped
+        path = tmp_path / "edge.csv"
+        path.write_text(f"x\n{2**63 - 1}\n1\n")
+        ds = cs.open_datastore(str(path), chunk_size=1)
+        for reducer in (reduce_sum, reduce_mean):
+            with pytest.raises(DwkitError, match="x: the integer sum is "
+                               "past int64"):
+                mapreduce(ds, make_column_emitter("x"), reducer)
+        # in range, value and type are kept
+        path.write_text(f"x\n{2**62}\n{2**62 - 1}\n-5\n")
+        ds = cs.open_datastore(str(path), chunk_size=1)
+        (_, total), = mapreduce(ds, make_column_emitter("x"),
+                                reduce_sum).pairs
+        assert type(total) is np.int64 and total == 2**63 - 6
+        (_, mean), = mapreduce(ds, make_column_emitter("x"),
+                               reduce_mean).pairs
+        assert type(mean) is np.float64 and mean == np.int64(2**63 - 6) / 3
+        (_, rows), = mapreduce(ds, map_count_rows, reduce_sum).pairs
+        assert type(rows) is int and rows == 3
+
     def test_one_partial_per_op_per_chunk(self):
         ds = open_sample(3)
         ops = [("count", "count", None), ("mean:Delay", "mean", "Delay"),
