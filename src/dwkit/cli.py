@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -86,6 +87,14 @@ def _flag_value(raw):
     return value if type(value) in (int, float) else raw
 
 
+def _check_columns(wanted, names):
+    """Refuse the column names in ``wanted`` that ``names`` lacks."""
+    unknown = sorted(set(wanted) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown column(s) {unknown}; the input has "
+                          f"{names}")
+
+
 def _outdir(args):
     return os.environ.get("DWKIT_OUT") or args.out
 
@@ -131,25 +140,7 @@ def _cmd_plan(args):
     if result.energy.over_budget:
         warnings.append("staging-node busy time exceeds the iteration "
                         "interval (over-budget energy accounting)")
-    body = {
-        "s_capacity": result.s_capacity,
-        "s_bandwidth": result.s_bandwidth,
-        "s": result.s,
-        "t_a": result.t_a,
-        "t_c": result.t_c,
-        "t_ssd_min": result.t_ssd_min,
-        "feasible": result.feasible,
-        "offload_verdicts": result.offload_verdicts,
-        "analysis_times": result.analysis_times,
-        "energy": {
-            "e_node2ssd": result.energy.e_node2ssd,
-            "e_active": result.energy.e_active,
-            "e_ssd2pfs": result.energy.e_ssd2pfs,
-            "e_idle": result.energy.e_idle,
-            "total": result.energy.total,
-            "over_budget": result.energy.over_budget,
-        },
-    }
+    body = asdict(result)
     manifest = {"cluster": cluster, "workload": workload, "kernels": kernels}
     return manifest, body, warnings, []
 
@@ -159,9 +150,9 @@ def _cmd_plan(args):
 def _numeric_matrix_from_csv(path, chunk_size=100000):
     ds = chunkstore.open_datastore(path, chunk_size=chunk_size)
     names = [c.name for c in ds.schema if c.kind in ("integer", "real")]
-    table = chunkstore.read_all(ds, names)
     if not names:
         raise ConfigError(f"{path} has no numeric columns")
+    table = chunkstore.read_all(ds, names)
     table, dropped = table.complete_cases(names)
     if table.nrows < 2:
         raise DwkitError(f"{path} has {table.nrows} row(s) with every "
@@ -215,7 +206,7 @@ def _cmd_design_schema(args):
 def _cmd_simulate(args):
     cfg = _command_config(args, {
         "scenario": string, "until": quantity("seconds"),
-        "mode": choice("managed", "lossy-priority-baseline")})
+        "mode": choice(*placement.MODES)})
     if "scenario" not in cfg:
         raise ConfigError("simulate needs --scenario FILE")
     scenario = _load_config(cfg["scenario"], "scenario")
@@ -228,7 +219,8 @@ def _cmd_simulate(args):
     body["events"] = len(events)
     body["drop_rate_from_log"] = placement.drop_rate(events)
     manifest = {"scenario": cfg["scenario"], "until": cfg.get("until"),
-                "mode": scenario.get("policy", {}).get("mode", "managed")}
+                "mode": scenario.get("policy", {}).get(
+                    "mode", placement.PlacementPolicy.mode)}
     extra = [("events.jsonl", lambda outdir: placement.write_event_log(
         events, os.path.join(outdir, "events.jsonl")))]
     return manifest, body, [], extra
@@ -250,15 +242,11 @@ def _cmd_mapreduce(args):
     ds = chunkstore.open_datastore(
         inputs, chunk_size=chunk_size,
         treat_as_missing=cfg.get("missing_tokens", ()))
-    names = ds.column_names()
-    unknown = sorted({column for _, _, column in parsed
-                      if column is not None and column not in names})
-    if unknown:
-        raise ConfigError(f"unknown column(s) {unknown}; the input has "
-                          f"{names}")
+    columns = {column for _, _, column in parsed if column is not None}
+    _check_columns(columns, ds.column_names())
     # one pass for every op: each chunk emits one partial per op
     out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
-                        columns={column for _, _, column in parsed if column})
+                        columns=columns)
     reduced = dict(out.pairs)
     results = {}
     for key, reducer, column in parsed:
@@ -287,24 +275,22 @@ def _cmd_regress(args):
     response = cfg.get("response")
     predictors = cfg.get("predictors")
     encode = cfg.get("encode") or []
+    # usage errors come before the read: a missing flag before the input
+    # is opened, a name the input lacks once its schema is known
     if path is None:
         table = fixtures.warehouse_survey_table()
-        names = table.column_names
         response = response or fixtures.WAREHOUSE_RESPONSE
         predictors = predictors or list(fixtures.WAREHOUSE_PREDICTORS)
+        _check_columns({response, *predictors, *encode}, table.column_names)
         source = "bundled synthetic warehouse survey"
+    elif response is None or not predictors:
+        raise ConfigError("regress needs --response and --predictors")
     else:
         ds = chunkstore.open_datastore(path)
-        names = ds.column_names()
-        table = chunkstore.read_all(
-            ds, {response, *(predictors or ()), *encode})
-        if response is None or not predictors:
-            raise ConfigError("regress needs --response and --predictors")
+        used = {response, *predictors, *encode}
+        _check_columns(used, ds.column_names())
+        table = chunkstore.read_all(ds, used)
         source = path
-    unknown = sorted({response, *predictors, *encode} - set(names))
-    if unknown:
-        raise ConfigError(f"unknown column(s) {unknown}; the input has "
-                          f"{names}")
     try:
         spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
@@ -328,40 +314,20 @@ def _cmd_regress(args):
     lines = regress.factor_lines(table, response, predictors)
     identity = regress.survey_identity_report()
     body = {
-        "summary": {
-            "multiple_r": summary.multiple_r,
-            "r_square": summary.r_square,
-            "adjusted_r_square": summary.adjusted_r_square,
-            "standard_error": summary.standard_error,
-            "observations": summary.observations,
-        },
+        "summary": asdict(summary),
         "coefficients": {"intercept": fit.intercept,
                          **{n: float(b) for n, b in
                             zip(fit.predictor_names, fit.slopes)}},
-        "anova": {
-            "df_regression": table_anova.df_regression,
-            "df_residual": table_anova.df_residual,
-            "ss_regression": table_anova.ss_regression,
-            "ss_residual": table_anova.ss_residual,
-            "ss_total": table_anova.ss_total,
-            "ms_regression": table_anova.ms_regression,
-            "ms_residual": table_anova.ms_residual,
-            "f": None if exact else table_anova.f,
-            "significance_f": table_anova.significance_f,
-        },
+        "anova": dict(asdict(table_anova),
+                      f=None if exact else table_anova.f),
         "factor_ranking": [{"predictor": ln.predictor,
                             "slope": ln.slope,
                             "intercept": ln.intercept,
                             "r_square": ln.r_square} for ln in lines],
         "survey_identity_check": {
-            "summary": identity["summary"].__dict__,
-            "anova": {
-                "ms_regression": identity["anova"].ms_regression,
-                "ms_residual": identity["anova"].ms_residual,
-                "f": identity["anova"].f,
-                "significance_f": identity["anova"].significance_f,
-                "ss_total": identity["anova"].ss_total,
-            },
+            "summary": asdict(identity["summary"]),
+            "anova": {key: getattr(identity["anova"], key)
+                      for key in regress.SURVEY_RECOMPUTED},
             "published": identity["published"],
             "significance_at_published_f":
                 identity["significance_at_published_f"],
@@ -429,8 +395,7 @@ def build_parser():
     common(p)
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--until", help="simulation horizon, seconds")
-    p.add_argument("--mode",
-                   choices=["managed", "lossy-priority-baseline"],
+    p.add_argument("--mode", choices=placement.MODES,
                    help="override the scenario's policy mode")
 
     p = sub.add_parser("mapreduce", help="chunked aggregation over CSVs")

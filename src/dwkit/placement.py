@@ -39,6 +39,10 @@ from .errors import (AclDeniedError, ConfigError, InsufficientSitesError,
 from .units import (boolean, choice, integer, list_of, normalize, optional,
                     quantity, string, table)
 
+# policy modes, queue orderings and the outage kinds a scenario can inject
+MODES = ("managed", "lossy-priority-baseline")
+ORDERINGS = ("fifo", "by-request-order-field")
+FAILURE_KINDS = ("link-down", "site-down", "disk-overflow")
 _EPS_BYTES = 1e-6
 _JSON = json.JSONEncoder(sort_keys=True)
 # one row per active transfer, in start order: (attribute, dtype)
@@ -103,16 +107,16 @@ class TransferJob:
 
 @dataclass(frozen=True)
 class PlacementPolicy:
-    mode: str = "managed"            # or "lossy-priority-baseline"
+    mode: str = "managed"
     replica_count: int = 1
-    ordering: str = "fifo"           # or "by-request-order-field"
+    ordering: str = "fifo"
     retry_limit: int = 3
     queue_capacity: int | None = None   # baseline mode only
 
     def __post_init__(self):
-        if self.mode not in ("managed", "lossy-priority-baseline"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.ordering not in ("fifo", "by-request-order-field"):
+        if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if self.replica_count < 1 or self.retry_limit < 0:
             raise ValueError("replica_count >= 1 and retry_limit >= 0")
@@ -459,7 +463,7 @@ class PlacementSimulator:
 
     def inject_failure(self, kind, target, at, duration):
         """Schedule a transient failure of a site or a (src, dst) link."""
-        if kind not in ("link-down", "site-down", "disk-overflow"):
+        if kind not in FAILURE_KINDS:
             raise ValueError(f"unknown failure kind {kind!r}")
         if kind == "link-down":
             src, dst = target = tuple(target)
@@ -625,8 +629,7 @@ def _log_lines(events):
                        f'{seq}, "subject": {encode_basestring_ascii(subject)}'
                        f', "time": {time_text}}}\n')
                 continue
-        yield _JSON.encode({"time": time, "seq": seq, "kind": kind,
-                            "subject": subject, "detail": detail}) + "\n"
+        yield SimEvent(time, seq, kind, subject, detail).to_json() + "\n"
 
 
 # --- scenario files ---
@@ -638,9 +641,9 @@ _NAMES = list_of(string)
 _SCENARIO_FIELDS = {
     "schema_version": integer(),
     "policy": table({
-        "mode": choice("managed", "lossy-priority-baseline"),
+        "mode": choice(*MODES),
         "replica_count": integer(1),
-        "ordering": choice("fifo", "by-request-order-field"),
+        "ordering": choice(*ORDERINGS),
         "retry_limit": integer(0),
         "queue_capacity": optional(integer(0))}),
     "sites": list_of(table({"id": string, "capacity": _BYTES,
@@ -655,7 +658,7 @@ _SCENARIO_FIELDS = {
         "owner": string, "priority": integer(), "order": integer(),
         "allocation": string, "id": string}, ("source", "dest", "size"))),
     "failures": list_of(table({
-        "kind": choice("link-down", "site-down", "disk-overflow"),
+        "kind": choice(*FAILURE_KINDS),
         "target": lambda t: _NAMES(t) if type(t) is list else string(t),
         "at": _SECONDS, "duration": optional(_SECONDS)},
         ("kind", "target"))),

@@ -10,7 +10,7 @@ silently adopted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -73,6 +73,7 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class RegressionSummary:
+    """The CLI reports these fields in this order."""
     multiple_r: float
     r_square: float
     adjusted_r_square: float
@@ -82,10 +83,12 @@ class RegressionSummary:
 
 @dataclass(frozen=True)
 class AnovaTable:
+    """The CLI reports these fields in this order."""
     df_regression: int
     df_residual: int
     ss_regression: float
     ss_residual: float
+    ss_total: float
     ms_regression: float
     ms_residual: float
     f: float
@@ -94,10 +97,6 @@ class AnovaTable:
     @property
     def df_total(self):
         return self.df_regression + self.df_residual
-
-    @property
-    def ss_total(self):
-        return self.ss_regression + self.ss_residual
 
 
 @dataclass(frozen=True)
@@ -218,6 +217,7 @@ def anova_from_sums(ss_regression, ss_residual, df_regression,
     sig = f_pvalue(f, df_regression, df_residual) if math.isfinite(f) else 0.0
     return AnovaTable(df_regression=df_regression, df_residual=df_residual,
                       ss_regression=ss_regression, ss_residual=ss_residual,
+                      ss_total=ss_regression + ss_residual,
                       ms_regression=ms_reg, ms_residual=ms_res, f=f,
                       significance_f=sig)
 
@@ -275,6 +275,9 @@ SURVEY_MODEL1_PRINTED = {
     "f": 0.4,
     "significance_f": 0.8435099,
 }
+# the ANOVA entries the audit recomputes, in the order a report lists them
+SURVEY_RECOMPUTED = ("ms_regression", "ms_residual", "f", "significance_f",
+                     "ss_total")
 
 
 def survey_identity_report() -> dict:

@@ -8,7 +8,7 @@ its absolute loading is largest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class PcaResult:
     eigenvalues: np.ndarray      # descending
     eigenvectors: np.ndarray     # column k loads component k
     col_names: list[str]
-    cumulative: np.ndarray = field(default=None)
-    selected: list[int] = field(default=None)
+    cumulative: np.ndarray | None = None
+    selected: list[int] | None = None
 
 
 @dataclass(frozen=True)
@@ -144,17 +144,10 @@ def design_schema(data: NumericMatrix,
     absolute loading (ties to the lower component index); variables whose
     best |loading| is under ASSIGNMENT_FLOOR stay unassigned.
     """
-    corr = correlation_matrix(data)
-    pca = extract_factors(corr)
-    cum = cumulative_variance(pca.eigenvalues)
-    pca = PcaResult(eigenvalues=pca.eigenvalues,
-                    eigenvectors=pca.eigenvectors,
-                    col_names=pca.col_names, cumulative=cum)
+    pca = extract_factors(correlation_matrix(data))
+    pca = replace(pca, cumulative=cumulative_variance(pca.eigenvalues))
     selected = select_components(pca, threshold)
-    pca = PcaResult(eigenvalues=pca.eigenvalues,
-                    eigenvectors=pca.eigenvectors,
-                    col_names=pca.col_names, cumulative=cum,
-                    selected=selected)
+    pca = replace(pca, selected=selected)
 
     loadings = pca.eigenvectors[:, selected]
     factors = [[] for _ in selected]

@@ -12,7 +12,7 @@ Data volumes are per compute node per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (DegenerateWorkloadError, InfeasibleHardwareError,
                      NoFeasibleThroughputError)
@@ -86,6 +86,7 @@ class EnergyBreakdown:
 
 @dataclass(frozen=True)
 class StagingPlan:
+    """The CLI reports these fields, and the energy's, in this order."""
     s_capacity: float
     s_bandwidth: float
     s: int
@@ -94,8 +95,8 @@ class StagingPlan:
     t_ssd_min: float
     feasible: bool
     offload_verdicts: dict[str, bool]
+    analysis_times: dict[str, float]
     energy: EnergyBreakdown
-    analysis_times: dict[str, float] = field(default_factory=dict)
 
 
 def s_capacity(cfg: ClusterConfig, wl: Workload) -> float:
@@ -221,6 +222,5 @@ def plan(cfg: ClusterConfig, wl: Workload,
     return StagingPlan(
         s_capacity=cap, s_bandwidth=bw, s=s, t_a=t_a, t_c=t_c,
         t_ssd_min=t_min, feasible=check_feasible(cfg, wl, s, best),
-        offload_verdicts=verdicts,
-        energy=energy_per_iteration(cfg, wl, s, best),
-        analysis_times=times)
+        offload_verdicts=verdicts, analysis_times=times,
+        energy=energy_per_iteration(cfg, wl, s, best))

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,32 @@ class TestPlanCommand:
              "--out", str(tmp_path / "ignored")])
         assert os.path.exists(os.path.join(env_out, "report.json"))
         assert not os.path.exists(str(tmp_path / "ignored"))
+
+
+class TestGoldenReport:
+    # sha256 of report.json and report.txt; a report section lists its
+    # result type's fields in declaration order, which report.txt keeps
+    GOLDEN = {
+        "plan": (
+            "8e3598a4dbcef25655b7f4729789a1582eca1c1f8262f835fa95c5bf87ff904b",
+            "91d650a1dc9214b96b49cfc8e46c9fc298eff4496fde17ae29d56762e9e712a0",
+        ),
+        "regress": (
+            "6b711221e6c50638997dc8c283efd7f284ea8a2f17ef48b22452a37f7f4b87e3",
+            "ba854f0c7909a94f11f79594faf5fedb9c4f60084cd800eb1828e0ce5f014602",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_reports_match_pinned_digests(self, tmp_path, command):
+        argv = {"plan": ["plan", "--config",
+                         write_config(tmp_path, PLAN_CONFIG)],
+                "regress": ["regress"]}[command]
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 0
+        digests = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("report.json", "report.txt"))
+        assert digests == self.GOLDEN[command]
 
 
 class TestSimulateCommand:
@@ -448,6 +475,15 @@ class TestFusedMapreduce:
                                 op, "--out", str(tmp_path / op)])
             assert_one_line_error(proc, 1)
 
+    def test_column_with_an_empty_name(self, tmp_path):
+        csv = tmp_path / "blank.csv"
+        csv.write_text("a,\n1,2\n3,4\n")
+        out = str(tmp_path / "out")
+        assert run(["mapreduce", "--input", str(csv), "--op", "sum:",
+                    "--op", "sum:a", "--out", out]) == 0
+        assert load_report(out)["results"]["results"] == {"sum:": 6,
+                                                          "sum:a": 4}
+
     def test_all_missing_column(self, tmp_path):
         csv = tmp_path / "na.csv"
         csv.write_text("a,b\n1,NA\n2,NA\n")
@@ -563,9 +599,12 @@ class TestRegressCommand:
                                     "--predictors", "id"])
 
     def test_external_csv_needs_model(self, tmp_path):
-        code = run(["regress", "--input", server_records_path(),
-                    "--out", str(tmp_path / "out")])
-        assert code == 2
+        # refused before the input is opened, so a missing file is not
+        # reached
+        for path in (server_records_path(), str(tmp_path / "nosuch.csv")):
+            code = run(["regress", "--input", path,
+                        "--out", str(tmp_path / "out")])
+            assert code == 2
 
 
 class TestIncompleteRows:
@@ -760,6 +799,7 @@ class TestConfigValueTypes:
         ("regress", {}, ["--out", os.path.join(overload_scenario_path(),
                                                "out")],
          "is not a directory"),
+        ("plan", plan_with("cluster", p_idle="60W"), [], "p_active"),
     ])
     def test_wrong_type_is_one_line_usage_error(self, tmp_path, capsys,
                                                 command, cfg, extra, key):
