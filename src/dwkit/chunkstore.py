@@ -275,9 +275,11 @@ def open_datastore(paths, chunk_size=10000,
     paths = [str(p) for p in paths]
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    for p in paths:
-        if not os.path.isfile(p):
-            raise MissingFileError(p)
+    for p in paths:   # every input opens before any is read
+        try:
+            open(p).close()
+        except OSError as exc:
+            raise MissingFileError("input", p, exc) from None
     tokens = frozenset(DEFAULT_MISSING_TOKENS) | frozenset(treat_as_missing)
 
     header = _read_header(paths[0])

@@ -5,7 +5,9 @@ One binary, five subcommands: ``plan`` (staging-tier sizing),
 scenarios), ``mapreduce`` (chunked aggregation), and ``regress``
 (OLS + ANOVA + per-factor lines).  Each run writes report.json and
 report.txt into the output directory, echoing the fully normalized
-configuration as a manifest.
+configuration as a manifest.  Side files (``events.jsonl``,
+``scheduler.jsonl``, factor CSVs) take their names only once the report
+is written, so a run that fails leaves none of them.
 
 Exit codes: 0 success, 1 model/domain error, 2 usage error.
 The output directory comes from --out, overridable by $DWKIT_OUT.
@@ -13,6 +15,7 @@ The output directory comes from --out, overridable by $DWKIT_OUT.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -25,7 +28,7 @@ from . import __version__, chunkstore, fixtures, placement
 from . import regress, report, schema_pca, staging
 from .mapreduce import (BUILTIN_REDUCERS, make_ops_mapper,
                         mapreduce as run_mapreduce, reduce_op, write_log)
-from .errors import ConfigError, DwkitError
+from .errors import ConfigError, DwkitError, MissingFileError
 from .units import (accept, choice, fraction, integer, list_of, normalize,
                     quantity, string, table)
 
@@ -58,7 +61,7 @@ def _load_config(path, what="config"):
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}")
+        raise MissingFileError(what, path, exc) from None
     except ValueError as exc:   # not JSON, or not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -99,9 +102,59 @@ def _outdir(args):
     return os.environ.get("DWKIT_OUT") or args.out
 
 
+class _Output:
+    """The output directory of one run.
+
+    A command writes its side files (an event log, a scheduler log,
+    factor CSVs) before the report exists, each under a temporary name
+    (``stage``).  They take their names once the report is written
+    (``commit``); a run that fails removes them, and every directory it
+    made for them (``discard``).
+    """
+
+    def __init__(self, path):
+        if not path:
+            raise ConfigError("--out must name a directory")
+        self.path = path
+        # the nearest path at or above this one that exists must be a
+        # directory, or the report cannot be written there
+        self._missing = []   # innermost first
+        existing = path
+        while existing and not os.path.lexists(existing):
+            self._missing.append(existing)
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise ConfigError(f"output directory {path} cannot be made: "
+                              f"{existing} is not a directory")
+        self._made = []
+        self._staged = []    # (temporary path, final path)
+
+    def stage(self, name):
+        """The path to write ``name`` at, which it takes on commit."""
+        os.makedirs(self.path, exist_ok=True)
+        self._made += self._missing
+        self._missing = []
+        final = os.path.join(self.path, name)
+        self._staged.append((final + ".tmp", final))
+        return final + ".tmp"
+
+    def commit(self):
+        for temporary, final in self._staged:
+            os.replace(temporary, final)
+        self._staged, self._made = [], []
+
+    def discard(self):
+        for temporary, _ in self._staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+        for path in self._made:
+            with contextlib.suppress(OSError):   # not empty: not only ours
+                os.rmdir(path)
+
+
 # --- plan ---
 
-def _cmd_plan(args):
+def _cmd_plan(args, _output):
     cfg = _load_config(args.config)
     # flags override the config's values; a block that is not an object
     # is refused with the rest
@@ -142,7 +195,7 @@ def _cmd_plan(args):
                         "interval (over-budget energy accounting)")
     body = asdict(result)
     manifest = {"cluster": cluster, "workload": workload, "kernels": kernels}
-    return manifest, body, warnings, []
+    return manifest, body, warnings
 
 
 # --- design-schema ---
@@ -172,7 +225,7 @@ def _dropped_warnings(dropped, where):
     return [f"dropped {dropped} row(s) with a missing value in {where}"]
 
 
-def _cmd_design_schema(args):
+def _cmd_design_schema(args, _output):
     cfg = _command_config(args, {"input": string,
                                  "threshold": fraction(zero=False)})
     if "input" not in cfg:
@@ -198,12 +251,12 @@ def _cmd_design_schema(args):
     notes = ["factor grouping rule: each variable joins the retained "
              "component with its largest absolute loading; floor "
              f"{schema_pca.ASSIGNMENT_FLOOR} on |loading|"]
-    return manifest, body, warnings + notes, []
+    return manifest, body, warnings + notes
 
 
 # --- simulate ---
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, output):
     cfg = _command_config(args, {
         "scenario": string, "until": quantity("seconds"),
         "mode": choice(*placement.MODES)})
@@ -211,24 +264,26 @@ def _cmd_simulate(args):
         raise ConfigError("simulate needs --scenario FILE")
     scenario = _load_config(cfg["scenario"], "scenario")
     policy = scenario.get("policy", {})
-    # a policy that is not an object is refused by run_scenario
+    # a policy that is not an object is refused by build_simulator
     if "mode" in cfg and isinstance(policy, dict):
         scenario["policy"] = dict(policy, mode=cfg["mode"])
-    events, metrics = placement.run_scenario(scenario, cfg.get("until"))
+    # the log is written as the run goes
+    with open(output.stage("events.jsonl"), "w") as fh:
+        log = placement.EventLogWriter(fh)
+        metrics = placement.build_simulator(scenario, log).run(
+            cfg.get("until"))
     body = dict(metrics)
-    body["events"] = len(events)
-    body["drop_rate_from_log"] = placement.drop_rate(events)
+    body["events"] = log.lines
+    body["drop_rate_from_log"] = log.drop_rate
     manifest = {"scenario": cfg["scenario"], "until": cfg.get("until"),
                 "mode": scenario.get("policy", {}).get(
                     "mode", placement.PlacementPolicy.mode)}
-    extra = [("events.jsonl", lambda outdir: placement.write_event_log(
-        events, os.path.join(outdir, "events.jsonl")))]
-    return manifest, body, [], extra
+    return manifest, body, []
 
 
 # --- mapreduce ---
 
-def _cmd_mapreduce(args):
+def _cmd_mapreduce(args, output):
     cfg = _command_config(args, {"input": _NAMES, "chunk_size": integer(1),
                                  "operations": list_of(_OP),
                                  "missing_tokens": _NAMES})
@@ -261,40 +316,41 @@ def _cmd_mapreduce(args):
                         else float(value))
     manifest = {"input": inputs,
                 "chunk_size": chunk_size, "operations": ops}
-    extra = [("scheduler.jsonl", lambda outdir: write_log(
-        out.log, os.path.join(outdir, "scheduler.jsonl")))]
-    return manifest, {"results": results}, [], extra
+    write_log(out.log, output.stage("scheduler.jsonl"))
+    return manifest, {"results": results}, []
 
 
 # --- regress ---
 
-def _cmd_regress(args):
+def _cmd_regress(args, output):
     cfg = _command_config(args, {"input": string, "response": string,
                                  "predictors": _NAMES, "encode": _NAMES})
     path = cfg.get("input")
     response = cfg.get("response")
     predictors = cfg.get("predictors")
     encode = cfg.get("encode") or []
-    # usage errors come before the read: a missing flag before the input
-    # is opened, a name the input lacks once its schema is known
+    # usage errors come before the read: a missing flag or a malformed
+    # model before the input is opened, a name the input lacks once its
+    # schema is known
     if path is None:
-        table = fixtures.warehouse_survey_table()
         response = response or fixtures.WAREHOUSE_RESPONSE
         predictors = predictors or list(fixtures.WAREHOUSE_PREDICTORS)
-        _check_columns({response, *predictors, *encode}, table.column_names)
-        source = "bundled synthetic warehouse survey"
     elif response is None or not predictors:
         raise ConfigError("regress needs --response and --predictors")
-    else:
-        ds = chunkstore.open_datastore(path)
-        used = {response, *predictors, *encode}
-        _check_columns(used, ds.column_names())
-        table = chunkstore.read_all(ds, used)
-        source = path
     try:
         spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    used = {response, *predictors, *encode}
+    if path is None:
+        table = fixtures.warehouse_survey_table()
+        _check_columns(used, table.column_names)
+        source = "bundled synthetic warehouse survey"
+    else:
+        ds = chunkstore.open_datastore(path)
+        _check_columns(used, ds.column_names())
+        table = chunkstore.read_all(ds, used)
+        source = path
     if encode:
         table = regress.encode_binary(table, encode)
     text = [n for n in (response, *predictors) if table.kinds[n] == "text"]
@@ -339,15 +395,14 @@ def _cmd_regress(args):
                         "infinite; anova.f is written null")
     warnings += identity["warnings"]
 
-    def write_lines(outdir):
-        for ln in lines:
-            report.write_csv(
-                os.path.join(outdir, f"factor_{ln.predictor}.csv"),
-                [ln.predictor, response, "fitted"],
-                zip(ln.x.tolist(), ln.y.tolist(), ln.fitted.tolist()))
+    for ln in lines:
+        report.write_csv(output.stage(f"factor_{ln.predictor}.csv"),
+                         [ln.predictor, response, "fitted"],
+                         zip(ln.x.tolist(), ln.y.tolist(),
+                             ln.fitted.tolist()))
     manifest = {"input": source, "response": response,
                 "predictors": predictors, "encode": encode}
-    return manifest, body, warnings, [("factor CSVs", write_lines)]
+    return manifest, body, warnings
 
 
 _COMMANDS = {
@@ -421,17 +476,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = None
     try:
-        outdir = _outdir(args)
-        # the nearest path at or above outdir that exists must be a
-        # directory, or the report cannot be written there
-        existing = outdir
-        while existing and not os.path.lexists(existing):
-            existing = os.path.dirname(existing)
-        if existing and not os.path.isdir(existing):
-            raise ConfigError(f"output directory {outdir} cannot be made: "
-                              f"{existing} is not a directory")
-        manifest, body, warnings, extra = _COMMANDS[args.subcommand](args)
+        out = _Output(_outdir(args))
+        manifest, body, warnings = _COMMANDS[args.subcommand](args, out)
         manifest["schema_version"] = CONFIG_SCHEMA_VERSION
         full = {
             "tool_version": __version__,
@@ -440,9 +488,8 @@ def main(argv=None):
             "results": body,
             "warnings": warnings,
         }
-        paths = report.emit_report(full, outdir)
-        for _name, writer in extra:
-            writer(outdir)
+        paths = report.emit_report(full, out.path)
+        out.commit()
         print(paths["json"])
         return 0
     except ConfigError as exc:
@@ -451,6 +498,9 @@ def main(argv=None):
     except (DwkitError, UnicodeDecodeError) as exc:   # bytes not UTF-8
         print(f"dwkit: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if out is not None:
+            out.discard()
 
 
 if __name__ == "__main__":

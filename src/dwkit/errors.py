@@ -49,10 +49,6 @@ class InsufficientSitesError(DwkitError):
 
 # --- chunk engine ---
 
-class MissingFileError(DwkitError):
-    pass
-
-
 class InconsistentHeaderError(DwkitError):
     """Datastore source files do not share one header."""
 
@@ -94,6 +90,15 @@ class RankDeficientError(DwkitError):
 
 class ConfigError(DwkitError):
     """Invalid configuration file or flag value (usage error, exit 2)."""
+
+
+class MissingFileError(ConfigError):
+    """An input file (a CSV, a config or a scenario) that cannot be
+    opened."""
+
+    def __init__(self, what, path, reason):
+        self.path = path
+        super().__init__(f"cannot read {what} {path}: {reason}")
 
 
 class UnitError(ConfigError, ValueError):

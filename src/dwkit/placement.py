@@ -21,6 +21,11 @@ numpy columns in start order, and each step updates every active transfer
 with a few array operations: the same IEEE operations, rounded once each,
 as one transfer at a time in Python floats, which is how a set of exactly
 one is updated.
+
+Events go to the simulator's sink.  ``EventList``, the default, keeps
+them in ``sim.events``; ``EventLogWriter`` writes each event's log line
+as it is emitted and keeps only counters, so a run's memory does not grow
+with its log.
 """
 from __future__ import annotations
 
@@ -135,11 +140,76 @@ class SimEvent(NamedTuple):
                              "detail": self.detail})
 
 
+class EventList:
+    """The default sink: every event, in order, in ``events``."""
+
+    def __init__(self):
+        self.events: list[SimEvent] = []
+
+    def emit(self, event):
+        self.events.append(event)
+
+    def progress(self, time, seq, subjects, rates, moved):
+        """The ``transfer-progress`` events ``seq``, ``seq + 1``, ... of
+        one step."""
+        self.events.extend(
+            SimEvent(time, i, "transfer-progress", subject,
+                     {"rate": rate, "bytes_moved": bytes_moved})
+            for i, subject, rate, bytes_moved
+            in zip(range(seq, seq + len(subjects)), subjects, rates, moved))
+
+
+class _DropTally:
+    """A transfer is seen by its start, completion or drop; the drop rate
+    is the share of seen transfers that were dropped."""
+
+    def __init__(self):
+        self.seen, self.dropped = set(), set()
+
+    def add(self, kind, subject):
+        if kind in ("transfer-start", "transfer-complete",
+                    "transfer-dropped"):
+            self.seen.add(subject)
+            if kind == "transfer-dropped":
+                self.dropped.add(subject)
+
+    @property
+    def rate(self):
+        return len(self.dropped) / len(self.seen) if self.seen else 0.0
+
+
+class EventLogWriter:
+    """A sink that writes each event's ``events.jsonl`` line to ``fh`` as
+    it is emitted.  It keeps no events, only the number of lines and the
+    drop rate read from them."""
+
+    events = ()
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._tally = _DropTally()
+        self.lines = 0
+
+    def emit(self, event):
+        self.lines += 1
+        self._tally.add(event.kind, event.subject)
+        self._fh.write(event.to_json() + "\n")
+
+    def progress(self, time, seq, subjects, rates, moved):
+        self.lines += len(subjects)
+        self._fh.writelines(_progress_lines(
+            time, range(seq, seq + len(subjects)), subjects, rates, moved))
+
+    @property
+    def drop_rate(self):
+        return self._tally.rate
+
+
 class PlacementSimulator:
     """Single-threaded deterministic event-loop simulator."""
 
     def __init__(self, sites, policy: PlacementPolicy | None = None,
-                 reserved_ids=()):
+                 reserved_ids=(), sink=None):
         self.sites = {}
         for s in sites:
             if s.id in self.sites:
@@ -147,7 +217,8 @@ class PlacementSimulator:
             self.sites[s.id] = s
         self.policy = policy or PlacementPolicy()
         self.now = 0.0
-        self.events: list[SimEvent] = []
+        self._sink = EventList() if sink is None else sink
+        self.events = self._sink.events
         self.jobs: dict[str, TransferJob] = {}
         self.allocations: dict[str, Allocation] = {}
         self._timeline = []          # heap of (time, order, fn)
@@ -181,8 +252,7 @@ class PlacementSimulator:
     # --- plumbing ---
 
     def _emit(self, kind, subject, **detail):
-        self.events.append(SimEvent(self.now, self._seq, kind, subject,
-                                    detail))
+        self._sink.emit(SimEvent(self.now, self._seq, kind, subject, detail))
         self._seq += 1
 
     def schedule(self, time, fn, *args, **kwargs):
@@ -407,15 +477,11 @@ class PlacementSimulator:
             self._rate[:n] = rates
         self._rated = n
         if changed:
-            seq, self._seq = self._seq, self._seq + len(changed)
-            details = [{"rate": rate, "bytes_moved": moved} for rate, moved
-                       in zip(self._rate[changed].tolist(),
-                              self._moved[changed].tolist())]
-            self.events.extend(
-                SimEvent(self.now, i, "transfer-progress", job, detail)
-                for i, job, detail in zip(range(seq, self._seq),
-                                          self._job_ids[changed].tolist(),
-                                          details))
+            self._sink.progress(self.now, self._seq,
+                                self._job_ids[changed].tolist(),
+                                self._rate[changed].tolist(),
+                                self._moved[changed].tolist())
+            self._seq += len(changed)
 
     def _advance(self, t):
         dt = t - self.now
@@ -594,42 +660,54 @@ class PlacementSimulator:
 
 def drop_rate(events) -> float:
     """Fraction of observed transfers that ended dropped."""
-    seen, dropped = set(), set()
+    tally = _DropTally()
     for ev in events:
-        if ev.kind in ("transfer-start", "transfer-complete",
-                       "transfer-dropped"):
-            seen.add(ev.subject)
-        if ev.kind == "transfer-dropped":
-            dropped.add(ev.subject)
-    return len(dropped) / len(seen) if seen else 0.0
+        tally.add(ev.kind, ev.subject)
+    return tally.rate
 
 
 def write_event_log(events, path):
     """One ``SimEvent.to_json`` line per event."""
     with open(path, "w") as fh:
-        fh.writelines(_log_lines(events))
+        step = []   # progress events that share one time object
+
+        def write_step():
+            fh.writelines(_progress_lines(
+                step[0].time, [ev.seq for ev in step],
+                [ev.subject for ev in step],
+                [ev.detail["rate"] for ev in step],
+                [ev.detail["bytes_moved"] for ev in step]))
+            step.clear()
+        for ev in events:
+            progress = (ev.kind == "transfer-progress"
+                        and ev.detail.keys() == {"rate", "bytes_moved"})
+            if step and not (progress and ev.time is step[0].time):
+                write_step()
+            if progress:
+                step.append(ev)
+            else:
+                fh.write(ev.to_json() + "\n")
+        if step:
+            write_step()
 
 
-def _log_lines(events):
-    # transfer-progress events, nearly all of a managed log, carry a rate
-    # and a byte count; with a str subject and finite float values they
-    # are formatted directly, as json.dumps would.  The events of one step
-    # share their time object, so its text is made once per step
-    last_time = time_text = None
-    for time, seq, kind, subject, detail in events:
-        if kind == "transfer-progress":
-            rate, moved = detail["rate"], detail["bytes_moved"]
-            if (type(subject) is str
-                    and type(time) is type(rate) is type(moved) is float
-                    and math.isfinite(time + rate + moved)):
-                if time is not last_time:
-                    last_time, time_text = time, repr(time)
-                yield (f'{{"detail": {{"bytes_moved": {moved!r}, "rate": '
-                       f'{rate!r}}}, "kind": "transfer-progress", "seq": '
-                       f'{seq}, "subject": {encode_basestring_ascii(subject)}'
-                       f', "time": {time_text}}}\n')
-                continue
-        yield SimEvent(time, seq, kind, subject, detail).to_json() + "\n"
+def _progress_lines(time, seqs, subjects, rates, moved):
+    """The log lines of the ``transfer-progress`` events of one step, as
+    ``SimEvent.to_json`` writes them.  These are nearly all of a managed
+    log; a step with str subjects and finite float values, as the
+    simulator makes, is formatted directly, with one ``repr`` of its
+    time."""
+    if (type(time) is float and {*map(type, subjects)} <= {str}
+            and {*map(type, rates), *map(type, moved)} <= {float}
+            and math.isfinite(time + sum(rates) + sum(moved))):
+        time_text = repr(time)
+        return [f'{{"detail": {{"bytes_moved": {m!r}, "rate": {r!r}}}, '
+                f'"kind": "transfer-progress", "seq": {seq}, "subject": '
+                f'{encode_basestring_ascii(subject)}, "time": {time_text}}}\n'
+                for seq, subject, r, m in zip(seqs, subjects, rates, moved)]
+    return [SimEvent(time, seq, "transfer-progress", subject,
+                     {"rate": r, "bytes_moved": m}).to_json() + "\n"
+            for seq, subject, r, m in zip(seqs, subjects, rates, moved)]
 
 
 # --- scenario files ---
@@ -677,8 +755,9 @@ _SITE_REFS = {
 }
 
 
-def build_simulator(scenario: dict) -> PlacementSimulator:
-    """Materialize a scenario dict (sites, policy, scheduled requests).
+def build_simulator(scenario: dict, sink=None) -> PlacementSimulator:
+    """Materialize a scenario dict (sites, policy, scheduled requests);
+    its events go to ``sink`` (an ``EventList`` by default).
 
     Every value is converted first, and every site reference checked, so
     a malformed scenario is a ConfigError before the simulator exists.
@@ -711,7 +790,7 @@ def build_simulator(scenario: dict) -> PlacementSimulator:
     # no generated id may take an id the scenario names
     sim = PlacementSimulator([StorageSite(**site) for site in s["sites"]],
                              PlacementPolicy(**s.get("policy", {})),
-                             reserved_ids=named)
+                             reserved_ids=named, sink=sink)
     for a in s.get("allocations", ()):
         sim.schedule(a.get("at", 0.0), sim.allocate, a["site"], a["size"],
                      a["duration"], a.get("acl", ()),

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import betainc
 
 from .chunkstore import DataTable
 from .errors import NonBinaryColumnError, RankDeficientError
@@ -162,6 +160,7 @@ def fit_ols(X, y, names=None) -> RegressionFit:
         raise ValueError(f"need more than {p + 1} observations, got {n}")
     design = np.column_stack([np.ones(n), X])
 
+    import scipy.linalg   # here, so importing dwkit does not load scipy
     _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     bad = np.nonzero(diag < _RANK_TOL * diag.max())[0]
@@ -205,6 +204,7 @@ def f_pvalue(f, df1, df2) -> float:
     """Upper tail of the F distribution at (df1, df2)."""
     if f < 0:
         raise ValueError("F statistic must be >= 0")
+    from scipy.special import betainc   # loaded on first use, as in fit_ols
     x = df2 / (df2 + df1 * f)
     return float(betainc(df2 / 2.0, df1 / 2.0, x))
 

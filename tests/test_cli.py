@@ -232,6 +232,37 @@ class TestSimulateCommand:
         assert_one_line_error(proc, 2)
         assert "nonexistent.json" in proc.stderr
 
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_run_failing_midway_leaves_no_log(self, tmp_path, capsys,
+                                              nested):
+        # the replication fails at t=0, after the log file was opened
+        scenario = overload_with("replications", {
+            "dataset": "d", "size": "1GB", "source": "ingest"})
+        scenario["policy"]["replica_count"] = 5
+        path = write_config(tmp_path, scenario, "scenario.json")
+        if nested:   # every directory the run made is removed
+            out = tmp_path / "new" / "deeper" / "out"
+        else:        # an existing directory stays, with no log in it
+            out = tmp_path / "out"
+            out.mkdir()
+        err = run_one_line_error(["simulate", "--scenario", path, "--mode",
+                                  "managed", "--out", str(out)], capsys, 1)
+        assert "need 5 sites" in err
+        if nested:
+            assert not (tmp_path / "new").exists()
+        else:
+            assert list(out.iterdir()) == []
+
+    def test_log_replaces_the_previous_one(self, tmp_path):
+        out = tmp_path / "out"
+        for mode in ("managed", "lossy-priority-baseline"):
+            assert run(["simulate", "--scenario", overload_scenario_path(),
+                        "--mode", mode, "--out", str(out)]) == 0
+        lines = (out / "events.jsonl").read_text().splitlines()
+        assert len(lines) == load_report(str(out))["results"]["events"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "events.jsonl", "report.json", "report.txt"]
+
 
 def overload_with(section, entry=None, **fields):
     """The bundled overload scenario plus ``entry`` in ``section``, or with
@@ -598,6 +629,20 @@ class TestRegressCommand:
             monkeypatch, tmp_path, ["regress", "--response", "x",
                                     "--predictors", "id"])
 
+    @pytest.mark.parametrize("model", [
+        ["--response", "y", "--predictors", "a,a"],
+        ["--response", "y", "--predictors", "a,y"]])
+    def test_bad_model_refused_before_the_input_is_opened(
+            self, monkeypatch, tmp_path, capsys, model):
+        def opened(*_args, **_kwargs):
+            raise AssertionError("the input was opened")
+        monkeypatch.setattr(chunkstore, "open_datastore", opened)
+        err = run_one_line_error(["regress", "--input", server_records_path(),
+                                  *model, "--out", str(tmp_path / "out")],
+                                 capsys, 2)
+        assert "predictor" in err
+        assert not (tmp_path / "out").exists()
+
     def test_external_csv_needs_model(self, tmp_path):
         # refused before the input is opened, so a missing file is not
         # reached
@@ -750,6 +795,40 @@ class TestDesignSchemaCommand:
                                       op, "--out", str(out)], capsys, 1)
             assert op in err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["regress", "--response", "y", "--predictors", "a"],
+    ["mapreduce", "--op", "count"],
+    ["design-schema"],
+])
+def test_missing_csv_input_is_one_line_usage_error(tmp_path, argv):
+    # as a missing scenario or config is: exit 2, and what went wrong
+    missing = str(tmp_path / "nosuch.csv")
+    proc = run_process([*argv, "--input", missing,
+                        "--out", str(tmp_path / "out")])
+    assert_one_line_error(proc, 2)
+    assert proc.stderr.startswith(f"dwkit: usage error: cannot read input "
+                                  f"{missing}: [Errno 2]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_out_is_one_line_usage_error(capsys):
+    err = run_one_line_error(["regress", "--out", ""], capsys, 2)
+    assert "--out" in err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only regress uses scipy, and imports it when it fits
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwkit.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dwkit.cli; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_version_flag():

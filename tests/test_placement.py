@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,9 +13,10 @@ from hypothesis import example, given, strategies as st
 from dwkit.errors import (AclDeniedError, ConfigError,
                           InsufficientSitesError, UnknownSiteError)
 from dwkit.fixtures import overload_scenario_path
-from dwkit.placement import (PlacementPolicy, PlacementSimulator, SimEvent,
-                             StorageSite, build_simulator, drop_rate,
-                             run_scenario, write_event_log)
+from dwkit.placement import (MODES, EventLogWriter, PlacementPolicy,
+                             PlacementSimulator, SimEvent, StorageSite,
+                             build_simulator, drop_rate, run_scenario,
+                             write_event_log)
 
 GB = 1e9
 
@@ -436,6 +438,72 @@ class TestOverlappingOutages:
                             and start <= ev.time < end), (ev, outages)
 
 
+def outage_simulator(data, transfers):
+    """Draw ``transfers`` transfers and stacked outages of every kind on
+    three sites, as test_no_transfer_starts_inside_an_open_outage does;
+    returns a function that builds a simulator of them with a given sink.
+    Job ids are str or, through the library, int."""
+    sites = ["a", "b", "c"]
+    policy = PlacementPolicy(mode=data.draw(st.sampled_from(MODES)),
+                             retry_limit=data.draw(st.integers(0, 3)))
+    times = st.integers(0, 30).map(float)
+    routes = st.permutations(sites).map(lambda p: tuple(p[:2]))
+    requests = [(data.draw(times), *data.draw(routes),
+                 data.draw(st.integers(1, 40)) * GB)
+                for _ in range(transfers)]
+    outages = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(
+            ["site-down", "disk-overflow", "link-down"]))
+        target = (data.draw(routes) if kind == "link-down"
+                  else data.draw(st.sampled_from(sites)))
+        outages.append((kind, target, data.draw(times),
+                        data.draw(st.none() | times)))
+    int_ids = data.draw(st.booleans())
+
+    def build(sink=None):
+        sim = PlacementSimulator(
+            [StorageSite(s, 1e15, 10 * GB, 10 * GB) for s in sites], policy,
+            sink=sink)
+        for i, (at, src, dst, size) in enumerate(requests):
+            sim.schedule(at, sim.submit_transfer, src, dst, size, "u",
+                         job_id=i + 1 if int_ids else None)
+        for kind, target, at, duration in outages:
+            sim.inject_failure(kind, target, at=at, duration=duration)
+        return sim
+    return build
+
+
+# one transfer is always a set of one; more take the array path too
+@pytest.mark.parametrize("transfers", [st.just(1), st.integers(2, 6)],
+                         ids=["one", "several"])
+@given(data=st.data())
+def test_log_writer_matches_the_event_list(transfers, data):
+    build = outage_simulator(data, data.draw(transfers))
+    until = data.draw(st.none() | st.integers(0, 60).map(float))
+    listed = build()
+    metrics = listed.run(until)
+    fh = io.StringIO()
+    writer = EventLogWriter(fh)
+    streamed = build(writer)
+    assert streamed.run(until) == metrics
+    assert streamed.events == ()
+    lines = fh.getvalue().splitlines()
+    assert lines == [ev.to_json() for ev in listed.events]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        write_event_log(listed.events, path)
+        with open(path) as log:
+            assert fh.getvalue() == log.read()
+    assert writer.lines == len(lines)
+    seen = {ev.subject for ev in listed.events if ev.kind in (
+        "transfer-start", "transfer-complete", "transfer-dropped")}
+    dropped = {ev.subject for ev in listed.events
+               if ev.kind == "transfer-dropped"}
+    assert writer.drop_rate == drop_rate(listed.events) == (
+        len(dropped) / len(seen) if seen else 0.0)
+
+
 # finite floats, with subnormals, integral values, values past 1e16 and
 # the two zeros, equal but written differently, drawn often
 FINITE = st.one_of(
@@ -466,6 +534,15 @@ def test_progress_lines_match_to_json(rows):
         with open(path) as fh:
             lines = fh.read().split("\n")
     assert lines == [ev.to_json() for ev in events] + [""]
+
+
+def test_progress_event_with_other_details_is_written_whole(tmp_path):
+    events = [SimEvent(0.0, 0, "transfer-progress", "a",
+                       {"rate": 1.0, "bytes_moved": 2.0, "note": "x"}),
+              SimEvent(0.0, 1, "transfer-progress", "b", {"rate": 1.0})]
+    path = tmp_path / "events.jsonl"
+    write_event_log(events, path)
+    assert path.read_text().splitlines() == [ev.to_json() for ev in events]
 
 
 def golden_scenario(seed=2016):
