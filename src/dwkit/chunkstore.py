@@ -1,35 +1,50 @@
 """Chunk-based datastore over delimited text files.
 
 A datastore iterates a collection of comma-delimited files in bounded-size
-row chunks.  ``read_chunks`` holds one chunk's rows at a time; ``read_all``
-holds the whole table.  ``iter_file_chunks`` also gives the offset at
-which each chunk starts, so ``read_chunk`` can re-read any one chunk by
-seeking to it instead of re-scanning its file.
+row chunks.  ``read_chunks`` holds one chunk's columns at a time;
+``read_all`` holds the whole table.  ``iter_file_chunks`` also gives the
+offset at which each chunk starts, so ``read_chunk`` can re-read any one
+chunk by seeking to it instead of re-scanning its file.
 ``parse_value`` defines a valid cell.  A column's kind is the narrowest
 of integer and real whose cells it accepts across a sample, or text.
 Integer columns are int64 and real columns float64; a missing cell
 (configured tokens, default ``NA``) is marked in the mask and holds 0 in
 an integer column, NaN in a real one and None in a text one.
 
-Each record is tokenized once per datastore.  ``open_datastore`` infers
-the kinds from the first chunk of the first file holding data rows and
-keeps that chunk: its rows, the numeric columns it parsed, and the file
-position after it.  The first read of the datastore builds chunk 0 from
-them and goes on reading the file from there; the kept chunk is then
-dropped, so any later read goes back to the file.  A read builds only the
-columns it is asked for, and still checks every cell of the others:
-a numeric column is parsed and dropped, and a text column, whose every
-cell is valid, is checked only for short records.  So a malformed cell
-fails a read whichever columns it builds.
+A chunk is tokenized and built in batches of ``_BATCH_RECORDS`` records:
+each batch's columns are parsed and checked, its row lists dropped, and
+the next batch read; each built column's parts are joined once the chunk
+ends.  So a read holds one batch's row lists plus one chunk's columns,
+whatever the chunk size.
 
-Numeric columns are parsed a column at a time, for inference and for
-building tables alike: the missing tokens are dropped, one regular
+Each record is tokenized once per datastore.  ``open_datastore`` infers
+the kinds from the first chunk of the first file holding data rows, a
+batch at a time: kinds only widen (integer, then real, then text), and a
+batch whose every cell of a column is missing is no evidence, so the
+kinds are those of the whole chunk.  It keeps that chunk as columns (the
+numeric values and masks, and the tokens of text columns) with the file
+position after it.  The first read of the datastore takes chunk 0 from
+them and goes on reading the file from there; the kept chunk is then
+dropped, so any later read goes back to the file.  A chunk 0 with a short
+record, or with a column that a later batch widened past the kind an
+earlier batch was parsed as, is not kept, and the first read reads it
+again from the file.  A read builds only the columns it is asked for,
+and still checks every cell of the others: a numeric column is parsed
+and dropped, and a text column, whose every cell is valid, is checked
+only for short records.  So a malformed cell fails a read whichever
+columns it builds, and the fault named is the one a whole-chunk build
+meets first: the first faulty column, at its first faulty row, counted
+from the chunk's first record.
+
+Numeric columns are parsed a batch column at a time, for inference and
+for building tables alike: the missing tokens are dropped, one regular
 expression checks that every other token is a plain ASCII number, and one
 ``np.array`` call converts them all with Python's own ``int``/``float``.
 A column that fails either step (quoted or padded cells, Unicode digits,
 ``1_000``, integers past int64, malformed cells) is parsed cell by cell
 with ``parse_value``, which gives the same values and names the first
-malformed cell with its file, chunk and column.
+malformed cell with its file, chunk and column.  A text column goes
+through ``parse_value`` once per distinct token.
 """
 from __future__ import annotations
 
@@ -51,6 +66,8 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _PLAIN_INTEGER = re.compile(r"[-+0-9\n]*")
 _PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
 _INT64 = np.iinfo(np.int64)
+_BATCH_RECORDS = 2048   # records tokenized and parsed at a time
+_KINDS = ("integer", "real", "text")   # narrowest first
 
 
 def strip_quotes(token: str) -> str:
@@ -72,7 +89,7 @@ class Datastore:
     schema: tuple[ColumnSpec, ...]
     missing_tokens: frozenset[str]
     chunk_size: int
-    # the chunk open_datastore tokenized, until the first read takes it
+    # the chunk open_datastore read, until the first read takes it
     _first: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
 
@@ -80,15 +97,17 @@ class Datastore:
         return [c.name for c in self.schema]
 
 
-class _FirstChunk(list):
-    """The rows of the chunk ``open_datastore`` tokenized, with the
-    columns it parsed (name -> (values, mask)), the index of its file
-    and the file positions of its first record and of the next one."""
-
-    def __init__(self, rows, file_index, offset, end):
-        super().__init__(rows)
-        self.file_index, self.offset, self.end = file_index, offset, end
-        self.parsed = {}
+@dataclass
+class _FirstChunk:
+    """The chunk ``open_datastore`` read, as columns: name -> (values,
+    mask), or the ``_pack``-ed tokens of a text column.  With its row
+    count, the index of its file and the file positions of its first
+    record and of the next one."""
+    columns: dict
+    nrows: int
+    file_index: int
+    offset: int
+    end: int
 
 
 class DataTable:
@@ -227,11 +246,12 @@ def _empty_column(kind, n):
     return np.zeros(n, np.int64) if kind == "integer" else np.full(n, np.nan)
 
 
-def _infer_column(tokens, missing_tokens):
+def _infer_column(tokens, missing_tokens, no_evidence="text"):
     """(kind, values, mask): the narrowest of integer and real whose
-    ``parse_value`` accepts every token, or text; an all-missing sample
-    gives no evidence, so it is text, the widest kind.  The values and
-    mask are ``_parse_plain``'s when it took the column, else None."""
+    ``parse_value`` accepts every token, or text.  A sample whose every
+    cell is missing gives no evidence: its kind is ``no_evidence``, by
+    default text, the widest kind.  The values and mask are
+    ``_parse_plain``'s when it took the column, else None."""
     parsed = _parse_plain(tokens, None, missing_tokens)
     if parsed is not None:
         return parsed
@@ -242,7 +262,7 @@ def _infer_column(tokens, missing_tokens):
             continue
         # as an integer, only a missing cell parses to NaN
         if kind == "integer" and all(map(math.isnan, values)):
-            return "text", None, None
+            return no_evidence, None, None
         return kind, None, None
     return "text", None, None
 
@@ -256,12 +276,87 @@ def _read_rows(reader, n, context):
         raise DwkitError(f"{context}: {exc}") from None
 
 
+def _read_batches(reader, n, context, rows=None):
+    """The next ``n`` records of ``reader`` as lists of at most
+    ``_BATCH_RECORDS`` records, each read once the one before is taken;
+    ``rows`` is the first list, when it is already read."""
+    if rows is None:
+        rows = _read_rows(reader, min(n, _BATCH_RECORDS), context)
+    while rows:
+        n -= len(rows)
+        yield rows
+        del rows   # the consumer's now: not held while the next is read
+        rows = _read_rows(reader, min(n, _BATCH_RECORDS), context)
+
+
 def _read_header(path):
     with open(path, newline="") as fh:
         row = _read_rows(csv.reader(fh), 1, f"{path} header")
     if not row:
         raise InconsistentHeaderError(f"{path}: empty file, no header")
     return [strip_quotes(t.strip()) for t in row[0]]
+
+
+def _pack(tokens):
+    """Tokens as one string and their lengths: for short tokens, a
+    tenth of the memory of a list of strings."""
+    return "".join(tokens), np.fromiter(map(len, tokens), np.int64,
+                                        len(tokens))
+
+
+def _unpack(packed):
+    """The token list ``_pack`` packed."""
+    joined, lengths = packed
+    ends = np.cumsum(lengths).tolist()
+    return [joined[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _infer_batch(rows, ncols, missing_tokens):
+    """Per column of one batch of chunk 0: (kind, parsed, packed), where
+    kind is the narrowest kind of its cells, or None for no evidence;
+    parsed is the (values, mask) ``_parse_plain`` gave; packed, when it
+    gave none, is the column's tokens ``_pack``-ed, or None for a column
+    that a short record cuts."""
+    width = min(map(len, rows))
+    columns = zip(*rows)   # one column at a time, up to the shortest row
+    out = []
+    for j in range(ncols):
+        if j < width:
+            tokens = next(columns)
+        else:   # a short record, which the first read names
+            tokens = [row[j] for row in rows if j < len(row)]
+        kind, values, mask = _infer_column(tokens, missing_tokens, None)
+        if j >= width:
+            out.append((kind, None, None))
+        elif values is not None:
+            out.append((kind, (values, mask), None))
+        else:
+            out.append((kind, None, _pack(tokens)))
+    return out
+
+
+def _keep_column(batches, spec, missing_tokens):
+    """Column ``spec`` of chunk 0 from its batches' ``_infer_batch``
+    results: (values, mask), or the packed tokens of a text column.  None
+    when a record is short or a batch was parsed as a narrower kind,
+    where the first read must read the chunk again: an integer batch
+    cannot be widened to real in place, as ``-0`` is 0 but ``-0.0``."""
+    if spec.kind == "text":
+        packs = [packed for _, _, packed in batches]
+        if None in packs:
+            return None
+        return ("".join(joined for joined, _ in packs),
+                np.concatenate([lengths for _, lengths in packs]))
+    parts = []
+    for kind, parsed, packed in batches:
+        if parsed is not None and kind == spec.kind:
+            parts.append(parsed)
+        elif packed is not None:   # not plain, or every cell missing
+            parts.append(_parse_numeric(_unpack(packed), spec,
+                                        missing_tokens, ""))
+        else:
+            return None
+    return _join(parts, spec.kind)
 
 
 def open_datastore(paths, chunk_size=10000,
@@ -288,52 +383,49 @@ def open_datastore(paths, chunk_size=10000,
             raise InconsistentHeaderError(
                 f"{p}: header differs from {paths[0]}")
 
-    # infer from the first chunk of the first file holding data rows,
-    # and keep it for the first read
-    sample = []
+    # infer from the first chunk of the first file holding data rows, a
+    # batch at a time, and keep it as columns for the first read
+    batches, nrows = [], 0
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
             reader = csv.reader(iter(fh.readline, ""))
             next(reader)   # header
             offset = fh.tell()
-            rows = _read_rows(reader, chunk_size, f"{p} chunk 0")
-            if rows:
-                sample = _FirstChunk(rows, fi, offset, fh.tell())
+            for rows in _read_batches(reader, chunk_size, f"{p} chunk 0"):
+                batches.append(_infer_batch(rows, len(header), tokens))
+                nrows += len(rows)
+                del rows   # before the next batch is read
+            if batches:
+                position = fi, offset, fh.tell()
                 break
-    width = min(map(len, sample), default=0)
-    columns = zip(*sample)   # one column at a time, up to the shortest row
-    kinds = {}
-    for j, name in enumerate(header):
-        if j < width:
-            col_tokens = next(columns)
-        else:   # a short record, which the first read names
-            col_tokens = [row[j] for row in sample if j < len(row)]
-        kinds[name], values, mask = _infer_column(col_tokens, tokens)
-        if values is not None and j < width:
-            sample.parsed[name] = values, mask
-    schema = tuple(ColumnSpec(n, kinds[n]) for n in header)
+    # a repeated name takes its last column, as a dict of columns would
+    columns = dict(zip(header, zip(*batches)))
+    kinds = {name: max((kind for kind, _, _ in col if kind),
+                       key=_KINDS.index, default="text")
+             for name, col in columns.items()}
+    # without data rows, every column is text
+    schema = tuple(ColumnSpec(n, kinds.get(n, "text")) for n in header)
     ds = Datastore(sources=tuple(paths), schema=schema,
                    missing_tokens=tokens, chunk_size=chunk_size)
-    if sample:
-        ds._first.append(sample)
+    kept = {name: _keep_column(col, ColumnSpec(name, kinds[name]), tokens)
+            for name, col in columns.items()}
+    if batches and None not in kept.values():
+        ds._first.append(_FirstChunk(kept, nrows, *position))
     return ds
 
 
-def _parse_cells(rows, j, spec, missing_tokens, context):
-    """Parse column ``j`` cell by cell with ``parse_value``; names the
-    short record or malformed cell that stops it."""
-    n = len(rows)
+def _parse_cells(tokens, spec, missing_tokens, context):
+    """Parse a column cell by cell with ``parse_value``; names the first
+    malformed cell."""
+    n = len(tokens)
     mask = np.zeros(n, dtype=bool)
     vals = _empty_column(spec.kind, n)
-    for i, row in enumerate(rows):
-        if j >= len(row):
-            raise MalformedValueError("<absent>", spec.kind,
-                                      f"{context} row {i}: short record")
+    for i, token in enumerate(tokens):
         try:
-            v = parse_value(row[j], spec.kind, missing_tokens)
+            v = parse_value(token, spec.kind, missing_tokens)
         except MalformedValueError as exc:
             raise MalformedValueError(
-                row[j], spec.kind,
+                token, spec.kind,
                 f"{context} column {spec.name!r}") from exc
         if v is None or (isinstance(v, float) and math.isnan(v)):
             mask[i] = True
@@ -342,47 +434,120 @@ def _parse_cells(rows, j, spec, missing_tokens, context):
     return vals, mask
 
 
-def _build_table(rows, schema, missing_tokens, context="", columns=None):
-    """A table of the columns named in ``columns`` (default: all), with
-    every cell of every column checked.  Numeric columns are parsed whole
-    by ``_parse_plain``, or cell by cell when it declines; text columns
-    are built cell by cell, and one left out is only checked for short
-    records.  Columns parsed when the rows were first tokenized
-    (``_FirstChunk.parsed``) are taken as they are."""
-    parsed = getattr(rows, "parsed", {})
-    width = min(map(len, rows), default=len(schema))
+def _parse_numeric(tokens, spec, missing_tokens, context):
+    """(values, mask) of a numeric column: by ``_parse_plain`` in one
+    numpy call, or cell by cell where it declines."""
+    got = _parse_plain(tokens, spec.kind, missing_tokens)
+    return got[1:] if got else _parse_cells(tokens, spec, missing_tokens,
+                                            context)
+
+
+def _parse_text(tokens, missing_tokens):
+    """(values, mask) of a text column.  A text cell's value depends on
+    its token alone, so each distinct token is parsed once."""
+    parsed = {t: parse_value(t, "text", missing_tokens) for t in set(tokens)}
+    values = np.empty(len(tokens), dtype=object)
+    values[:] = list(map(parsed.__getitem__, tokens))
+    return values, np.equal(values, None)
+
+
+def _parse_column(rows, j, spec, width, missing_tokens, context, row0):
+    """(values, mask) of column ``j`` of a batch whose shortest record
+    has ``width`` fields and whose first record is row ``row0`` of its
+    chunk.  A column past ``width`` fails: at a malformed cell above the
+    first short record, else at that record."""
+    if j >= width:
+        short = next(i for i, row in enumerate(rows) if j >= len(row))
+        _parse_cells([row[j] for row in rows[:short]], spec,
+                     missing_tokens, context)
+        raise MalformedValueError("<absent>", spec.kind,
+                                  f"{context} row {row0 + short}: "
+                                  f"short record")
+    tokens = list(map(itemgetter(j), rows))
+    if spec.kind == "text":
+        return _parse_text(tokens, missing_tokens)
+    return _parse_numeric(tokens, spec, missing_tokens, context)
+
+
+def _join(parts, kind):
+    """One column from its batches' (values, mask) parts."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return _empty_column(kind, 0), np.zeros(0, dtype=bool)
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([m for _, m in parts]))
+
+
+def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
+    """A table of the columns named in ``columns`` (default: all) from a
+    chunk's records, given as lists of rows, with every cell of every
+    column checked.  Each batch is parsed before the next is read, and
+    each column's parts are joined at the end; a text column left out is
+    only checked for short records.  After a fault the rest of the chunk
+    is still read and checked in the columns before the faulty one, so
+    the fault raised is the first in column order, then row order."""
+    parts = {j: [] for j, s in enumerate(schema)
+             if columns is None or s.name in columns}
+    checked, fault, row0 = schema, None, 0
+    for rows in batches:
+        width = min(map(len, rows), default=len(schema))
+        for j, spec in enumerate(checked):
+            if spec.kind == "text" and j not in parts and j < width:
+                continue   # every cell of a complete text column is valid
+            try:
+                got = _parse_column(rows, j, spec, width, missing_tokens,
+                                    context, row0)
+            except MalformedValueError as exc:
+                checked, fault, parts = schema[:j], exc, {}
+                break
+            if j in parts:
+                parts[j].append(got)
+        row0 += len(rows)
+        del rows   # before the next batch is read
+    if fault is not None:
+        raise fault
     table, missing, kinds = {}, {}, {}
-    for j, spec in enumerate(schema):
-        keep = columns is None or spec.name in columns
-        if spec.name in parsed:
-            vals, mask = parsed[spec.name]
-        elif spec.kind == "text" and not keep and j < width:
-            continue   # every cell of a complete text column is valid
-        else:
-            got = None
-            if spec.kind != "text" and j < width:
-                got = _parse_plain(list(map(itemgetter(j), rows)),
-                                   spec.kind, missing_tokens)
-            vals, mask = got[1:] if got else _parse_cells(
-                rows, j, spec, missing_tokens, context)
-        if keep:
-            table[spec.name] = vals
-            missing[spec.name] = mask
+    for j, got in parts.items():
+        spec = schema[j]
+        table[spec.name], missing[spec.name] = _join(got, spec.kind)
+        kinds[spec.name] = spec.kind
+    return DataTable(table, missing, kinds, nrows=row0)
+
+
+def _build_table(rows, schema, missing_tokens, context="", columns=None):
+    """``_build_chunk`` of one list of rows."""
+    return _build_chunk([rows], schema, missing_tokens, context, columns)
+
+
+def _first_table(first, schema, missing_tokens, columns=None):
+    """The table of the columns named in ``columns`` (default: all) from
+    the chunk ``open_datastore`` kept, whose every cell it checked."""
+    table, missing, kinds = {}, {}, {}
+    for spec in schema:
+        if columns is None or spec.name in columns:
+            got = first.columns[spec.name]
+            table[spec.name], missing[spec.name] = (
+                _parse_text(_unpack(got), missing_tokens)
+                if spec.kind == "text" else got)
             kinds[spec.name] = spec.kind
-    return DataTable(table, missing, kinds, nrows=len(rows))
+    return DataTable(table, missing, kinds, nrows=first.nrows)
 
 
 def iter_file_chunks(ds: Datastore, file_index: int):
-    """Yield (chunk_index, offset, raw row list) for one source file.
+    """Yield (chunk_index, offset, rows) for one source file.
 
     ``offset`` is the file position (``tell``) of the chunk's first
     record, for ``read_chunk`` to seek to; for UTF-8 text it is the byte
-    offset.  ``csv.reader`` pulls whole lines only until a record is
-    complete, so between chunks the file stands at a record boundary,
-    quoted newlines included.  Lines are pulled with ``readline`` because
-    iterating a text file disables ``tell``.  The chunk ``open_datastore``
-    kept is yielded from memory to the first call for its file, which
-    then reads on from the record after it.
+    offset.  ``rows`` yields the chunk's records in lists of at most
+    ``_BATCH_RECORDS``, tokenized as they are taken, and only until the
+    next chunk is asked for: what is left of it then is read and dropped.
+    ``csv.reader`` pulls whole lines only until a record is complete, so
+    between chunks the file stands at a record boundary, quoted newlines
+    included.  Lines are pulled with ``readline`` because iterating a text
+    file disables ``tell``.  The chunk ``open_datastore`` kept is yielded
+    from memory, as a ``_FirstChunk``, to the first call for its file,
+    which then reads on from the record after it.
     """
     path = ds.sources[file_index]
     start, chunk_index = None, 0
@@ -390,7 +555,7 @@ def iter_file_chunks(ds: Datastore, file_index: int):
         first = ds._first.pop()
         start = first.end
         yield 0, first.offset, first
-        chunk_index, first = 1, None   # the kept rows are released
+        chunk_index, first = 1, None   # the kept columns are released
     with open(path, newline="") as fh:
         reader = csv.reader(iter(fh.readline, ""))
         if start is None:
@@ -399,12 +564,25 @@ def iter_file_chunks(ds: Datastore, file_index: int):
             fh.seek(start)
         while True:
             offset = fh.tell()
-            rows = _read_rows(reader, ds.chunk_size,
-                              f"{path} chunk {chunk_index}")
+            context = f"{path} chunk {chunk_index}"
+            rows = _read_rows(reader, min(ds.chunk_size, _BATCH_RECORDS),
+                              context)
             if not rows:
                 return
-            yield chunk_index, offset, rows
+            batches = _read_batches(reader, ds.chunk_size, context, rows)
+            del rows
+            yield chunk_index, offset, batches
+            while next(batches, None) is not None:
+                pass   # the records the consumer left unread
             chunk_index += 1
+
+
+def _chunk_table(ds, file_index, chunk_index, columns, rows):
+    if isinstance(rows, _FirstChunk):
+        return _first_table(rows, ds.schema, ds.missing_tokens, columns)
+    return _build_chunk(rows, ds.schema, ds.missing_tokens,
+                        f"{ds.sources[file_index]} chunk {chunk_index}",
+                        columns)
 
 
 def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
@@ -412,13 +590,14 @@ def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
     """Build one chunk, the unit of task re-execution, from the ``rows``
     ``iter_file_chunks`` yielded for it, or without them by re-reading it
     from the offset it gave.  ``columns`` as for ``read_all``."""
-    context = f"{ds.sources[file_index]} chunk {chunk_index}"
-    if rows is None:
-        with open(ds.sources[file_index], newline="") as fh:
-            fh.seek(offset)
-            rows = _read_rows(csv.reader(fh), ds.chunk_size, context)
-    return _build_table(rows, ds.schema, ds.missing_tokens, context,
-                        columns)
+    if rows is not None:
+        return _chunk_table(ds, file_index, chunk_index, columns, rows)
+    with open(ds.sources[file_index], newline="") as fh:
+        fh.seek(offset)
+        return _chunk_table(ds, file_index, chunk_index, columns,
+                            _read_batches(csv.reader(fh), ds.chunk_size,
+                                          f"{ds.sources[file_index]} "
+                                          f"chunk {chunk_index}"))
 
 
 def read_chunks(ds: Datastore, columns=None):
@@ -430,8 +609,7 @@ def read_chunks(ds: Datastore, columns=None):
     """
     for fi in range(len(ds.sources)):
         for ci, _offset, rows in iter_file_chunks(ds, fi):
-            yield _build_table(rows, ds.schema, ds.missing_tokens,
-                               f"{ds.sources[fi]} chunk {ci}", columns)
+            yield _chunk_table(ds, fi, ci, columns, rows)
 
 
 def read_all(ds: Datastore, columns=None) -> DataTable:

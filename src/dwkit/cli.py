@@ -237,11 +237,10 @@ def _cmd_design_schema(args, _output):
     pca = proposal.pca
     body = {
         "variables": pca.col_names,
-        "eigenvalues": list(pca.eigenvalues),
-        "cumulative_variance": list(pca.cumulative),
+        "eigenvalues": pca.eigenvalues,
+        "cumulative_variance": pca.cumulative,
         "selected_components": pca.selected,
-        "loadings": [list(pca.eigenvectors[:, k])
-                     for k in range(pca.eigenvectors.shape[1])],
+        "loadings": pca.eigenvectors.T,   # one row per component
         "factors": proposal.factors,
         "proposed_dimensions": proposal.proposed_dimensions,
         "unassigned": proposal.unassigned,
@@ -395,11 +394,13 @@ def _cmd_regress(args, output):
                         "infinite; anova.f is written null")
     warnings += identity["warnings"]
 
+    # every line's y is the response column, rendered once for all files
+    y = list(map(repr, lines[0].y.tolist()))
     for ln in lines:
         report.write_csv(output.stage(f"factor_{ln.predictor}.csv"),
                          [ln.predictor, response, "fitted"],
-                         zip(ln.x.tolist(), ln.y.tolist(),
-                             ln.fitted.tolist()))
+                         [map(repr, ln.x.tolist()), y,
+                          map(repr, ln.fitted.tolist())])
     manifest = {"input": source, "response": response,
                 "predictors": predictors, "encode": encode}
     return manifest, body, warnings

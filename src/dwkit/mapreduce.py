@@ -3,8 +3,9 @@
 Map tasks (one per chunk) run in chunk order in the caller, with no thread
 pool; a task's keyed output joins the shuffle only once the task succeeds.
 One pass over the input feeds the maps: each task builds its chunk from
-the rows just read, and only a retry seeks back to the chunk's offset to
-read it again, so without retries a run tokenizes each record once.
+the rows that pass reads, a batch at a time, and only a retry seeks back
+to the chunk's offset to read it again, so without retries a run
+tokenizes each record once.
 A barrier separates the phases, then reduce tasks fold each key's values
 in key order.  Failed tasks re-execute from their chunk input up to an
 attempt cap, except on a ``DwkitError`` (a malformed cell, a text column),
@@ -115,10 +116,11 @@ def mapreduce(ds: Datastore, map_fn, reduce_fn, *, columns=None,
         for ci, offset, rows in chunkstore.iter_file_chunks(ds, fi):
             def body():
                 nonlocal rows
-                chunk = chunkstore.read_chunk(ds, fi, ci, offset, columns,
-                                              rows)
-                rows = None   # a retry reads the chunk again
-                return list(map_fn(chunk))
+                # rows are read as they are taken, so a retry reads the
+                # chunk again from its offset
+                taken, rows = rows, None
+                return list(map_fn(chunkstore.read_chunk(
+                    ds, fi, ci, offset, columns, taken)))
             for key, value in _run_task(f"map-{fi}-{ci}", "map", body,
                                         attempt_cap, fail_injector, log):
                 groups.setdefault(key, []).append(value)

@@ -117,16 +117,18 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
     through unchanged.
     """
     presence = presence or {}
-    columns = list(columns)
     new_cols = dict(table.columns)
     new_kinds = dict(table.kinds)
     for name in columns:
         mask = table.missing[name]
-        vals = table.columns[name]
-        distinct = sorted({str(v) for v, m in zip(vals, mask) if not m})
-        uniq = {v for v, m in zip(vals, mask) if not m}
-        if uniq <= {0, 1, 0.0, 1.0}:
-            continue
+        cells = table.columns[name][~mask]
+        if cells.dtype != object:   # numbers are told apart as strings
+            if ((cells == 0) | (cells == 1)).all():
+                continue
+            cells = np.array([str(v) for v in cells], dtype=object)
+        distinct = sorted(set(cells.tolist()))
+        if not distinct:
+            continue   # no value to encode
         if len(distinct) != 2:
             raise NonBinaryColumnError(name, distinct)
         if name in presence:
@@ -136,8 +138,9 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
         else:
             truthy = [t for t in distinct if t.lower() in _TRUTHY]
             pos = truthy[0] if truthy else distinct[-1]
-        new_cols[name] = np.array([not m and str(v) == pos
-                                   for v, m in zip(vals, mask)], np.int64)
+        encoded = np.zeros(len(mask), np.int64)
+        encoded[~mask] = cells == pos
+        new_cols[name] = encoded
         new_kinds[name] = "integer"
     return DataTable(new_cols, dict(table.missing), new_kinds)
 

@@ -23,7 +23,7 @@ def _sanitize(value):
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_sanitize(v) for v in value.tolist()]
+        return value.tolist()   # plain Python scalars, in nested lists
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -104,8 +104,12 @@ def emit_report(report: dict, outdir) -> dict:
     return {"json": json_path, "txt": txt_path}
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write ``header`` and the data rows of ``columns``, cells already
+    rendered as text.  The header goes through ``csv.writer``, so a name
+    holding a comma or a quote is quoted; the cells, numbers that need no
+    quoting, are joined into ``\r\n``-ended lines in one string."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        fh.write("".join(map(line.format, *columns)))

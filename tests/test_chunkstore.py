@@ -331,3 +331,120 @@ class TestChunkIndex:
         with pytest.raises(DwkitError, match=r"head.csv header: field"):
             cs.open_datastore(write_csv(tmp_path / "head.csv",
                                         "a," + "x" * 200000, ["1,2"]))
+
+
+class TestBatches:
+    """Chunks are tokenized and built in batches of _BATCH_RECORDS."""
+
+    def counting_reader(self, monkeypatch):
+        records = []
+        reader = cs.csv.reader
+
+        def counting(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                records.append(row)
+                yield row
+        monkeypatch.setattr(cs.csv, "reader", counting)
+        return records
+
+    def test_no_read_asks_for_more_than_a_batch(self, tmp_path,
+                                                monkeypatch):
+        from dwkit.mapreduce import make_ops_mapper, mapreduce, reduce_op
+        p = write_csv(tmp_path / "rows.csv", "i,r,t",
+                      [f"{i},{i}.5,t{i % 3}" for i in range(40)])
+        asked = []
+        read_rows = cs._read_rows
+
+        def recording(reader, n, context):
+            asked.append(n)
+            return read_rows(reader, n, context)
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 4)
+        monkeypatch.setattr(cs, "_read_rows", recording)
+        ds = cs.open_datastore(p, chunk_size=25)
+        table = cs.read_all(ds)
+        assert table.nrows == 40
+        assert list(table.column("i")) == list(range(40))
+        # a map task builds its chunk from the batches the pass reads, and
+        # a retry re-reads its chunk in batches too
+        out = mapreduce(
+            cs.open_datastore(p, chunk_size=25),
+            make_ops_mapper([("sum:i", "sum", "i")]), reduce_op,
+            fail_injector=lambda kind, task, attempt:
+                kind == "map" and attempt == 1 and task == "map-0-1")
+        assert out.pairs == [("sum:i", sum(range(40)))]
+        assert len(asked) > 20 and max(asked) <= 4
+
+    def test_unread_rows_are_skipped(self, tmp_path):
+        # a consumer that takes no rows still gets the next chunk
+        p = write_csv(tmp_path / "rows.csv", "i",
+                      [str(i) for i in range(10)])
+        ds = cs.open_datastore(p, chunk_size=4)
+        index = [(ci, offset) for ci, offset, _rows
+                 in cs.iter_file_chunks(ds, 0)]
+        assert [ci for ci, _ in index] == [0, 1, 2]
+        assert [list(cs.read_chunk(ds, 0, ci, offset).column("i"))
+                for ci, offset in index] == [[0, 1, 2, 3], [4, 5, 6, 7],
+                                             [8, 9]]
+
+    @pytest.mark.parametrize("cells, kind", [
+        (["1", "-0", "NA", "2.5"], "real"),    # integer, then real
+        (["1", "2", "x", "3"], "text"),        # integer, then text
+        (["-0", "NA", "NA", "7"], "integer"),  # no widening
+    ])
+    def test_widening_after_first_batch_rereads_chunk_0(
+            self, tmp_path, monkeypatch, cells, kind):
+        p = write_csv(tmp_path / "w.csv", "x,y",
+                      [f"{c},{i}" for i, c in enumerate(cells)])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        ds = cs.open_datastore(p, chunk_size=10)
+        assert ds.schema[0].kind == kind
+        widened = kind != "integer"
+        assert bool(ds._first) is not widened
+        records = self.counting_reader(monkeypatch)
+        first = cs.read_all(ds)
+        # the kept chunk is read from memory; a dropped one from the file
+        assert len(records) == (len(cells) + 1 if widened else 0)
+        again = cs.read_all(ds)
+        assert len(records) == (len(cells) + 1) * (1 + widened)
+        assert_same_table(first, again)
+        x = first.column("x")
+        if kind == "real":
+            assert np.signbit(x[1]) and x[1] == 0   # -0 read as real
+        assert list(first.missing["x"]) == [c == "NA" for c in cells]
+
+    def test_all_missing_first_batch_is_no_evidence(self, tmp_path,
+                                                    monkeypatch):
+        p = write_csv(tmp_path / "m.csv", "x",
+                      ["NA", "NA", "NA", "4", "NA", "-5"])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 3)
+        ds = cs.open_datastore(p)
+        assert ds.schema[0].kind == "integer" and ds._first
+        table = cs.read_all(ds)
+        assert table.column("x").dtype == np.int64
+        assert list(table.column("x", skip_missing=True)) == [4, -5]
+
+    def test_fault_named_is_the_whole_chunk_first(self, tmp_path,
+                                                  monkeypatch):
+        # in chunk 1, column b fails in the first batch and column a only
+        # in the third: a whole-chunk build checks column a first, and so
+        # does a batched one
+        clean = [f"{i},{i}" for i in range(6)]
+        p = write_csv(tmp_path / "f.csv", "a,b", clean + [
+            "7,7", "8,oops", "9,9", "10,10", "bad,11", "12,12"])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        ds = cs.open_datastore(p, chunk_size=6)
+        with pytest.raises(MalformedValueError) as err:
+            cs.read_all(ds, ["b"])
+        assert err.value.token == "bad"
+        assert "chunk 1 column 'a'" in str(err.value)
+
+    def test_short_record_row_counts_from_chunk_start(self, tmp_path,
+                                                      monkeypatch):
+        p = write_csv(tmp_path / "s.csv", "a,b",
+                      ["1,1", "2,2", "3,3", "4", "5,5"])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        ds = cs.open_datastore(p, chunk_size=5)
+        assert not ds._first   # a short record: chunk 0 is read again
+        with pytest.raises(MalformedValueError,
+                           match=r"s.csv chunk 0 row 3: short record"):
+            cs.read_all(ds, ["a"])

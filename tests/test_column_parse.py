@@ -7,6 +7,7 @@ int64 plus the missing mask and refused outside int64.  For random columns
 both must agree exactly: dtype, missing mask, bit-identical values, and the
 same error on the same cell.
 """
+import csv
 import math
 
 import numpy as np
@@ -189,3 +190,133 @@ def test_malformed_cell_in_later_chunk_is_named(tmp_path):
         assert str(p) in str(err.value)
         assert "chunk 2" in str(err.value)
         assert "column 'y'" in str(err.value)
+
+
+# --- chunks built a batch at a time ---
+# open_datastore infers and keeps chunk 0, and every read builds its
+# chunks, in batches of _BATCH_RECORDS records.  With tiny batches, kinds
+# widen across batches, a batch may hold only missing cells, and a fault
+# may sit in any batch; the result must still be the whole-chunk one.
+
+NARROW = st.one_of(INTS, MISSING_CELLS, st.sampled_from(["-0", "+0", "0"]))
+WIDE = st.one_of(REALS, st.sampled_from(["abc", "x", "'NA'", " 7 ",
+                                         "1_000", "٣", "-0.0"]))
+
+
+@st.composite
+def widening_column(draw, nrows):
+    """A column whose cells draw from a narrow flavour (integers, ``-0``,
+    missing) up to a row and from any flavour after it, so its kind often
+    widens from one batch to the next."""
+    switch = draw(st.integers(0, nrows))
+    return [draw(NARROW if i < switch else st.one_of(NARROW, WIDE))
+            for i in range(nrows)]
+
+
+def failure(read):
+    """``read()``, or the malformed cell or short record that stops it."""
+    try:
+        return read()
+    except MalformedValueError as exc:
+        return (type(exc), str(exc), exc.token, exc.kind)
+
+
+def select(table, columns):
+    if columns is None or isinstance(table, tuple):
+        return table
+    return cs.DataTable({n: table.columns[n] for n in columns},
+                        {n: table.missing[n] for n in columns},
+                        {n: table.kinds[n] for n in columns},
+                        nrows=table.nrows)
+
+
+def expected_chunks(files, header, missing_tokens, chunk_size):
+    """(schema, outcomes): the per-cell reference over whole chunks, each
+    chunk's table, up to and with the first chunk's error."""
+    first = next((rows for _, rows in files if rows), [])[:chunk_size]
+    schema = tuple(cs.ColumnSpec(name, reference_infer_kind(
+        [row[j] for row in first if j < len(row)], missing_tokens))
+        for j, name in enumerate(header))
+    outcomes = []
+    for path, rows in files:
+        for ci, start in enumerate(range(0, len(rows), chunk_size)):
+            outcomes.append(failure(lambda: reference_build_table(
+                rows[start:start + chunk_size], schema, missing_tokens,
+                f"{path} chunk {ci}")))
+            if isinstance(outcomes[-1], tuple):
+                return schema, outcomes
+    return schema, outcomes
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+@given(st.data())
+def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
+    missing_tokens = data.draw(st.sampled_from(MISSING_SETS))
+    ncols = data.draw(st.integers(1, 3))
+    nrows = data.draw(st.integers(0, 16))
+    cols = [data.draw(widening_column(nrows)) for _ in range(ncols)]
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    for _ in range(data.draw(st.integers(0, 2)) if nrows else 0):
+        i = data.draw(st.integers(0, nrows - 1))   # a short record
+        rows[i] = rows[i][:data.draw(st.integers(0, ncols - 1))]
+    header = [f"c{j}" for j in range(ncols)]
+    split = data.draw(st.integers(0, nrows))   # either file may be empty
+    tmp = tmp_path_factory.mktemp("batches")
+    files = [(write_rows(tmp / "a.csv", header, rows[:split]), rows[:split]),
+             (write_rows(tmp / "b.csv", header, rows[split:]), rows[split:])]
+    paths = [p for p, _ in files]
+    chunk_size = data.draw(st.integers(1, 7))
+    columns = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
+    schema, want = expected_chunks(files, header, missing_tokens, chunk_size)
+    want = [select(t, columns) for t in want]
+
+    def opened():
+        ds = cs.open_datastore(paths, chunk_size=chunk_size,
+                               treat_as_missing=missing_tokens)
+        assert ds.schema == schema
+        return ds
+
+    def chunk_by_chunk(pass_rows):
+        ds, out = opened(), []
+        for fi in range(len(paths)):
+            for ci, offset, rows in cs.iter_file_chunks(ds, fi):
+                out.append(failure(lambda: cs.read_chunk(
+                    ds, fi, ci, offset, columns,
+                    rows if pass_rows else None)))
+                if isinstance(out[-1], tuple):
+                    return out
+        return out
+
+    def all_chunks():
+        ds, out = opened(), []
+        try:
+            for table in cs.read_chunks(ds, columns):
+                out.append(table)
+        except MalformedValueError as exc:
+            out.append((type(exc), str(exc), exc.token, exc.kind))
+        return out
+
+    saved = cs._BATCH_RECORDS
+    try:
+        cs._BATCH_RECORDS = data.draw(st.sampled_from([1, 2, 3]))
+        for got in (chunk_by_chunk(True), chunk_by_chunk(False),
+                    all_chunks()):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_identical(g, w)
+        whole = failure(lambda: cs.read_all(opened(), columns))
+        if want and isinstance(want[-1], tuple):
+            assert whole == want[-1]
+        elif want:
+            assert_identical(whole, cs.concat_tables(want))
+        else:
+            assert whole.nrows == 0
+    finally:
+        cs._BATCH_RECORDS = saved

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
@@ -254,3 +255,56 @@ class TestSurveyIdentityReport:
         assert rep["summary"].adjusted_r_square == pytest.approx(
             -0.666667, abs=1e-6)
         assert rep["published"]["adjusted_r_square"] == -0.76364
+
+
+def reference_encode_binary(table, columns, presence=None):
+    """encode_binary as three Python passes per column, cell by cell."""
+    from dwkit.regress import _TRUTHY
+    presence = presence or {}
+    new_cols, new_kinds = dict(table.columns), dict(table.kinds)
+    for name in columns:
+        mask, vals = table.missing[name], table.columns[name]
+        distinct = sorted({str(v) for v, m in zip(vals, mask) if not m})
+        if {v for v, m in zip(vals, mask) if not m} <= {0, 1, 0.0, 1.0}:
+            continue
+        if len(distinct) != 2:
+            raise NonBinaryColumnError(name, distinct)
+        if name in presence:
+            pos = str(presence[name])
+            if pos not in distinct:
+                raise NonBinaryColumnError(name, distinct)
+        else:
+            truthy = [t for t in distinct if t.lower() in _TRUTHY]
+            pos = truthy[0] if truthy else distinct[-1]
+        new_cols[name] = np.array([not m and str(v) == pos
+                                   for v, m in zip(vals, mask)], np.int64)
+        new_kinds[name] = "integer"
+    return DataTable(new_cols, dict(table.missing), new_kinds)
+
+
+@given(st.data())
+def test_encode_binary_equals_cell_by_cell_reference(data):
+    n = data.draw(st.integers(0, 8))
+    kind = data.draw(st.sampled_from(["text", "real", "integer"]))
+    cells = {"text": st.sampled_from(["yes", "no", "Y", "a", "b", "TRUE"]),
+             "real": st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan]),
+             "integer": st.sampled_from([0, 1, 2, -3])}[kind]
+    values = data.draw(st.lists(cells, min_size=n, max_size=n))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool)
+    col = np.array(values, dtype={"text": object, "real": float,
+                                  "integer": np.int64}[kind])
+    if kind == "text":
+        col[mask] = None
+    table = DataTable({"f": col}, {"f": mask}, {"f": kind})
+    presence = data.draw(st.sampled_from(
+        [None, {"f": "a"}, {"f": "yes"}, {"f": 2.5}]))
+
+    def run(encode):
+        try:
+            out = encode(table, ["f"], presence)
+        except NonBinaryColumnError as exc:
+            return str(exc)
+        return (out.kinds["f"], out.columns["f"].dtype,
+                out.columns["f"].tobytes())
+    assert run(encode_binary) == run(reference_encode_binary)
