@@ -21,14 +21,15 @@ Each record is tokenized once per datastore.  ``open_datastore`` infers
 the kinds from the first chunk of the first file holding data rows, a
 batch at a time: kinds only widen (integer, then real, then text), and a
 batch whose every cell of a column is missing is no evidence, so the
-kinds are those of the whole chunk.  It keeps that chunk as columns (the
-numeric values and masks, and the tokens of text columns) with the file
-position after it.  The first read of the datastore takes chunk 0 from
-them and goes on reading the file from there; the kept chunk is then
-dropped, so any later read goes back to the file.  A chunk 0 with a short
-record, or with a column that a later batch widened past the kind an
-earlier batch was parsed as, is not kept, and the first read reads it
-again from the file.  A read builds only the columns it is asked for,
+kinds are those of the whole chunk.  It keeps the columns of that chunk
+the first read will build (the numeric values and masks, and the tokens
+of text columns) with the file position after it.  The first read of the
+datastore takes chunk 0 from them and goes on reading the file from
+there; the kept chunk is then dropped, so any later read goes back to the
+file.  A chunk 0 with a short record, or with a column that a later batch
+widened past the kind an earlier batch was parsed as, is not kept, and
+the first read reads it again from the file, as it does when it asks for
+a column that was not kept.  A read builds only the columns it is asked for,
 and still checks every cell of the others: a numeric column is parsed
 and dropped, and a text column, whose every cell is valid, is checked
 only for short records.  So a malformed cell fails a read whichever
@@ -45,6 +46,23 @@ A column that fails either step (quoted or padded cells, Unicode digits,
 with ``parse_value``, which gives the same values and names the first
 malformed cell with its file, chunk and column.  A text column goes
 through ``parse_value`` once per distinct token.
+
+A plain batch is not tokenized at all.  Its lines are plain when each is
+one record of as many unquoted fields as the header and their text holds
+no ``"``, no NUL, no missing token anywhere (``-999`` would parse as a
+number) and no line longer than the csv field limit.  When the first
+batch ``open_datastore`` reads is plain, the datastore tries every later
+batch the same way: the later batches of chunk 0, and every batch but the
+first of each later chunk.  ``np.loadtxt`` parses a plain batch's raw
+lines, one call per kind, each column at its kind so far: int64, float64,
+or a text column's tokens, which then go through ``parse_value`` as
+above; a NaN cell of a real column is missing.  A batch whose lines are
+not plain, or that loadtxt refuses, warns on (numpy 1.x reads ``1.0`` as
+an integer with a warning) or shortens by a blank line, is tokenized by
+``csv.reader`` as above, so every fault is named as above and a column
+widens as above.  A chunk's first batch, and chunk 0 read again, always
+go through ``csv.reader``.  So the input selects the path: a file whose
+first batch holds a missing token or a quote never takes it.
 """
 from __future__ import annotations
 
@@ -52,8 +70,9 @@ import csv
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -92,6 +111,10 @@ class Datastore:
     # the chunk open_datastore read, until the first read takes it
     _first: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
+    # (ncols, missing tokens) when the first batch read was plain lines,
+    # so that later batches are tried as plain lines too; else None
+    _plain: tuple = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def column_names(self):
         return [c.name for c in self.schema]
@@ -268,25 +291,60 @@ def _infer_column(tokens, missing_tokens, no_evidence="text"):
 
 
 def _read_rows(reader, n, context):
-    """The next ``n`` records of ``reader``.  A record the csv module
-    refuses (a field past its size limit) is a one-line DwkitError."""
+    """The next ``n`` records of ``reader``, or lines of a line iterator.
+    A record the csv module refuses (a field past its size limit) is a
+    one-line DwkitError."""
     try:
         return list(islice(reader, n))
     except csv.Error as exc:
         raise DwkitError(f"{context}: {exc}") from None
 
 
-def _read_batches(reader, n, context, rows=None):
-    """The next ``n`` records of ``reader`` as lists of at most
-    ``_BATCH_RECORDS`` records, each read once the one before is taken;
-    ``rows`` is the first list, when it is already read."""
+class _Lines(list):
+    """A batch of raw lines that ``_plain_lines`` passed: each line is
+    one record."""
+
+
+def _plain_lines(lines, ncols, missing_tokens):
+    """Whether every line is one record of ``ncols`` unquoted fields with
+    no NUL and no missing token anywhere in it, and no line is longer
+    than the csv field limit.  Such lines split at their commas into the
+    fields ``csv.reader`` gives, and no cell of them is missing."""
+    text = "".join(lines)
+    # commas are counted per line: a batch total would let a long line
+    # hide a short one, whose record must fail
+    return ('"' not in text and "\0" not in text
+            and not any(t in text for t in missing_tokens)
+            and max(map(len, lines)) <= csv.field_size_limit()
+            and set(map(str.count, lines, repeat(","))) == {ncols - 1})
+
+
+def _read_batch(lines, n, context, plain=None):
+    """The next ``n`` records of the line iterator ``lines``: a list of
+    rows, or their ``_Lines`` when ``plain`` gives (ncols, missing tokens)
+    and the lines pass ``_plain_lines``.  Lines that do not are tokenized
+    by ``csv.reader``, which reads on past them where a quoted field holds
+    a newline."""
+    if plain is None:
+        return _read_rows(csv.reader(lines), n, context)
+    got = _read_rows(lines, n, context)
+    if got and _plain_lines(got, *plain):
+        return _Lines(got)
+    return _read_rows(csv.reader(chain(got, lines)), n, context)
+
+
+def _read_batches(lines, n, context, rows=None, plain=None):
+    """The next ``n`` records of the line iterator ``lines`` in batches of
+    at most ``_BATCH_RECORDS`` records, each read once the one before is
+    taken; ``rows`` is the first, when it is already read.  ``plain`` as
+    for ``_read_batch``, for every batch but the first."""
     if rows is None:
-        rows = _read_rows(reader, min(n, _BATCH_RECORDS), context)
+        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context)
     while rows:
         n -= len(rows)
         yield rows
         del rows   # the consumer's now: not held while the next is read
-        rows = _read_rows(reader, min(n, _BATCH_RECORDS), context)
+        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, plain)
 
 
 def _read_header(path):
@@ -311,12 +369,50 @@ def _unpack(packed):
     return [joined[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _infer_batch(rows, ncols, missing_tokens):
+def _parse_lines(lines, kinds, js):
+    """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
+    ``kinds`` by ``np.loadtxt``, one call per kind: j -> (values, mask) of
+    a numeric column, or the tokens of a text column.  A NaN cell is
+    missing, as ``parse_value`` has it.  None when loadtxt refuses a cell,
+    warns or skips a line: the caller then tokenizes the lines with
+    ``csv.reader``, which gives the same values or names the fault.  The
+    values are views of each call's 2-D result, copied when the chunk's
+    parts are joined: a plain batch is never a chunk's first."""
+    out = {}
+    for kind, dtype in (("integer", np.int64), ("real", np.float64),
+                        ("text", object)):
+        cols = [j for j in js if kinds[j] == kind]
+        if not cols:
+            continue
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.x parses 1.0 into an integer with only a warning
+                warnings.simplefilter("error")
+                got = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                                 comments=None, quotechar=None,
+                                 usecols=cols, ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            return None
+        if len(got) != len(lines):   # loadtxt skips blank lines
+            return None
+        for j, values in zip(cols, got.T):
+            if kind == "text":
+                out[j] = values.tolist()
+            elif kind == "integer":
+                out[j] = values, np.zeros(len(values), dtype=bool)
+            else:
+                mask = np.isnan(values)
+                values[mask] = np.nan   # one NaN, whatever sign or payload
+                out[j] = values, mask
+    return out
+
+
+def _infer_batch(rows, ncols, missing_tokens, keep):
     """Per column of one batch of chunk 0: (kind, parsed, packed), where
-    kind is the narrowest kind of its cells, or None for no evidence;
-    parsed is the (values, mask) ``_parse_plain`` gave; packed, when it
-    gave none, is the column's tokens ``_pack``-ed, or None for a column
-    that a short record cuts."""
+    kind is the narrowest kind of its cells, or None for no evidence.  For
+    a column in ``keep`` that no record cuts, parsed is the (values, mask)
+    ``_parse_plain`` gave, or when it gave none, packed is the column's
+    tokens ``_pack``-ed; otherwise both are None."""
     width = min(map(len, rows))
     columns = zip(*rows)   # one column at a time, up to the shortest row
     out = []
@@ -326,7 +422,7 @@ def _infer_batch(rows, ncols, missing_tokens):
         else:   # a short record, which the first read names
             tokens = [row[j] for row in rows if j < len(row)]
         kind, values, mask = _infer_column(tokens, missing_tokens, None)
-        if j >= width:
+        if j >= width or j not in keep:
             out.append((kind, None, None))
         elif values is not None:
             out.append((kind, (values, mask), None))
@@ -335,12 +431,26 @@ def _infer_batch(rows, ncols, missing_tokens):
     return out
 
 
+def _infer_lines(lines, kinds, keep):
+    """``_infer_batch`` of a batch of ``_Lines``, each column parsed at its
+    kind so far in ``kinds``, or None where ``_parse_lines`` declines.  A
+    text column left out of ``keep`` is not parsed: every cell of it is
+    valid."""
+    got = _parse_lines(lines, kinds, [j for j, kind in enumerate(kinds)
+                                      if kind != "text" or j in keep])
+    if got is None:
+        return None
+    return [(kind, None, None) if j not in keep else
+            (kind, None, _pack(got[j])) if kind == "text" else
+            (kind, got[j], None) for j, kind in enumerate(kinds)]
+
+
 def _keep_column(batches, spec, missing_tokens):
     """Column ``spec`` of chunk 0 from its batches' ``_infer_batch``
     results: (values, mask), or the packed tokens of a text column.  None
-    when a record is short or a batch was parsed as a narrower kind,
-    where the first read must read the chunk again: an integer batch
-    cannot be widened to real in place, as ``-0`` is 0 but ``-0.0``."""
+    when a batch was parsed as a narrower kind, where the first read must
+    read the chunk again: an integer batch cannot be widened to real in
+    place, as ``-0`` is 0 but ``-0.0``."""
     if spec.kind == "text":
         packs = [packed for _, _, packed in batches]
         if None in packs:
@@ -359,11 +469,14 @@ def _keep_column(batches, spec, missing_tokens):
     return _join(parts, spec.kind)
 
 
-def open_datastore(paths, chunk_size=10000,
-                   treat_as_missing=()) -> Datastore:
+def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
+                   columns=None) -> Datastore:
     """Open one or more delimited files as a single datastore.
 
-    ``treat_as_missing`` extends the default missing tokens.
+    ``treat_as_missing`` extends the default missing tokens.  ``columns``
+    names the columns the first read will build (default: all): only
+    those of chunk 0 are kept, and a first read that asks for another
+    reads chunk 0 again.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -384,33 +497,58 @@ def open_datastore(paths, chunk_size=10000,
                 f"{p}: header differs from {paths[0]}")
 
     # infer from the first chunk of the first file holding data rows, a
-    # batch at a time, and keep it as columns for the first read
-    batches, nrows = [], 0
+    # batch at a time, and keep the columns asked for for the first read;
+    # a repeated name takes its last column, as a dict of columns would
+    ncols = len(header)
+    last = {name: j for j, name in enumerate(header)}
+    kinds = [None] * ncols
+    parts = {j: [] for name, j in last.items()
+             if columns is None or name in columns}
+    nrows, short, plain = 0, False, None
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
-            reader = csv.reader(iter(fh.readline, ""))
-            next(reader)   # header
+            lines = iter(fh.readline, "")
+            next(csv.reader(lines))   # header
             offset = fh.tell()
-            for rows in _read_batches(reader, chunk_size, f"{p} chunk 0"):
-                batches.append(_infer_batch(rows, len(header), tokens))
+            context = f"{p} chunk 0"
+            # the first batch fixes the running kinds, and only when its
+            # lines are plain are the next ones tried as plain lines
+            rows = _read_batch(lines, min(chunk_size, _BATCH_RECORDS),
+                               context, (ncols, tokens))
+            if isinstance(rows, _Lines):
+                plain, rows = (ncols, tokens), list(csv.reader(rows))
+            for rows in _read_batches(lines, chunk_size, context, rows,
+                                      plain):
+                batch = None
+                if isinstance(rows, _Lines):
+                    batch = _infer_lines(rows, kinds, parts)
+                    if batch is None:
+                        rows = list(csv.reader(rows))
+                if batch is None:
+                    if min(map(len, rows)) < ncols:
+                        short, parts = True, {}   # nothing is kept
+                    batch = _infer_batch(rows, ncols, tokens, parts)
+                for j, (kind, *_) in enumerate(batch):
+                    if kind and (kinds[j] is None or _KINDS.index(kind) >
+                                 _KINDS.index(kinds[j])):
+                        kinds[j] = kind
+                for j, part in parts.items():
+                    part.append(batch[j])
                 nrows += len(rows)
-                del rows   # before the next batch is read
-            if batches:
+                del rows, batch   # before the next batch is read
+            if nrows:
                 position = fi, offset, fh.tell()
                 break
-    # a repeated name takes its last column, as a dict of columns would
-    columns = dict(zip(header, zip(*batches)))
-    kinds = {name: max((kind for kind, _, _ in col if kind),
-                       key=_KINDS.index, default="text")
-             for name, col in columns.items()}
     # without data rows, every column is text
-    schema = tuple(ColumnSpec(n, kinds.get(n, "text")) for n in header)
+    schema = tuple(ColumnSpec(n, kinds[last[n]] or "text") for n in header)
     ds = Datastore(sources=tuple(paths), schema=schema,
                    missing_tokens=tokens, chunk_size=chunk_size)
-    kept = {name: _keep_column(col, ColumnSpec(name, kinds[name]), tokens)
-            for name, col in columns.items()}
-    if batches and None not in kept.values():
-        ds._first.append(_FirstChunk(kept, nrows, *position))
+    object.__setattr__(ds, "_plain", plain)
+    if nrows and not short:
+        kept = {header[j]: _keep_column(part, schema[j], tokens)
+                for j, part in parts.items()}
+        if None not in kept.values():
+            ds._first.append(_FirstChunk(kept, nrows, *position))
     return ds
 
 
@@ -490,7 +628,20 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
     parts = {j: [] for j, s in enumerate(schema)
              if columns is None or s.name in columns}
     checked, fault, row0 = schema, None, 0
+    kinds = [spec.kind for spec in schema]
     for rows in batches:
+        if isinstance(rows, _Lines):
+            got = _parse_lines(rows, kinds, [
+                j for j, spec in enumerate(checked)
+                if spec.kind != "text" or j in parts])
+            if got is not None:
+                for j, part in parts.items():
+                    part.append(got[j] if kinds[j] != "text" else
+                                _parse_text(got[j], missing_tokens))
+                row0 += len(rows)
+                del rows, got   # before the next batch is read
+                continue
+            rows = list(csv.reader(rows))
         width = min(map(len, rows), default=len(schema))
         for j, spec in enumerate(checked):
             if spec.kind == "text" and j not in parts and j < width:
@@ -557,19 +708,20 @@ def iter_file_chunks(ds: Datastore, file_index: int):
         yield 0, first.offset, first
         chunk_index, first = 1, None   # the kept columns are released
     with open(path, newline="") as fh:
-        reader = csv.reader(iter(fh.readline, ""))
+        lines = iter(fh.readline, "")
         if start is None:
-            next(reader)   # header
+            next(csv.reader(lines))   # header
         else:
             fh.seek(start)
         while True:
             offset = fh.tell()
             context = f"{path} chunk {chunk_index}"
-            rows = _read_rows(reader, min(ds.chunk_size, _BATCH_RECORDS),
-                              context)
+            rows = _read_batch(lines, min(ds.chunk_size, _BATCH_RECORDS),
+                               context)
             if not rows:
                 return
-            batches = _read_batches(reader, ds.chunk_size, context, rows)
+            batches = _read_batches(lines, ds.chunk_size, context, rows,
+                                    ds._plain if chunk_index else None)
             del rows
             yield chunk_index, offset, batches
             while next(batches, None) is not None:
@@ -577,12 +729,25 @@ def iter_file_chunks(ds: Datastore, file_index: int):
             chunk_index += 1
 
 
-def _chunk_table(ds, file_index, chunk_index, columns, rows):
+def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
+    """``read_chunk``, which ``read_chunks`` calls too.  The chunk
+    ``open_datastore`` kept is built from memory when it holds every
+    column asked for."""
     if isinstance(rows, _FirstChunk):
-        return _first_table(rows, ds.schema, ds.missing_tokens, columns)
-    return _build_chunk(rows, ds.schema, ds.missing_tokens,
-                        f"{ds.sources[file_index]} chunk {chunk_index}",
-                        columns)
+        if all(spec.name in rows.columns for spec in ds.schema
+               if columns is None or spec.name in columns):
+            return _first_table(rows, ds.schema, ds.missing_tokens, columns)
+        rows = None   # a column it did not keep: chunk 0 is read again
+    context = f"{ds.sources[file_index]} chunk {chunk_index}"
+    if rows is not None:
+        return _build_chunk(rows, ds.schema, ds.missing_tokens, context,
+                            columns)
+    with open(ds.sources[file_index], newline="") as fh:
+        fh.seek(offset)
+        return _build_chunk(
+            _read_batches(fh, ds.chunk_size, context,
+                          plain=ds._plain if chunk_index else None),
+            ds.schema, ds.missing_tokens, context, columns)
 
 
 def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
@@ -590,14 +755,7 @@ def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
     """Build one chunk, the unit of task re-execution, from the ``rows``
     ``iter_file_chunks`` yielded for it, or without them by re-reading it
     from the offset it gave.  ``columns`` as for ``read_all``."""
-    if rows is not None:
-        return _chunk_table(ds, file_index, chunk_index, columns, rows)
-    with open(ds.sources[file_index], newline="") as fh:
-        fh.seek(offset)
-        return _chunk_table(ds, file_index, chunk_index, columns,
-                            _read_batches(csv.reader(fh), ds.chunk_size,
-                                          f"{ds.sources[file_index]} "
-                                          f"chunk {chunk_index}"))
+    return _read_chunk(ds, file_index, chunk_index, offset, columns, rows)
 
 
 def read_chunks(ds: Datastore, columns=None):
@@ -608,8 +766,8 @@ def read_chunks(ds: Datastore, columns=None):
     ``read_all``.
     """
     for fi in range(len(ds.sources)):
-        for ci, _offset, rows in iter_file_chunks(ds, fi):
-            yield _chunk_table(ds, fi, ci, columns, rows)
+        for ci, offset, rows in iter_file_chunks(ds, fi):
+            yield _read_chunk(ds, fi, ci, offset, columns, rows)
 
 
 def read_all(ds: Datastore, columns=None) -> DataTable:

@@ -293,10 +293,10 @@ def _cmd_mapreduce(args, output):
         raise ConfigError("mapreduce needs at least one --op")
     parsed = [(op, "count", None) if op == "count" else (op, *op.split(":", 1))
               for op in dict.fromkeys(ops)]
+    columns = {column for _, _, column in parsed if column is not None}
     ds = chunkstore.open_datastore(
         inputs, chunk_size=chunk_size,
-        treat_as_missing=cfg.get("missing_tokens", ()))
-    columns = {column for _, _, column in parsed if column is not None}
+        treat_as_missing=cfg.get("missing_tokens", ()), columns=columns)
     _check_columns(columns, ds.column_names())
     # one pass for every op: each chunk emits one partial per op
     out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
@@ -346,7 +346,7 @@ def _cmd_regress(args, output):
         _check_columns(used, table.column_names)
         source = "bundled synthetic warehouse survey"
     else:
-        ds = chunkstore.open_datastore(path)
+        ds = chunkstore.open_datastore(path, columns=used)
         _check_columns(used, ds.column_names())
         table = chunkstore.read_all(ds, used)
         source = path

@@ -412,6 +412,69 @@ class TestBatches:
             assert np.signbit(x[1]) and x[1] == 0   # -0 read as real
         assert list(first.missing["x"]) == [c == "NA" for c in cells]
 
+    def test_numeric_missing_token_in_later_batch_is_missing(
+            self, tmp_path, monkeypatch):
+        # np.loadtxt would read -999 as a number: a batch holding a missing
+        # token anywhere goes the csv.reader way
+        p = write_csv(tmp_path / "m.csv", "x,y",
+                      [f"{i},{i}.5" for i in range(6)] + ["-999,7.5",
+                                                          "8,-999"])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        for chunk_size in (4, 100):   # in chunk 1, or in chunk 0
+            ds = cs.open_datastore(p, chunk_size=chunk_size,
+                                   treat_as_missing=("-999",))
+            assert ds._plain
+            table = cs.read_all(ds)
+            assert table.missing["x"].tolist() == [False] * 6 + [True, False]
+            assert table.missing["y"].tolist() == [False] * 7 + [True]
+            assert table.column("x").tolist() == [0, 1, 2, 3, 4, 5, 0, 8]
+            assert math.isnan(table.column("y")[7])
+
+    def test_real_cell_in_later_batch_widens_and_rereads_chunk_0(
+            self, tmp_path, monkeypatch):
+        # np.loadtxt refuses 1.0 as an integer (numpy 1.x only warns), so
+        # the batch is tokenized, the column widens to real, and the first
+        # read tokenizes chunk 0 again
+        cells = ["1", "-0", "2", "3", "1.0", "4"]
+        p = write_csv(tmp_path / "w.csv", "x,t",
+                      [f"{c},t{i}" for i, c in enumerate(cells)])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        ds = cs.open_datastore(p, chunk_size=10)
+        assert ds._plain and ds.schema[0].kind == "real" and not ds._first
+        records = self.counting_reader(monkeypatch)
+        table = cs.read_all(ds)
+        assert len(records) == len(cells) + 1   # and the header
+        x = table.column("x")
+        assert x.dtype == np.float64
+        assert x.tolist() == [1.0, 0.0, 2.0, 3.0, 1.0, 4.0]
+        assert np.signbit(x[1])   # -0 read as real
+
+    def test_first_chunk_keeps_the_columns_asked_for(self, tmp_path,
+                                                     monkeypatch):
+        p = write_csv(tmp_path / "k.csv", "a,b,t",
+                      [f"{i},{i}.5,t{i}" for i in range(7)])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        full = cs.read_all(cs.open_datastore(p))
+        ds = cs.open_datastore(p, columns=["a", "t"])
+        assert set(ds._first[0].columns) == {"a", "t"}
+        narrow = cs.open_datastore(p, columns=["a"])
+        records = self.counting_reader(monkeypatch)
+        assert_same_table(cs.read_all(ds, ["a", "t"]), cs.DataTable(
+            {n: full.columns[n] for n in "at"},
+            {n: full.missing[n] for n in "at"},
+            {n: full.kinds[n] for n in "at"}))
+        assert len(records) == 0   # from the kept chunk
+        # a first read asking for a column that was not kept reads chunk
+        # 0 again
+        assert_same_table(cs.read_all(narrow), full)
+        assert len(records) == 7
+        # a short record is named whichever columns were kept
+        p = write_csv(tmp_path / "s.csv", "a,b", ["1,1", "2"])
+        ds = cs.open_datastore(p, columns=["a"])
+        assert not ds._first
+        with pytest.raises(MalformedValueError, match="short record"):
+            cs.read_all(ds, ["a"])
+
     def test_all_missing_first_batch_is_no_evidence(self, tmp_path,
                                                     monkeypatch):
         p = write_csv(tmp_path / "m.csv", "x",

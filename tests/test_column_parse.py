@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dwkit import chunkstore as cs
-from dwkit.errors import MalformedValueError
+from dwkit.errors import DwkitError, MalformedValueError
 
 
 def reference_infer_kind(tokens, missing_tokens):
@@ -320,3 +320,180 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
             assert whole.nrows == 0
     finally:
         cs._BATCH_RECORDS = saved
+
+
+# --- plain batches parsed by np.loadtxt ---
+# Once a datastore's first batch is plain lines, later batches that are
+# plain too are parsed by np.loadtxt.  Whatever the file holds, every read
+# must give what the csv.reader path gives: the same schema, bit-identical
+# tables, or the same error.
+
+FIELD_LIMIT = 100   # lowered, so that a long field fits in a small file
+PLAIN_INTS = st.one_of(st.integers(-10**12, 10**12).map(str),
+                       st.sampled_from(["-0", "+0", "+5", "007"]))
+PLAIN_REALS = st.one_of(st.sampled_from([
+    "-nan", "nan", "-0.0", "inf", "NaN", "-inf", "+Infinity", "1e400",
+    "-1e400", "1E5", "2.5e-3", ".5", "5.", "1e-400"]), REALS)
+PLAIN_TEXT = st.sampled_from(["a", "yes", "no", " b ", "'q'", "x y"])
+PADDED = st.tuples(st.sampled_from(["", " ", "\t"]),
+                   st.one_of(PLAIN_INTS, PLAIN_REALS),
+                   st.sampled_from(["", " ", "\t"])).map("".join)
+ODD_PLAIN = st.sampled_from([
+    '"a""b"', "x" * (FIELD_LIMIT + 1), "1.0", "\x00", "7\x001", "", "'5'",
+    '"5"', '"a,b"', "1" * 30, "1_000", "٣", "abc", "9223372036854775808",
+    "0x10", "NAN", "nA", "-9990"])
+# hypothesis favours the first of several choices: reals, whose NaN and
+# signed zero need care, and the cells and lines the gate must turn away
+FLAVOURS = [PLAIN_REALS, PLAIN_INTS, PLAIN_TEXT]
+
+
+@st.composite
+def plain_file_lines(draw, ncols, nrows, missing):
+    """Lines of a plain file, one flavour per column, with a few edits: a
+    cell missing, odd, padded or of another flavour (a column that widens
+    from there on); a blank or short line, a trailing comma, or both on
+    two lines.  LF, CRLF or mixed line endings."""
+    flavours = [draw(st.sampled_from(FLAVOURS)) for _ in range(ncols)]
+    rows = [[draw(flavour) for flavour in flavours] for _ in range(nrows)]
+    other = st.one_of(st.sampled_from(missing), ODD_PLAIN, PADDED, *FLAVOURS)
+    for _ in range(draw(st.integers(0, 4)) if nrows else 0):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i][j] = draw(other)
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if nrows > 1 else 0):
+        i = draw(st.integers(0, nrows - 2))
+        # the last: as many commas as plain lines, on unequal lines
+        lines[i:i + 2] = draw(st.sampled_from([
+            ["", lines[i + 1]], [lines[i] + ",", lines[i + 1]],
+            [lines[i].rpartition(",")[0], lines[i + 1]],
+            [lines[i] + ",", lines[i + 1].rpartition(",")[0]]]))
+    ending = draw(st.sampled_from(["\n", "\r\n", None]))
+    return [line + (ending or draw(st.sampled_from(["\n", "\r\n"])))
+            for line in lines]
+
+
+def read_every_way(paths, chunk_size, missing, keep, columns):
+    """The schema, then the tables and the error that stops each read:
+    sequential, chunk by chunk from the rows each chunk is yielded with
+    and from its offset, and whole."""
+    def opened():
+        return cs.open_datastore(paths, chunk_size=chunk_size,
+                                 treat_as_missing=missing, columns=keep)
+
+    def until_error(tables):
+        out = []
+        try:
+            for table in tables():
+                out.append(table)
+        except MalformedValueError as exc:
+            out.append((type(exc), str(exc), exc.token, exc.kind))
+        except DwkitError as exc:
+            out.append((type(exc), str(exc)))
+        return out
+
+    def chunk_by_chunk(pass_rows):
+        ds = opened()
+        for fi in range(len(paths)):
+            for ci, offset, rows in cs.iter_file_chunks(ds, fi):
+                yield cs.read_chunk(ds, fi, ci, offset, columns,
+                                    rows if pass_rows else None)
+
+    try:
+        out = [opened().schema]
+    except DwkitError as exc:   # a field past the csv limit in chunk 0
+        return [(type(exc), str(exc))]
+    for tables in (lambda: cs.read_chunks(opened(), columns),
+                   lambda: chunk_by_chunk(True),
+                   lambda: chunk_by_chunk(False),
+                   lambda: [cs.read_all(opened(), columns)]):
+        out.append(until_error(tables))
+    return out
+
+
+def assert_same_reads(got, want):
+    """Two ``read_every_way`` results agree: schema, tables, errors."""
+    assert got[0] == want[0] and len(got) == len(want)
+    for reads, wanted in zip(got[1:], want[1:]):
+        assert len(reads) == len(wanted)
+        for g, w in zip(reads, wanted):
+            assert_identical(g, w)
+
+
+def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
+    taken = []
+    parse_lines = cs._parse_lines
+
+    def recording(*args):
+        got = parse_lines(*args)
+        taken.append(got is not None)
+        return got
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def plain_equals_csv(data):
+        missing = data.draw(st.sampled_from([("NA",), ("NA", "-999")]))
+        ncols = data.draw(st.integers(1, 3))
+        nrows = data.draw(st.integers(0, 14))
+        lines = data.draw(plain_file_lines(ncols, nrows, missing))
+        header = [f"c{j}" for j in range(ncols)]
+        split = data.draw(st.sampled_from([nrows, data.draw(
+            st.integers(0, nrows))]))
+        tmp = tmp_path_factory.mktemp("plain")
+        paths = []
+        for name, part in (("a.csv", lines[:split]), ("b.csv", lines[split:])):
+            if part or name == "a.csv":
+                (tmp / name).write_bytes(
+                    (",".join(header) + "\n" + "".join(part)).encode())
+                paths.append(str(tmp / name))
+        chunk_size = data.draw(st.integers(1, 9))
+        keep = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
+        columns = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
+        monkeypatch.setattr(cs, "_BATCH_RECORDS",
+                            data.draw(st.sampled_from([1, 2, 3])))
+        with monkeypatch.context() as m:
+            m.setattr(cs, "_parse_lines", recording)
+            fast = read_every_way(paths, chunk_size, missing, keep, columns)
+        with monkeypatch.context() as m:
+            m.setattr(cs, "_plain_lines", lambda *args: False)
+            slow = read_every_way(paths, chunk_size, missing, keep, columns)
+        assert_same_reads(fast, slow)
+
+    limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        plain_equals_csv()
+    finally:
+        csv.field_size_limit(limit)
+    # loadtxt parsed some batches, and declined others
+    assert True in taken and False in taken
+
+
+def plain_lines_then(odd):
+    """Six plain lines of an integer and a text column, then ``odd``."""
+    return [f"{i},t{i}\n" for i in range(6)] + odd
+
+
+@pytest.mark.parametrize("missing, lines", [
+    (("NA",), plain_lines_then(['7,"a""b"\n', "8,t\n"])),     # a quote
+    (("NA",), plain_lines_then(["7,a\x00b\n", "8,t\n"])),     # a NUL
+    (("NA", "-999"), plain_lines_then(["-999,t\n", "8,t\n"])),
+    (("NA",), plain_lines_then(["7," + "x" * 131073 + "\n", "8,t\n"])),
+    (("NA",), plain_lines_then(["7,t,extra\n", "8\n"])),      # commas add up
+    (("NA",), [f"{i}\n" for i in range(6)] + ["\n", "8\n"]),  # a blank line
+    (("NA",), plain_lines_then(["7.0,t\n", "8,t\n"])),        # widens
+])
+@pytest.mark.parametrize("chunk_size", [4, 100])
+@pytest.mark.parametrize("columns", [None, ["c0"]])
+def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
+                                         lines, chunk_size, columns):
+    # the odd batch is the second of chunk 1, or the fourth of chunk 0
+    ncols = lines[0].count(",") + 1
+    p = tmp_path / "gate.csv"
+    p.write_text(",".join(f"c{j}" for j in range(ncols)) + "\n"
+                 + "".join(lines))
+    monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+    assert cs.open_datastore(str(p), chunk_size=4,
+                             treat_as_missing=missing)._plain
+    fast = read_every_way([str(p)], chunk_size, missing, columns, columns)
+    monkeypatch.setattr(cs, "_plain_lines", lambda *args: False)
+    slow = read_every_way([str(p)], chunk_size, missing, columns, columns)
+    assert_same_reads(fast, slow)
