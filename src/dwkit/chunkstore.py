@@ -12,10 +12,10 @@ Integer columns are int64 and real columns float64; a missing cell
 an integer column, NaN in a real one and None in a text one.
 
 A chunk is tokenized and built in batches of ``_BATCH_RECORDS`` records:
-each batch's columns are parsed and checked, its row lists dropped, and
-the next batch read; each built column's parts are joined once the chunk
-ends.  So a read holds one batch's row lists plus one chunk's columns,
-whatever the chunk size.
+each batch's columns are parsed and checked, its lines or row lists
+dropped, and the next batch read; each built column's parts are joined
+once the chunk ends.  So a read holds one batch's lines or row lists plus
+one chunk's columns, whatever the chunk size.
 
 Each record is tokenized once per datastore.  ``open_datastore`` infers
 the kinds from the first chunk of the first file holding data rows, a
@@ -47,22 +47,33 @@ with ``parse_value``, which gives the same values and names the first
 malformed cell with its file, chunk and column.  A text column goes
 through ``parse_value`` once per distinct token.
 
-A plain batch is not tokenized at all.  Its lines are plain when each is
-one record of as many unquoted fields as the header and their text holds
-no ``"``, no NUL, no missing token anywhere (``-999`` would parse as a
-number) and no line longer than the csv field limit.  When the first
-batch ``open_datastore`` reads is plain, the datastore tries every later
-batch the same way: the later batches of chunk 0, and every batch but the
-first of each later chunk.  ``np.loadtxt`` parses a plain batch's raw
-lines, one call per kind, each column at its kind so far: int64, float64,
-or a text column's tokens, which then go through ``parse_value`` as
-above; a NaN cell of a real column is missing.  A batch whose lines are
-not plain, or that loadtxt refuses, warns on (numpy 1.x reads ``1.0`` as
-an integer with a warning) or shortens by a blank line, is tokenized by
-``csv.reader`` as above, so every fault is named as above and a column
-widens as above.  A chunk's first batch, and chunk 0 read again, always
-go through ``csv.reader``.  So the input selects the path: a file whose
-first batch holds a missing token or a quote never takes it.
+Each batch is first read as raw lines, and the input selects one of
+three paths, for every batch of every chunk, a chunk's first and chunk 0
+read again included.  Lines are unquoted when each is one record of as
+many fields as the header: their text holds no ``"``, no NUL and no
+``\\r`` but in a ``\\r\\n`` line end, every line has one comma fewer than
+the header has fields, and no line is blank or longer than the csv field
+limit.
+
+- Quoted input, a batch whose lines are not unquoted, is tokenized by
+  ``csv.reader``, which reads on past its lines where a quoted field
+  holds a newline.
+- Unquoted input is split into its columns by one ``str.split`` of the
+  batch's text at commas and line ends, which gives the fields
+  ``csv.reader`` gives.
+- Unquoted input with no missing token anywhere (``-999`` would parse as
+  a number) is parsed by ``np.loadtxt`` once its chunk's kinds are
+  known: every batch a read builds, and every batch of chunk 0 after the
+  kinds of all its columns are known.  One call per kind parses the raw
+  lines, each column at its kind: int64, float64, or a text column's
+  tokens, which then go through ``parse_value`` as above; a NaN cell of a
+  real column is missing.  A batch loadtxt refuses, warns on (numpy 1.x
+  reads ``1.0`` as an integer with a warning) or shortens by a line it
+  skips is split instead.
+
+The columns of a split or tokenized batch are parsed as above, so every
+fault is named as above and a column widens as above; loadtxt gives the
+same values.
 """
 from __future__ import annotations
 
@@ -72,8 +83,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -87,6 +97,9 @@ _PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
 _INT64 = np.iinfo(np.int64)
 _BATCH_RECORDS = 2048   # records tokenized and parsed at a time
 _KINDS = ("integer", "real", "text")   # narrowest first
+# every byte but a comma and a line feed, which UTF-8 encodes as
+# themselves and as part of no other character
+_NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def strip_quotes(token: str) -> str:
@@ -111,10 +124,9 @@ class Datastore:
     # the chunk open_datastore read, until the first read takes it
     _first: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
-    # (ncols, missing tokens) when the first batch read was plain lines,
-    # so that later batches are tried as plain lines too; else None
-    _plain: tuple = field(default=None, init=False, repr=False,
-                          compare=False)
+    # whether the first batch open_datastore read was unquoted lines
+    _plain: bool = field(default=False, init=False, repr=False,
+                         compare=False)
 
     def column_names(self):
         return [c.name for c in self.schema]
@@ -301,50 +313,85 @@ def _read_rows(reader, n, context):
 
 
 class _Lines(list):
-    """A batch of raw lines that ``_plain_lines`` passed: each line is
-    one record."""
+    """A batch of raw lines that ``_unquoted`` passed: each line is one
+    record."""
 
 
-def _plain_lines(lines, ncols, missing_tokens):
-    """Whether every line is one record of ``ncols`` unquoted fields with
-    no NUL and no missing token anywhere in it, and no line is longer
-    than the csv field limit.  Such lines split at their commas into the
-    fields ``csv.reader`` gives, and no cell of them is missing."""
+def _unquoted(lines, ncols):
+    """Whether every line is one record of ``ncols`` unquoted fields:
+    their text holds no ``"``, no NUL and no ``\\r`` but in a ``\\r\\n``
+    line end, every line has ``ncols - 1`` commas, and no line is blank or
+    longer than the csv field limit.  Such lines split at their commas and
+    line ends into the fields ``csv.reader`` gives."""
     text = "".join(lines)
-    # commas are counted per line: a batch total would let a long line
-    # hide a short one, whose record must fail
-    return ('"' not in text and "\0" not in text
-            and not any(t in text for t in missing_tokens)
-            and max(map(len, lines)) <= csv.field_size_limit()
-            and set(map(str.count, lines, repeat(","))) == {ncols - 1})
+    limit = csv.field_size_limit()
+    if ('"' in text or "\0" in text
+            or len(text) > limit and max(map(len, lines)) > limit
+            # a blank line is a record of no field, but one empty field
+            # of the split; with more columns it fails the comma count
+            or ncols == 1 and ("\n" in lines or "\r\n" in lines)):
+        return False
+    # the text's commas and line feeds, in order: ncols - 1 commas and a
+    # line feed per line, but for a last line without one.  Counted per
+    # line, as a batch total would let a long line hide a short one, whose
+    # record must fail.  As readline ends a line only at a line feed or a
+    # \r, every line but the last then ends at its line feed, and the
+    # lines hold a lone \r, which ends a line but no field of the split,
+    # only when the text ends with one.
+    shape = text.encode("utf-8", "surrogatepass").translate(
+        None, _NOT_COMMA_OR_LF)
+    want = (b"," * (ncols - 1) + b"\n") * len(lines)
+    if text.endswith("\n"):
+        return shape == want
+    return shape == want[:-1] and not text.endswith("\r")
 
 
-def _read_batch(lines, n, context, plain=None):
-    """The next ``n`` records of the line iterator ``lines``: a list of
-    rows, or their ``_Lines`` when ``plain`` gives (ncols, missing tokens)
-    and the lines pass ``_plain_lines``.  Lines that do not are tokenized
-    by ``csv.reader``, which reads on past them where a quoted field holds
-    a newline."""
-    if plain is None:
-        return _read_rows(csv.reader(lines), n, context)
+def _read_batch(lines, n, context, ncols):
+    """The next ``n`` records of the line iterator ``lines``: their
+    ``_Lines`` when the lines pass ``_unquoted``, else a list of rows.
+    Lines that do not pass are tokenized by ``csv.reader``, which reads on
+    past them where a quoted field holds a newline."""
     got = _read_rows(lines, n, context)
-    if got and _plain_lines(got, *plain):
+    if got and _unquoted(got, ncols):
         return _Lines(got)
     return _read_rows(csv.reader(chain(got, lines)), n, context)
 
 
-def _read_batches(lines, n, context, rows=None, plain=None):
-    """The next ``n`` records of the line iterator ``lines`` in batches of
-    at most ``_BATCH_RECORDS`` records, each read once the one before is
-    taken; ``rows`` is the first, when it is already read.  ``plain`` as
-    for ``_read_batch``, for every batch but the first."""
+def _read_batches(lines, n, context, ncols, rows=None):
+    """The next ``n`` records of the line iterator ``lines`` in
+    ``_read_batch`` batches of at most ``_BATCH_RECORDS`` records, each
+    read once the one before is taken; ``rows`` is the first, when it is
+    already read."""
     if rows is None:
-        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context)
+        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, ncols)
     while rows:
         n -= len(rows)
         yield rows
         del rows   # the consumer's now: not held while the next is read
-        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, plain)
+        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, ncols)
+
+
+def _split_columns(lines, ncols):
+    """The ``ncols`` columns of a batch of ``_Lines``, as token lists
+    sliced one at a time from one split of their text at commas and line
+    ends."""
+    # one expression, so that each copy of the text is dropped as soon as
+    # the next is made; each \r is one of a \r\n
+    flat = "".join(lines).replace("\r", "").replace("\n", ",").split(",")
+    stop = len(lines) * ncols   # before the field after a last line end
+    return (flat[j:stop:ncols] for j in range(ncols))
+
+
+def _columns(batch, ncols):
+    """The token lists of a batch's ``ncols`` columns, one at a time:
+    split from ``_Lines``, or zipped from csv rows, where a column past a
+    short record holds the cells of the records that reach it."""
+    if isinstance(batch, _Lines):
+        return _split_columns(batch, ncols)
+    width = min(map(len, batch))
+    return chain(islice(zip(*batch), ncols),
+                 ([row[j] for row in batch if j < len(row)]
+                  for j in range(width, ncols)))
 
 
 def _read_header(path):
@@ -369,15 +416,17 @@ def _unpack(packed):
     return [joined[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _parse_lines(lines, kinds, js):
+def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by ``np.loadtxt``, one call per kind: j -> (values, mask) of
     a numeric column, or the tokens of a text column.  A NaN cell is
-    missing, as ``parse_value`` has it.  None when loadtxt refuses a cell,
-    warns or skips a line: the caller then tokenizes the lines with
-    ``csv.reader``, which gives the same values or names the fault.  The
-    values are views of each call's 2-D result, copied when the chunk's
-    parts are joined: a plain batch is never a chunk's first."""
+    missing, as ``parse_value`` has it.  None when the text holds a
+    missing token anywhere (loadtxt would read ``-999`` as a number), or
+    when loadtxt refuses a cell, warns or skips a line: the caller then
+    splits the lines, which gives the same values or names the fault."""
+    text = "".join(lines)
+    if any(t in text for t in missing_tokens):
+        return None
     out = {}
     for kind, dtype in (("integer", np.int64), ("real", np.float64),
                         ("text", object)):
@@ -398,7 +447,10 @@ def _parse_lines(lines, kinds, js):
         for j, values in zip(cols, got.T):
             if kind == "text":
                 out[j] = values.tolist()
-            elif kind == "integer":
+                continue
+            # a column of the 2-D result, copied as the csv path builds it
+            values = np.ascontiguousarray(values)
+            if kind == "integer":
                 out[j] = values, np.zeros(len(values), dtype=bool)
             else:
                 mask = np.isnan(values)
@@ -407,22 +459,18 @@ def _parse_lines(lines, kinds, js):
     return out
 
 
-def _infer_batch(rows, ncols, missing_tokens, keep):
-    """Per column of one batch of chunk 0: (kind, parsed, packed), where
-    kind is the narrowest kind of its cells, or None for no evidence.  For
-    a column in ``keep`` that no record cuts, parsed is the (values, mask)
-    ``_parse_plain`` gave, or when it gave none, packed is the column's
-    tokens ``_pack``-ed; otherwise both are None."""
-    width = min(map(len, rows))
-    columns = zip(*rows)   # one column at a time, up to the shortest row
+def _infer_batch(columns, missing_tokens, keep):
+    """Per column of one batch of chunk 0, from the token lists of its
+    columns: (kind, parsed, packed), where kind is the narrowest kind of
+    its cells, or None for no evidence.  For a column in ``keep``, parsed
+    is the (values, mask) ``_parse_plain`` gave, or when it gave none,
+    packed is the column's tokens ``_pack``-ed; otherwise both are None.
+    No column a short record cuts is in ``keep``: chunk 0 is then not
+    kept."""
     out = []
-    for j in range(ncols):
-        if j < width:
-            tokens = next(columns)
-        else:   # a short record, which the first read names
-            tokens = [row[j] for row in rows if j < len(row)]
+    for j, tokens in enumerate(columns):
         kind, values, mask = _infer_column(tokens, missing_tokens, None)
-        if j >= width or j not in keep:
+        if j not in keep:
             out.append((kind, None, None))
         elif values is not None:
             out.append((kind, (values, mask), None))
@@ -431,13 +479,16 @@ def _infer_batch(rows, ncols, missing_tokens, keep):
     return out
 
 
-def _infer_lines(lines, kinds, keep):
+def _infer_lines(lines, kinds, keep, missing_tokens):
     """``_infer_batch`` of a batch of ``_Lines``, each column parsed at its
-    kind so far in ``kinds``, or None where ``_parse_lines`` declines.  A
-    text column left out of ``keep`` is not parsed: every cell of it is
-    valid."""
+    kind so far in ``kinds``, or None where some kind is not yet known or
+    ``_parse_lines`` declines.  A text column left out of ``keep`` is not
+    parsed: every cell of it is valid."""
+    if None in kinds:
+        return None
     got = _parse_lines(lines, kinds, [j for j, kind in enumerate(kinds)
-                                      if kind != "text" or j in keep])
+                                      if kind != "text" or j in keep],
+                       missing_tokens)
     if got is None:
         return None
     return [(kind, None, None) if j not in keep else
@@ -504,30 +555,26 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     kinds = [None] * ncols
     parts = {j: [] for name, j in last.items()
              if columns is None or name in columns}
-    nrows, short, plain = 0, False, None
+    nrows, short, plain = 0, False, False
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
             lines = iter(fh.readline, "")
             next(csv.reader(lines))   # header
             offset = fh.tell()
             context = f"{p} chunk 0"
-            # the first batch fixes the running kinds, and only when its
-            # lines are plain are the next ones tried as plain lines
             rows = _read_batch(lines, min(chunk_size, _BATCH_RECORDS),
-                               context, (ncols, tokens))
-            if isinstance(rows, _Lines):
-                plain, rows = (ncols, tokens), list(csv.reader(rows))
-            for rows in _read_batches(lines, chunk_size, context, rows,
-                                      plain):
+                               context, ncols)
+            plain = isinstance(rows, _Lines)
+            for rows in _read_batches(lines, chunk_size, context, ncols,
+                                      rows):
                 batch = None
                 if isinstance(rows, _Lines):
-                    batch = _infer_lines(rows, kinds, parts)
-                    if batch is None:
-                        rows = list(csv.reader(rows))
+                    batch = _infer_lines(rows, kinds, parts, tokens)
+                elif min(map(len, rows)) < ncols:
+                    short, parts = True, {}   # nothing is kept
                 if batch is None:
-                    if min(map(len, rows)) < ncols:
-                        short, parts = True, {}   # nothing is kept
-                    batch = _infer_batch(rows, ncols, tokens, parts)
+                    batch = _infer_batch(_columns(rows, ncols), tokens,
+                                         parts)
                 for j, (kind, *_) in enumerate(batch):
                     if kind and (kinds[j] is None or _KINDS.index(kind) >
                                  _KINDS.index(kinds[j])):
@@ -589,22 +636,24 @@ def _parse_text(tokens, missing_tokens):
     return values, np.equal(values, None)
 
 
-def _parse_column(rows, j, spec, width, missing_tokens, context, row0):
-    """(values, mask) of column ``j`` of a batch whose shortest record
-    has ``width`` fields and whose first record is row ``row0`` of its
-    chunk.  A column past ``width`` fails: at a malformed cell above the
-    first short record, else at that record."""
-    if j >= width:
-        short = next(i for i, row in enumerate(rows) if j >= len(row))
-        _parse_cells([row[j] for row in rows[:short]], spec,
-                     missing_tokens, context)
-        raise MalformedValueError("<absent>", spec.kind,
-                                  f"{context} row {row0 + short}: "
-                                  f"short record")
-    tokens = list(map(itemgetter(j), rows))
+def _parse_column(tokens, spec, missing_tokens, context):
+    """(values, mask) of a column of tokens of kind ``spec.kind``."""
     if spec.kind == "text":
         return _parse_text(tokens, missing_tokens)
     return _parse_numeric(tokens, spec, missing_tokens, context)
+
+
+def _short_record(rows, j, spec, missing_tokens, context, row0):
+    """The fault of column ``j`` of a batch of rows some record of which
+    stops short of it, the batch's first record being row ``row0`` of its
+    chunk: a malformed cell above the first short record, else that
+    record."""
+    short = next(i for i, row in enumerate(rows) if j >= len(row))
+    _parse_cells([row[j] for row in rows[:short]], spec, missing_tokens,
+                 context)
+    return MalformedValueError("<absent>", spec.kind,
+                               f"{context} row {row0 + short}: "
+                               f"short record")
 
 
 def _join(parts, kind):
@@ -628,12 +677,12 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
     parts = {j: [] for j, s in enumerate(schema)
              if columns is None or s.name in columns}
     checked, fault, row0 = schema, None, 0
-    kinds = [spec.kind for spec in schema]
+    ncols, kinds = len(schema), [spec.kind for spec in schema]
     for rows in batches:
         if isinstance(rows, _Lines):
             got = _parse_lines(rows, kinds, [
                 j for j, spec in enumerate(checked)
-                if spec.kind != "text" or j in parts])
+                if spec.kind != "text" or j in parts], missing_tokens)
             if got is not None:
                 for j, part in parts.items():
                     part.append(got[j] if kinds[j] != "text" else
@@ -641,14 +690,18 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
                 row0 += len(rows)
                 del rows, got   # before the next batch is read
                 continue
-            rows = list(csv.reader(rows))
-        width = min(map(len, rows), default=len(schema))
-        for j, spec in enumerate(checked):
+            width = ncols
+        else:
+            width = min(map(len, rows))
+        for j, (spec, tokens) in enumerate(zip(checked,
+                                               _columns(rows, ncols))):
             if spec.kind == "text" and j not in parts and j < width:
                 continue   # every cell of a complete text column is valid
             try:
-                got = _parse_column(rows, j, spec, width, missing_tokens,
-                                    context, row0)
+                if j >= width:
+                    raise _short_record(rows, j, spec, missing_tokens,
+                                        context, row0)
+                got = _parse_column(tokens, spec, missing_tokens, context)
             except MalformedValueError as exc:
                 checked, fault, parts = schema[:j], exc, {}
                 break
@@ -668,7 +721,8 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
 
 def _build_table(rows, schema, missing_tokens, context="", columns=None):
     """``_build_chunk`` of one list of rows."""
-    return _build_chunk([rows], schema, missing_tokens, context, columns)
+    return _build_chunk([rows] if rows else [], schema, missing_tokens,
+                        context, columns)
 
 
 def _first_table(first, schema, missing_tokens, columns=None):
@@ -717,11 +771,11 @@ def iter_file_chunks(ds: Datastore, file_index: int):
             offset = fh.tell()
             context = f"{path} chunk {chunk_index}"
             rows = _read_batch(lines, min(ds.chunk_size, _BATCH_RECORDS),
-                               context)
+                               context, len(ds.schema))
             if not rows:
                 return
-            batches = _read_batches(lines, ds.chunk_size, context, rows,
-                                    ds._plain if chunk_index else None)
+            batches = _read_batches(lines, ds.chunk_size, context,
+                                    len(ds.schema), rows)
             del rows
             yield chunk_index, offset, batches
             while next(batches, None) is not None:
@@ -745,8 +799,7 @@ def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
     with open(ds.sources[file_index], newline="") as fh:
         fh.seek(offset)
         return _build_chunk(
-            _read_batches(fh, ds.chunk_size, context,
-                          plain=ds._plain if chunk_index else None),
+            _read_batches(fh, ds.chunk_size, context, len(ds.schema)),
             ds.schema, ds.missing_tokens, context, columns)
 
 

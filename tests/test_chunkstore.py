@@ -293,19 +293,12 @@ class TestChunkIndex:
 
     @pytest.mark.parametrize("chunk_size", [1, 3, 7, 9])
     def test_reading_twice_gives_equal_tables(self, with_empty_first,
-                                              chunk_size, monkeypatch):
+                                              chunk_size, count_tokenized):
         ds = cs.open_datastore(with_empty_first, chunk_size=chunk_size)
         first = list(cs.read_chunks(ds))
         # the first read took the chunk open_datastore kept; a second
         # read tokenizes every record from the files again
-        records = []
-        reader = cs.csv.reader
-
-        def counting(*args, **kwargs):
-            for row in reader(*args, **kwargs):
-                records.append(row)
-                yield row
-        monkeypatch.setattr(cs.csv, "reader", counting)
+        records = count_tokenized()
         second = list(cs.read_chunks(ds))
         assert len(records) == 9 + len(ds.sources)   # and the headers
         assert [len(t) for t in first] == [len(t) for t in second]
@@ -335,17 +328,6 @@ class TestChunkIndex:
 
 class TestBatches:
     """Chunks are tokenized and built in batches of _BATCH_RECORDS."""
-
-    def counting_reader(self, monkeypatch):
-        records = []
-        reader = cs.csv.reader
-
-        def counting(*args, **kwargs):
-            for row in reader(*args, **kwargs):
-                records.append(row)
-                yield row
-        monkeypatch.setattr(cs.csv, "reader", counting)
-        return records
 
     def test_no_read_asks_for_more_than_a_batch(self, tmp_path,
                                                 monkeypatch):
@@ -392,7 +374,7 @@ class TestBatches:
         (["-0", "NA", "NA", "7"], "integer"),  # no widening
     ])
     def test_widening_after_first_batch_rereads_chunk_0(
-            self, tmp_path, monkeypatch, cells, kind):
+            self, tmp_path, monkeypatch, count_tokenized, cells, kind):
         p = write_csv(tmp_path / "w.csv", "x,y",
                       [f"{c},{i}" for i, c in enumerate(cells)])
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
@@ -400,7 +382,7 @@ class TestBatches:
         assert ds.schema[0].kind == kind
         widened = kind != "integer"
         assert bool(ds._first) is not widened
-        records = self.counting_reader(monkeypatch)
+        records = count_tokenized()
         first = cs.read_all(ds)
         # the kept chunk is read from memory; a dropped one from the file
         assert len(records) == (len(cells) + 1 if widened else 0)
@@ -431,7 +413,7 @@ class TestBatches:
             assert math.isnan(table.column("y")[7])
 
     def test_real_cell_in_later_batch_widens_and_rereads_chunk_0(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, count_tokenized):
         # np.loadtxt refuses 1.0 as an integer (numpy 1.x only warns), so
         # the batch is tokenized, the column widens to real, and the first
         # read tokenizes chunk 0 again
@@ -441,7 +423,7 @@ class TestBatches:
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         ds = cs.open_datastore(p, chunk_size=10)
         assert ds._plain and ds.schema[0].kind == "real" and not ds._first
-        records = self.counting_reader(monkeypatch)
+        records = count_tokenized()
         table = cs.read_all(ds)
         assert len(records) == len(cells) + 1   # and the header
         x = table.column("x")
@@ -449,8 +431,8 @@ class TestBatches:
         assert x.tolist() == [1.0, 0.0, 2.0, 3.0, 1.0, 4.0]
         assert np.signbit(x[1])   # -0 read as real
 
-    def test_first_chunk_keeps_the_columns_asked_for(self, tmp_path,
-                                                     monkeypatch):
+    def test_first_chunk_keeps_the_columns_asked_for(
+            self, tmp_path, monkeypatch, count_tokenized):
         p = write_csv(tmp_path / "k.csv", "a,b,t",
                       [f"{i},{i}.5,t{i}" for i in range(7)])
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
@@ -458,7 +440,7 @@ class TestBatches:
         ds = cs.open_datastore(p, columns=["a", "t"])
         assert set(ds._first[0].columns) == {"a", "t"}
         narrow = cs.open_datastore(p, columns=["a"])
-        records = self.counting_reader(monkeypatch)
+        records = count_tokenized()
         assert_same_table(cs.read_all(ds, ["a", "t"]), cs.DataTable(
             {n: full.columns[n] for n in "at"},
             {n: full.missing[n] for n in "at"},

@@ -398,23 +398,17 @@ def run_one_line_error(argv, capsys, code):
     return err
 
 
-def assert_each_record_tokenized_once(monkeypatch, tmp_path, argv):
+def assert_each_record_tokenized_once(count_tokenized, tmp_path, argv):
     """Run ``argv`` on a CSV of 50 distinct records, counting each record
-    the chunk engine's ``csv.reader`` yields: every data record must be
-    yielded once."""
+    the chunk engine tokenizes: every data record must be tokenized
+    once."""
     lines = [f"{k},{3 * k + k * k % 5},w{k % 4}" for k in range(50)]
     p = tmp_path / "once.csv"
     p.write_text("id,x,t\n" + "\n".join(lines) + "\n")
-    seen = collections.Counter()
-    reader = chunkstore.csv.reader
-
-    def counting(*args, **kwargs):
-        for row in reader(*args, **kwargs):
-            seen[",".join(row)] += 1
-            yield row
-    monkeypatch.setattr(chunkstore.csv, "reader", counting)
+    records = count_tokenized()
     assert run([argv[0], "--input", str(p), *argv[1:],
                 "--out", str(tmp_path / "out")]) == 0
+    seen = collections.Counter(records)
     del seen["id,x,t"]
     assert seen == dict.fromkeys(lines, 1)
 
@@ -479,9 +473,9 @@ class TestFusedMapreduce:
                          if ev["kind"] == "reduce-start")
         assert reduces == sorted(f"reduce-{op}" for op in self.OPS)
 
-    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
+    def test_each_record_tokenized_once(self, count_tokenized, tmp_path):
         assert_each_record_tokenized_once(
-            monkeypatch, tmp_path, ["mapreduce", "--chunk-size", "7",
+            count_tokenized, tmp_path, ["mapreduce", "--chunk-size", "7",
                                     "--op", "count", "--op", "sum:x"])
 
     def test_unknown_column_is_usage_error_before_any_task(self, tmp_path):
@@ -624,9 +618,9 @@ class TestRegressCommand:
         assert rep["results"]["anova"]["significance_f"] == 0.0
         assert "F is infinite" in rep["warnings"][0]
 
-    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
+    def test_each_record_tokenized_once(self, count_tokenized, tmp_path):
         assert_each_record_tokenized_once(
-            monkeypatch, tmp_path, ["regress", "--response", "x",
+            count_tokenized, tmp_path, ["regress", "--response", "x",
                                     "--predictors", "id"])
 
     @pytest.mark.parametrize("model", [
@@ -770,8 +764,8 @@ class TestDesignSchemaCommand:
         assert len(res["proposed_dimensions"]) == \
             len(res["selected_components"])
 
-    def test_each_record_tokenized_once(self, monkeypatch, tmp_path):
-        assert_each_record_tokenized_once(monkeypatch, tmp_path,
+    def test_each_record_tokenized_once(self, count_tokenized, tmp_path):
+        assert_each_record_tokenized_once(count_tokenized, tmp_path,
                                           ["design-schema"])
 
     def test_threshold_out_of_range(self, tmp_path):

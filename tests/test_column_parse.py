@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dwkit import chunkstore as cs
 from dwkit.errors import DwkitError, MalformedValueError
@@ -322,11 +322,12 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
         cs._BATCH_RECORDS = saved
 
 
-# --- plain batches parsed by np.loadtxt ---
-# Once a datastore's first batch is plain lines, later batches that are
-# plain too are parsed by np.loadtxt.  Whatever the file holds, every read
-# must give what the csv.reader path gives: the same schema, bit-identical
-# tables, or the same error.
+# --- unquoted batches: split into columns, or parsed by np.loadtxt ---
+# A batch of unquoted lines is split at its commas and line ends, or, when
+# it holds no missing token and its chunk's kinds are known, parsed by
+# np.loadtxt.  Whatever the file holds, every read must give what the
+# csv.reader path gives: the same schema, bit-identical tables, or the
+# same error.
 
 FIELD_LIMIT = 100   # lowered, so that a long field fits in a small file
 PLAIN_INTS = st.one_of(st.integers(-10**12, 10**12).map(str),
@@ -334,14 +335,16 @@ PLAIN_INTS = st.one_of(st.integers(-10**12, 10**12).map(str),
 PLAIN_REALS = st.one_of(st.sampled_from([
     "-nan", "nan", "-0.0", "inf", "NaN", "-inf", "+Infinity", "1e400",
     "-1e400", "1E5", "2.5e-3", ".5", "5.", "1e-400"]), REALS)
-PLAIN_TEXT = st.sampled_from(["a", "yes", "no", " b ", "'q'", "x y"])
+# \x1c, \x85 and \u2028 end a line for str.splitlines, not for csv
+PLAIN_TEXT = st.sampled_from(["a", "yes", "no", " b ", "'q'", "x y",
+                              "a\x1cb", "\x85", "x\u2028y"])
 PADDED = st.tuples(st.sampled_from(["", " ", "\t"]),
                    st.one_of(PLAIN_INTS, PLAIN_REALS),
                    st.sampled_from(["", " ", "\t"])).map("".join)
 ODD_PLAIN = st.sampled_from([
     '"a""b"', "x" * (FIELD_LIMIT + 1), "1.0", "\x00", "7\x001", "", "'5'",
     '"5"', '"a,b"', "1" * 30, "1_000", "٣", "abc", "9223372036854775808",
-    "0x10", "NAN", "nA", "-9990"])
+    "0x10", "NAN", "nA", "-9990", "'NA'", " NA "])
 # hypothesis favours the first of several choices: reals, whose NaN and
 # signed zero need care, and the cells and lines the gate must turn away
 FLAVOURS = [PLAIN_REALS, PLAIN_INTS, PLAIN_TEXT]
@@ -352,7 +355,8 @@ def plain_file_lines(draw, ncols, nrows, missing):
     """Lines of a plain file, one flavour per column, with a few edits: a
     cell missing, odd, padded or of another flavour (a column that widens
     from there on); a blank or short line, a trailing comma, or both on
-    two lines.  LF, CRLF or mixed line endings."""
+    two lines.  LF or CRLF line ends, or both mixed, with or without lone
+    CRs; the last line may have none."""
     flavours = [draw(st.sampled_from(FLAVOURS)) for _ in range(ncols)]
     rows = [[draw(flavour) for flavour in flavours] for _ in range(nrows)]
     other = st.one_of(st.sampled_from(missing), ODD_PLAIN, PADDED, *FLAVOURS)
@@ -367,9 +371,12 @@ def plain_file_lines(draw, ncols, nrows, missing):
             ["", lines[i + 1]], [lines[i] + ",", lines[i + 1]],
             [lines[i].rpartition(",")[0], lines[i + 1]],
             [lines[i] + ",", lines[i + 1].rpartition(",")[0]]]))
-    ending = draw(st.sampled_from(["\n", "\r\n", None]))
-    return [line + (ending or draw(st.sampled_from(["\n", "\r\n"])))
-            for line in lines]
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"],
+                                 ["\n", "\r\n", "\r"]]))
+    lines = [line + draw(st.sampled_from(ends)) for line in lines]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
 
 
 def read_every_way(paths, chunk_size, missing, keep, columns):
@@ -420,15 +427,18 @@ def assert_same_reads(got, want):
 
 
 def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
-    taken = []
-    parse_lines = cs._parse_lines
+    taken, split = [], []
+    parse_lines, split_columns = cs._parse_lines, cs._split_columns
 
     def recording(*args):
         got = parse_lines(*args)
         taken.append(got is not None)
         return got
 
-    @settings(max_examples=150, deadline=None)
+    def splitting(lines, ncols):
+        split.append(len(lines))
+        return split_columns(lines, ncols)
+
     @given(st.data())
     def plain_equals_csv(data):
         missing = data.draw(st.sampled_from([("NA",), ("NA", "-999")]))
@@ -445,16 +455,17 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
                 (tmp / name).write_bytes(
                     (",".join(header) + "\n" + "".join(part)).encode())
                 paths.append(str(tmp / name))
-        chunk_size = data.draw(st.integers(1, 9))
+        chunk_size = data.draw(st.sampled_from([1, 2, 7]))
         keep = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
         columns = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
         monkeypatch.setattr(cs, "_BATCH_RECORDS",
                             data.draw(st.sampled_from([1, 2, 3])))
         with monkeypatch.context() as m:
             m.setattr(cs, "_parse_lines", recording)
+            m.setattr(cs, "_split_columns", splitting)
             fast = read_every_way(paths, chunk_size, missing, keep, columns)
         with monkeypatch.context() as m:
-            m.setattr(cs, "_plain_lines", lambda *args: False)
+            m.setattr(cs, "_unquoted", lambda *args: False)
             slow = read_every_way(paths, chunk_size, missing, keep, columns)
         assert_same_reads(fast, slow)
 
@@ -463,8 +474,8 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
         plain_equals_csv()
     finally:
         csv.field_size_limit(limit)
-    # loadtxt parsed some batches, and declined others
-    assert True in taken and False in taken
+    # some batches were split, and loadtxt parsed some and declined others
+    assert split and True in taken and False in taken
 
 
 def plain_lines_then(odd):
@@ -480,12 +491,20 @@ def plain_lines_then(odd):
     (("NA",), plain_lines_then(["7,t,extra\n", "8\n"])),      # commas add up
     (("NA",), [f"{i}\n" for i in range(6)] + ["\n", "8\n"]),  # a blank line
     (("NA",), plain_lines_then(["7.0,t\n", "8,t\n"])),        # widens
+    (("NA",), plain_lines_then(["7,t\r", "8,t\n"])),          # a lone CR
+    (("NA",), [f"{i}\n" for i in range(6)] + ["7\r", "NA\n"]),  # and 1 column
+    (("NA",), [f"{i}\n" for i in range(6)] + ["7\n", "\r"]),   # a blank CR
+    (("NA",), plain_lines_then(["7,t\n", "8,t"])),             # no line end
+    (("NA",), plain_lines_then(["NA,t\n", "8,'NA'\n"])),      # missing
+    (("NA",), plain_lines_then(["7,a\x85b\n", "8,\u2028\n"])),
+    (("NA",), plain_lines_then(["7,t\n", "x8,t\n"])),         # malformed
 ])
 @pytest.mark.parametrize("chunk_size", [4, 100])
 @pytest.mark.parametrize("columns", [None, ["c0"]])
 def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
                                          lines, chunk_size, columns):
-    # the odd batch is the second of chunk 1, or the fourth of chunk 0
+    # the odd batch, which the gate turns away to csv.reader or loadtxt
+    # to the split, is the second of chunk 1, or the fourth of chunk 0
     ncols = lines[0].count(",") + 1
     p = tmp_path / "gate.csv"
     p.write_text(",".join(f"c{j}" for j in range(ncols)) + "\n"
@@ -494,6 +513,6 @@ def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
     assert cs.open_datastore(str(p), chunk_size=4,
                              treat_as_missing=missing)._plain
     fast = read_every_way([str(p)], chunk_size, missing, columns, columns)
-    monkeypatch.setattr(cs, "_plain_lines", lambda *args: False)
+    monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
     slow = read_every_way([str(p)], chunk_size, missing, columns, columns)
     assert_same_reads(fast, slow)
