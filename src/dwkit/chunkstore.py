@@ -124,9 +124,6 @@ class Datastore:
     # the chunk open_datastore read, until the first read takes it
     _first: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
-    # whether the first batch open_datastore read was unquoted lines
-    _plain: bool = field(default=False, init=False, repr=False,
-                         compare=False)
 
     def column_names(self):
         return [c.name for c in self.schema]
@@ -555,18 +552,14 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     kinds = [None] * ncols
     parts = {j: [] for name, j in last.items()
              if columns is None or name in columns}
-    nrows, short, plain = 0, False, False
+    nrows, short = 0, False
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
             lines = iter(fh.readline, "")
             next(csv.reader(lines))   # header
             offset = fh.tell()
             context = f"{p} chunk 0"
-            rows = _read_batch(lines, min(chunk_size, _BATCH_RECORDS),
-                               context, ncols)
-            plain = isinstance(rows, _Lines)
-            for rows in _read_batches(lines, chunk_size, context, ncols,
-                                      rows):
+            for rows in _read_batches(lines, chunk_size, context, ncols):
                 batch = None
                 if isinstance(rows, _Lines):
                     batch = _infer_lines(rows, kinds, parts, tokens)
@@ -590,7 +583,6 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     schema = tuple(ColumnSpec(n, kinds[last[n]] or "text") for n in header)
     ds = Datastore(sources=tuple(paths), schema=schema,
                    missing_tokens=tokens, chunk_size=chunk_size)
-    object.__setattr__(ds, "_plain", plain)
     if nrows and not short:
         kept = {header[j]: _keep_column(part, schema[j], tokens)
                 for j, part in parts.items()}

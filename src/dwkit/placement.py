@@ -25,7 +25,12 @@ one is updated.
 Events go to the simulator's sink.  ``EventList``, the default, keeps
 them in ``sim.events``; ``EventLogWriter`` writes each event's log line
 as it is emitted and keeps only counters, so a run's memory does not grow
-with its log.
+with its log.  The lines are ``SimEvent.to_json``'s, built with less work:
+a step's progress lines are formatted straight from its arrays and
+written in one call, each distinct rate's text is formatted once per log
+(never a zero's: ``0.0 == -0.0``, but their texts differ), and any other
+event of the types the simulator makes is formatted around one encode of
+its detail.  Any other event takes ``SimEvent.to_json`` itself.
 """
 from __future__ import annotations
 
@@ -180,25 +185,28 @@ class _DropTally:
 
 class EventLogWriter:
     """A sink that writes each event's ``events.jsonl`` line to ``fh`` as
-    it is emitted.  It keeps no events, only the number of lines and the
-    drop rate read from them."""
+    it is emitted, and each step's progress lines in one write.  It keeps
+    no events, only the number of lines, the drop rate read from them and
+    the texts of the rates it has written."""
 
     events = ()
 
     def __init__(self, fh):
         self._fh = fh
         self._tally = _DropTally()
+        self._rate_texts = {}
         self.lines = 0
 
     def emit(self, event):
         self.lines += 1
         self._tally.add(event.kind, event.subject)
-        self._fh.write(event.to_json() + "\n")
+        self._fh.write(_event_line(event))
 
     def progress(self, time, seq, subjects, rates, moved):
         self.lines += len(subjects)
-        self._fh.writelines(_progress_lines(
-            time, range(seq, seq + len(subjects)), subjects, rates, moved))
+        self._fh.write(_progress_lines(
+            time, range(seq, seq + len(subjects)), subjects, rates, moved,
+            self._rate_texts))
 
     @property
     def drop_rate(self):
@@ -668,15 +676,16 @@ def drop_rate(events) -> float:
 
 def write_event_log(events, path):
     """One ``SimEvent.to_json`` line per event."""
+    rate_texts = {}
     with open(path, "w") as fh:
         step = []   # progress events that share one time object
 
         def write_step():
-            fh.writelines(_progress_lines(
+            fh.write(_progress_lines(
                 step[0].time, [ev.seq for ev in step],
                 [ev.subject for ev in step],
                 [ev.detail["rate"] for ev in step],
-                [ev.detail["bytes_moved"] for ev in step]))
+                [ev.detail["bytes_moved"] for ev in step], rate_texts))
             step.clear()
         for ev in events:
             progress = (ev.kind == "transfer-progress"
@@ -686,28 +695,52 @@ def write_event_log(events, path):
             if progress:
                 step.append(ev)
             else:
-                fh.write(ev.to_json() + "\n")
+                fh.write(_event_line(ev))
         if step:
             write_step()
 
 
-def _progress_lines(time, seqs, subjects, rates, moved):
+def _event_line(event):
+    """``event.to_json()`` and a line feed.  An event with str kind and
+    subject, an int seq and a finite float time, as the simulator makes,
+    is formatted directly around one encode of its detail."""
+    time, seq, kind, subject, detail = event
+    if (type(kind) is str and type(subject) is str and type(seq) is int
+            and type(time) is float and math.isfinite(time)):
+        return (f'{{"detail": {_JSON.encode(detail)}, "kind": '
+                f'{encode_basestring_ascii(kind)}, "seq": {seq}, "subject": '
+                f'{encode_basestring_ascii(subject)}, "time": {time!r}}}\n')
+    return event.to_json() + "\n"
+
+
+def _progress_lines(time, seqs, subjects, rates, moved, rate_texts):
     """The log lines of the ``transfer-progress`` events of one step, as
-    ``SimEvent.to_json`` writes them.  These are nearly all of a managed
-    log; a step with str subjects and finite float values, as the
-    simulator makes, is formatted directly, with one ``repr`` of its
-    time."""
+    ``SimEvent.to_json`` writes them, joined.  These are nearly all of a
+    managed log; a step with str subjects and finite float values, as the
+    simulator makes, is formatted directly, with one ``repr`` of its time
+    and each rate's text from ``rate_texts``, which is filled as rates
+    are first seen.  A zero is never kept there: ``0.0 == -0.0``, but
+    their texts differ."""
     if (type(time) is float and {*map(type, subjects)} <= {str}
             and {*map(type, rates), *map(type, moved)} <= {float}
             and math.isfinite(time + sum(rates) + sum(moved))):
-        time_text = repr(time)
-        return [f'{{"detail": {{"bytes_moved": {m!r}, "rate": {r!r}}}, '
-                f'"kind": "transfer-progress", "seq": {seq}, "subject": '
-                f'{encode_basestring_ascii(subject)}, "time": {time_text}}}\n'
-                for seq, subject, r, m in zip(seqs, subjects, rates, moved)]
-    return [SimEvent(time, seq, "transfer-progress", subject,
-                     {"rate": r, "bytes_moved": m}).to_json() + "\n"
-            for seq, subject, r, m in zip(seqs, subjects, rates, moved)]
+        try:
+            texts = list(map(rate_texts.__getitem__, rates))
+        except KeyError:   # a rate not seen before, or a zero
+            rate_texts.update((r, repr(r)) for r in rates
+                              if r and r not in rate_texts)
+            texts = [rate_texts.get(r) or repr(r) for r in rates]
+        end = f', "time": {time!r}}}\n'
+        return "".join([
+            f'{{"detail": {{"bytes_moved": {m}, "rate": {r}}}, "kind": '
+            f'"transfer-progress", "seq": {seq}, "subject": {subject}{end}'
+            for seq, subject, r, m in zip(
+                seqs, map(encode_basestring_ascii, subjects), texts,
+                map(repr, moved))])
+    return "".join([SimEvent(time, seq, "transfer-progress", subject,
+                             {"rate": r, "bytes_moved": m}).to_json() + "\n"
+                    for seq, subject, r, m in zip(seqs, subjects, rates,
+                                                  moved)])
 
 
 # --- scenario files ---

@@ -46,3 +46,18 @@ def count_tokenized(monkeypatch):
         monkeypatch.setattr(cs, "_parse_lines", counting_parse)
         return records
     return start
+
+
+@pytest.fixture
+def unquoted_verdicts(monkeypatch):
+    """The list of what each ``cs._unquoted`` call returns from now on:
+    the first is the verdict on the first batch ``open_datastore`` reads,
+    True when it takes the unquoted path."""
+    verdicts = []
+    unquoted = cs._unquoted
+
+    def spy(*args):
+        verdicts.append(unquoted(*args))
+        return verdicts[-1]
+    monkeypatch.setattr(cs, "_unquoted", spy)
+    return verdicts

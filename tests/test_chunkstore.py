@@ -395,7 +395,7 @@ class TestBatches:
         assert list(first.missing["x"]) == [c == "NA" for c in cells]
 
     def test_numeric_missing_token_in_later_batch_is_missing(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, unquoted_verdicts):
         # np.loadtxt would read -999 as a number: a batch holding a missing
         # token anywhere goes the csv.reader way
         p = write_csv(tmp_path / "m.csv", "x,y",
@@ -403,9 +403,10 @@ class TestBatches:
                                                           "8,-999"])
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         for chunk_size in (4, 100):   # in chunk 1, or in chunk 0
+            unquoted_verdicts.clear()
             ds = cs.open_datastore(p, chunk_size=chunk_size,
                                    treat_as_missing=("-999",))
-            assert ds._plain
+            assert unquoted_verdicts[0] is True
             table = cs.read_all(ds)
             assert table.missing["x"].tolist() == [False] * 6 + [True, False]
             assert table.missing["y"].tolist() == [False] * 7 + [True]
@@ -413,7 +414,8 @@ class TestBatches:
             assert math.isnan(table.column("y")[7])
 
     def test_real_cell_in_later_batch_widens_and_rereads_chunk_0(
-            self, tmp_path, monkeypatch, count_tokenized):
+            self, tmp_path, monkeypatch, count_tokenized,
+            unquoted_verdicts):
         # np.loadtxt refuses 1.0 as an integer (numpy 1.x only warns), so
         # the batch is tokenized, the column widens to real, and the first
         # read tokenizes chunk 0 again
@@ -422,7 +424,8 @@ class TestBatches:
                       [f"{c},t{i}" for i, c in enumerate(cells)])
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         ds = cs.open_datastore(p, chunk_size=10)
-        assert ds._plain and ds.schema[0].kind == "real" and not ds._first
+        assert unquoted_verdicts[0] is True
+        assert ds.schema[0].kind == "real" and not ds._first
         records = count_tokenized()
         table = cs.read_all(ds)
         assert len(records) == len(cells) + 1   # and the header

@@ -502,7 +502,8 @@ def plain_lines_then(odd):
 @pytest.mark.parametrize("chunk_size", [4, 100])
 @pytest.mark.parametrize("columns", [None, ["c0"]])
 def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
-                                         lines, chunk_size, columns):
+                                         lines, chunk_size, columns,
+                                         unquoted_verdicts):
     # the odd batch, which the gate turns away to csv.reader or loadtxt
     # to the split, is the second of chunk 1, or the fourth of chunk 0
     ncols = lines[0].count(",") + 1
@@ -510,8 +511,8 @@ def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
     p.write_text(",".join(f"c{j}" for j in range(ncols)) + "\n"
                  + "".join(lines))
     monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
-    assert cs.open_datastore(str(p), chunk_size=4,
-                             treat_as_missing=missing)._plain
+    cs.open_datastore(str(p), chunk_size=4, treat_as_missing=missing)
+    assert unquoted_verdicts[0] is True
     fast = read_every_way([str(p)], chunk_size, missing, columns, columns)
     monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
     slow = read_every_way([str(p)], chunk_size, missing, columns, columns)

@@ -545,6 +545,107 @@ def test_progress_event_with_other_details_is_written_whole(tmp_path):
     assert path.read_text().splitlines() == [ev.to_json() for ev in events]
 
 
+# steps of one log, each a time and (subject, rate, bytes moved) rows,
+# whose rates repeat within a step and across steps, with both zeros
+# often: a rate's text is looked up in a table the log fills as it goes,
+# which must never hand -0.0 the text of 0.0 or the reverse.  Subjects
+# are test_progress_lines_match_to_json's concern.
+STEPS = st.lists(FINITE, min_size=1, max_size=3).flatmap(
+    lambda pool: st.lists(st.tuples(FINITE, st.lists(st.tuples(
+        st.sampled_from(["a", 'b"\u2028', "\x00"]),
+        st.sampled_from([*pool, 0.0, -0.0]) | FINITE, FINITE),
+        min_size=1, max_size=6)), min_size=1, max_size=5))
+
+
+@given(STEPS)
+@example([(0.0, [("a", 1.0, 2.0), ("b", 0.0, 1.0), ("c", 1.0, 3.0)]),
+          (1.0, [("a", -0.0, 1.0), ("b", 1.0, 0.0), ("c", 0.0, -0.0)]),
+          (2.0, [("a", 0.0, 1.0), ("b", -0.0, 1.0)])])
+def test_writer_rate_texts_match_to_json(steps):
+    fh = io.StringIO()
+    writer = EventLogWriter(fh)
+    events = []
+    for t, rows in steps:
+        subjects, rates, moved = map(list, zip(*rows))
+        before = fh.tell()
+        writer.progress(t, len(events), subjects, rates, moved)
+        step = [SimEvent(t, len(events) + i, "transfer-progress", subject,
+                         {"rate": rate, "bytes_moved": m})
+                for i, (subject, rate, m) in enumerate(rows)]
+        # one write per step
+        assert fh.getvalue()[before:].splitlines() == [
+            ev.to_json() for ev in step]
+        events += step
+    assert writer.lines == len(events)
+    assert fh.getvalue().splitlines() == [ev.to_json() for ev in events]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        write_event_log(events, path)
+        with open(path) as log:
+            assert log.read() == fh.getvalue()
+
+
+EMITTED_KINDS = ("alloc-denied", "alloc-granted", "alloc-expired",
+                 "transfer-start", "transfer-complete", "transfer-dropped",
+                 "replica-placed", "failure-injected", "retry-scheduled",
+                 "transfer-progress")
+# detail dicts, nested and empty: the direct line encodes them with the
+# encoder to_json uses, so a few keys and scalars serve
+DETAILS = st.recursive(
+    st.dictionaries(st.sampled_from(["site", "size", "reason", 'a"é']),
+                    st.none() | st.booleans() | st.integers() | st.floats()
+                    | st.text(max_size=3), max_size=3),
+    lambda inner: st.dictionaries(st.sampled_from(["nested", "job"]),
+                                  inner | st.lists(inner, max_size=2),
+                                  max_size=2), max_leaves=4)
+# events the simulator makes, whose lines are formatted directly
+DIRECT_EVENTS = st.builds(SimEvent, FINITE, st.integers(0, 2**70),
+                          st.sampled_from(EMITTED_KINDS), SUBJECTS, DETAILS)
+# and events only a library caller can make, which take SimEvent.to_json
+FALLBACK_EVENTS = st.one_of(
+    st.builds(SimEvent, st.sampled_from([math.inf, -math.inf, math.nan]),
+              st.integers(0, 9), st.sampled_from(EMITTED_KINDS), SUBJECTS,
+              DETAILS),
+    st.builds(SimEvent, st.integers(-9, 9), st.integers(0, 9),
+              st.sampled_from(EMITTED_KINDS), SUBJECTS, DETAILS),
+    st.builds(SimEvent, FINITE, st.integers(0, 9),
+              st.sampled_from(EMITTED_KINDS),
+              st.none() | st.integers() | st.tuples(SUBJECTS, SUBJECTS),
+              DETAILS),
+    st.builds(SimEvent, FINITE, st.booleans(),
+              st.sampled_from(EMITTED_KINDS), SUBJECTS, DETAILS))
+
+
+@given(st.lists(DIRECT_EVENTS.map(lambda ev: (True, ev))
+                | FALLBACK_EVENTS.map(lambda ev: (False, ev)),
+                min_size=1, max_size=4))
+@example([(True, SimEvent(1.5, 0, "alloc-granted", "aé\"\x01 ",
+                          {"site": "s", "nested": {"x": [-0.0, {}]},
+                           "empty": {}})),
+          (False, SimEvent(1, True, "alloc-expired", "a", {}))])
+def test_emit_writes_each_event_as_to_json(drawn):
+    events = [ev for _, ev in drawn]
+    expected = [ev.to_json() for ev in events]
+    fh = io.StringIO()
+    writer = EventLogWriter(fh)
+    calls = []
+    to_json = SimEvent.to_json
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SimEvent, "to_json",
+                  lambda ev: calls.append(ev) or to_json(ev))
+        for ev in events:
+            writer.emit(ev)
+    assert fh.getvalue().split("\n") == expected + [""]
+    assert writer.lines == len(events)
+    # only the events the simulator could not have made take to_json
+    assert calls == [ev for direct, ev in drawn if not direct]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "events.jsonl")
+        write_event_log(events, path)
+        with open(path) as log:
+            assert log.read() == fh.getvalue()
+
+
 def golden_scenario(seed=2016):
     """A seeded scenario with leases, waiting allocations, replications and
     every failure kind, where no two outages of one site or one link
@@ -612,6 +713,42 @@ def golden_scenario(seed=2016):
     return scenario
 
 
+def overloaded_scenario(seed=2017):
+    """A seeded managed scenario offered more bytes than its sites can
+    move, so dozens of transfers share each link and most steps re-rate
+    many of them at a few distinct rates; every outage is stacked on
+    another of the same kind and target that opens before it ends."""
+    rng = random.Random(seed)
+    sites = [f"s{i}" for i in range(5)]
+    routes = [(a, b) for a in sites for b in sites if a != b]
+    scenario = {
+        "schema_version": 1,
+        "sites": [{"id": s, "capacity": "1PB",
+                   "ingress_bw": f"{rng.choice((4, 5, 8))}GB/s",
+                   "egress_bw": f"{rng.choice((4, 5, 8))}GB/s"}
+                  for s in sites],
+        "policy": {"mode": "managed", "retry_limit": 3},
+        "transfers": [], "failures": [],
+    }
+    for i in range(520):
+        src, dst = rng.choice(routes)
+        scenario["transfers"].append({
+            "id": f"t{i:03d}", "at": round(rng.uniform(0, 400), 3),
+            "source": src, "dest": dst, "size": f"{rng.randint(5, 45)}GB",
+            "owner": "etl", "priority": rng.randint(0, 9)})
+    for kind in ("link-down", "site-down", "link-down", "disk-overflow") * 2:
+        target = (list(rng.choice(routes)) if kind == "link-down"
+                  else rng.choice(sites))
+        at = rng.uniform(0, 360)
+        for _ in range(2):
+            duration = rng.uniform(20, 40)
+            scenario["failures"].append({
+                "kind": kind, "target": target, "at": round(at, 3),
+                "duration": round(duration, 3)})
+            at += rng.uniform(5, duration - 5)
+    return scenario
+
+
 class TestGoldenLog:
     # sha256 of events.jsonl and report.json as written by the simulator
     # that kept one outage per target and cleared it at the first
@@ -668,3 +805,55 @@ class TestGoldenLog:
             (tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in ("events.jsonl", "report.json"))
         assert digests == self.GOLDEN[mode, ordering]
+
+    # sha256 of events.jsonl and report.json, by --until, as written by the
+    # simulator that formatted every rate of a step with its own repr and
+    # encoded every other event whole with SimEvent.to_json, before rate
+    # texts were looked up per log and each step written in one call
+    OVERLOADED = {
+        None: (
+            "1f6880324e0186961078897eae15e0c7412d6dd613627134fa73bc26354428a1",
+            "43e0e400bd932682635a17617b98584cf6169296173863380b9f858700c5566d",
+        ),
+        300.0: (
+            "7f72ea2aecf980a08de9148bddccdd62771910d1ccc1359ad25a9136c18d9ad5",
+            "fe9277d7f29761a15a4a11715ba6c23cc76830e9d1ee55979f7bb508921e6098",
+        ),
+    }
+
+    def test_overloaded_scenario_stacks_site_and_link_outages(self):
+        scenario = overloaded_scenario()
+        assert len(scenario["transfers"]) >= 500
+        spans = {}
+        for f in scenario["failures"]:
+            key = f["kind"], str(f["target"])
+            spans.setdefault(key, []).append(
+                (f["at"], f["at"] + f["duration"]))
+        stacked = {kind for (kind, _), intervals in spans.items()
+                   if any(nxt < end for (_, end), (nxt, _) in
+                          zip(sorted(intervals), sorted(intervals)[1:]))}
+        assert stacked == {"site-down", "link-down", "disk-overflow"}
+
+    @pytest.mark.parametrize("until", sorted(OVERLOADED, key=str))
+    def test_overloaded_log_matches_pinned_digests(self, tmp_path,
+                                                   monkeypatch, until):
+        from dwkit.cli import main
+        (tmp_path / "scenario.json").write_text(
+            json.dumps(overloaded_scenario()))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DWKIT_OUT", raising=False)
+        argv = ["simulate", "--scenario", "scenario.json", "--out", "out"]
+        assert main(argv + (["--until", str(until)] if until else [])) == 0
+        lines = (tmp_path / "out" / "events.jsonl").read_text().splitlines()
+        # steps re-rate dozens of transfers at fewer distinct rates
+        steps = {}
+        for line in lines:
+            ev = json.loads(line)
+            if ev["kind"] == "transfer-progress":
+                steps.setdefault(ev["time"], []).append(ev["detail"]["rate"])
+        assert sum(len(rates) >= 24 > len(set(rates))
+                   for rates in steps.values()) >= 100
+        digests = tuple(hashlib.sha256(
+            (tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("events.jsonl", "report.json"))
+        assert digests == self.OVERLOADED[until]
