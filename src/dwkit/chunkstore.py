@@ -62,14 +62,14 @@ limit.
   batch's text at commas and line ends, which gives the fields
   ``csv.reader`` gives.
 - Unquoted input with no missing token anywhere (``-999`` would parse as
-  a number) is parsed by ``np.loadtxt`` once its chunk's kinds are
-  known: every batch a read builds, and every batch of chunk 0 after the
-  kinds of all its columns are known.  One call per kind parses the raw
-  lines, each column at its kind: int64, float64, or a text column's
-  tokens, which then go through ``parse_value`` as above; a NaN cell of a
-  real column is missing.  A batch loadtxt refuses, warns on (numpy 1.x
-  reads ``1.0`` as an integer with a warning) or shortens by a line it
-  skips is split instead.
+  a number) is parsed by one ``np.loadtxt`` call per batch, every batch
+  of chunk 0 included: its structured dtype holds each column at its
+  kind, int64, float64 or a text column's tokens, which then go through
+  ``parse_value`` as above; a NaN cell of a real column is missing.  A
+  column of chunk 0 of no kind yet takes the kind its first record's
+  cell guesses.  A batch loadtxt refuses, warns on (numpy 1.x reads
+  ``1.0`` as an integer with a warning) or shortens by a line it skips,
+  or whose guess fails, is split instead.
 
 The columns of a split or tokenized batch are parsed as above, so every
 fault is named as above and a column widens as above; loadtxt gives the
@@ -83,7 +83,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 
 import numpy as np
 
@@ -97,6 +97,7 @@ _PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
 _INT64 = np.iinfo(np.int64)
 _BATCH_RECORDS = 2048   # records tokenized and parsed at a time
 _KINDS = ("integer", "real", "text")   # narrowest first
+_DTYPES = {"integer": np.int64, "real": np.float64, "text": object}
 # every byte but a comma and a line feed, which UTF-8 encodes as
 # themselves and as part of no other character
 _NOT_COMMA_OR_LF = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -253,8 +254,8 @@ def _parse_plain(tokens, kind, missing_tokens):
     if not any(t in tokens for t in drop):
         present, mask = tokens, np.zeros(len(tokens), dtype=bool)
     else:
-        present = [t for t in tokens if t not in drop]
-        mask = np.array([t in drop for t in tokens], dtype=bool)
+        present = list(filterfalse(drop.__contains__, tokens))
+        mask = np.fromiter(map(drop.__contains__, tokens), bool, len(tokens))
     plain = _plain_kind(present)
     if plain is None or (plain == "real" and kind == "integer"):
         return None
@@ -415,44 +416,39 @@ def _unpack(packed):
 
 def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
-    ``kinds`` by ``np.loadtxt``, one call per kind: j -> (values, mask) of
-    a numeric column, or the tokens of a text column.  A NaN cell is
-    missing, as ``parse_value`` has it.  None when the text holds a
+    ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
+    mask) of a numeric column, or the tokens of a text column.  A NaN cell
+    is missing, as ``parse_value`` has it.  None when the text holds a
     missing token anywhere (loadtxt would read ``-999`` as a number), or
     when loadtxt refuses a cell, warns or skips a line: the caller then
     splits the lines, which gives the same values or names the fault."""
     text = "".join(lines)
     if any(t in text for t in missing_tokens):
         return None
+    if not js:
+        return {}
+    dtype = np.dtype([(str(j), _DTYPES[kinds[j]]) for j in js])
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x parses 1.0 into an integer with only a warning
+            warnings.simplefilter("error")
+            got = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                             quotechar=None, usecols=js, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    if len(got) != len(lines):   # loadtxt skips blank lines
+        return None
     out = {}
-    for kind, dtype in (("integer", np.int64), ("real", np.float64),
-                        ("text", object)):
-        cols = [j for j in js if kinds[j] == kind]
-        if not cols:
+    for j in js:
+        if kinds[j] == "text":
+            out[j] = got[str(j)].tolist()
             continue
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x parses 1.0 into an integer with only a warning
-                warnings.simplefilter("error")
-                got = np.loadtxt(lines, dtype=dtype, delimiter=",",
-                                 comments=None, quotechar=None,
-                                 usecols=cols, ndmin=2)
-        except (ValueError, OverflowError, Warning):
-            return None
-        if len(got) != len(lines):   # loadtxt skips blank lines
-            return None
-        for j, values in zip(cols, got.T):
-            if kind == "text":
-                out[j] = values.tolist()
-                continue
-            # a column of the 2-D result, copied as the csv path builds it
-            values = np.ascontiguousarray(values)
-            if kind == "integer":
-                out[j] = values, np.zeros(len(values), dtype=bool)
-            else:
-                mask = np.isnan(values)
-                values[mask] = np.nan   # one NaN, whatever sign or payload
-                out[j] = values, mask
+        # a field of the records, copied as the csv path builds it
+        values = np.ascontiguousarray(got[str(j)])
+        mask = np.isnan(values)   # no cell of an integer column
+        if kinds[j] == "real":
+            values[mask] = np.nan   # one NaN, whatever sign or payload
+        out[j] = values, mask
     return out
 
 
@@ -478,19 +474,22 @@ def _infer_batch(columns, missing_tokens, keep):
 
 def _infer_lines(lines, kinds, keep, missing_tokens):
     """``_infer_batch`` of a batch of ``_Lines``, each column parsed at its
-    kind so far in ``kinds``, or None where some kind is not yet known or
-    ``_parse_lines`` declines.  A text column left out of ``keep`` is not
-    parsed: every cell of it is valid."""
-    if None in kinds:
-        return None
-    got = _parse_lines(lines, kinds, [j for j, kind in enumerate(kinds)
+    kind so far in ``kinds`` or, for one of no kind yet, the kind its first
+    cell guesses; None where ``_parse_lines`` declines or a guess fails, a
+    text guess whenever ``_infer_column`` disagrees.  A text column left
+    out of ``keep`` is not parsed: every cell of it is valid."""
+    guess = [kind or _plain_kind([token]) or "text" for kind, token in
+             zip(kinds, lines[0].rstrip("\r\n").split(","))]
+    got = _parse_lines(lines, guess, [j for j, kind in enumerate(kinds)
                                       if kind != "text" or j in keep],
                        missing_tokens)
-    if got is None:
+    if got is None or any(_infer_column(got[j], missing_tokens)[0] != "text"
+                          for j, kind in enumerate(kinds)
+                          if kind is None and guess[j] == "text"):
         return None
     return [(kind, None, None) if j not in keep else
             (kind, None, _pack(got[j])) if kind == "text" else
-            (kind, got[j], None) for j, kind in enumerate(kinds)]
+            (kind, got[j], None) for j, kind in enumerate(guess)]
 
 
 def _keep_column(batches, spec, missing_tokens):

@@ -517,3 +517,105 @@ def test_plain_gate_declines_to_csv_path(tmp_path, monkeypatch, missing,
     monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
     slow = read_every_way([str(p)], chunk_size, missing, columns, columns)
     assert_same_reads(fast, slow)
+
+
+def test_fast_path_parses_mixed_batch_in_one_loadtxt_call(monkeypatch):
+    lines = cs._Lines(["1,2.5,yes\n", "-7,nan,no\r\n", "30,-nan,x y\n",
+                       "9223372036854775807,-0.0,NaN\n", "0,1e3,-nan"])
+    kinds = ["integer", "real", "text"]
+    calls, loadtxt = [], np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["usecols"])
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(cs.np, "loadtxt", counting)
+    got = cs._parse_lines(lines, kinds, [0, 1, 2], frozenset({"NA"}))
+    assert calls == [[0, 1, 2]]
+    for j, tokens in enumerate(cs._split_columns(lines, 3)):
+        if kinds[j] == "text":
+            assert got[j] == tokens
+            continue
+        values, mask = cs._parse_column(
+            tokens, cs.ColumnSpec(f"c{j}", kinds[j]), {"NA"}, "")
+        assert got[j][0].dtype == values.dtype
+        assert got[j][0].tobytes() == values.tobytes()
+        np.testing.assert_array_equal(got[j][1], mask)
+
+
+def test_fast_path_never_splits_plain_warehouse_file(tmp_path, monkeypatch):
+    # real columns in the warehouse benchmark's format, yes/no flags and
+    # an integer column: plain, with no missing cell, so chunk 0 is guessed
+    # from its first record and every batch is parsed by loadtxt
+    rng = np.random.default_rng(5)
+    header = [f"m{j:03d}" for j in range(12)] + ["flag_a", "flag_b", "n"]
+    lines = [",".join([f"{v:.9g}" for v in rng.normal(0, 20, 12)]
+                      + [str(f) for f in rng.choice(["yes", "no"], 2)]
+                      + [str(rng.integers(-10**6, 10**6))]) + "\n"
+             for _ in range(5000)]
+    p = tmp_path / "wide.csv"
+    p.write_text(",".join(header) + "\n" + "".join(lines))
+
+    def read():
+        ds = cs.open_datastore(str(p), chunk_size=2000)
+        return ds.schema, cs.read_all(ds)
+
+    def never(*args):
+        raise AssertionError("a plain batch was split")
+    with monkeypatch.context() as m:
+        m.setattr(cs, "_split_columns", never)
+        schema, fast = read()
+    assert [c.kind for c in schema] == ["real"] * 12 + ["text"] * 2 + [
+        "integer"]
+    monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
+    slow_schema, slow = read()
+    assert schema == slow_schema
+    assert_identical(fast, slow)
+
+
+@pytest.mark.parametrize("lines, kinds, split", [
+    # a text guess that _infer_column turns down: the batch is split
+    (["nan,a\n", "1.5,b\n", "2.5,c\n", "3.5,d\n", "4.5,e\n"],
+     ["real", "text"], True),
+    # an integer guess that loadtxt turns down in the same batch
+    (["1,a\n", "2.5,b\n", "3,c\n", "4,d\n", "5,e\n"], ["real", "text"], True),
+    # a text guess that holds: the numbers after it are text too
+    (["abc,1\n", "2,2\n", "3,3\n", "4,4\n", "5,5\n"],
+     ["text", "integer"], False),
+    # c1 is all missing in the first batch, which is split, and is guessed
+    # only in the second; c0's known real is kept there, where its first
+    # cell alone would guess integer
+    (["1.5,NA\n", "2.5,NA\n", "3.5,NA\n", "3,4\n", "4,5\n", "5,6\n"],
+     ["real", "integer"], True),
+])
+@pytest.mark.parametrize("chunk_size", [4, 100])
+@pytest.mark.parametrize("columns", [None, ["c0"]])
+def test_first_record_guess_equals_csv_path(tmp_path, monkeypatch, lines,
+                                            kinds, split, chunk_size,
+                                            columns):
+    p = tmp_path / "guess.csv"
+    p.write_text("c0,c1\n" + "".join(lines))
+    monkeypatch.setattr(cs, "_BATCH_RECORDS", 3)
+    parsed, splits = [], []
+    parse_lines, split_columns = cs._parse_lines, cs._split_columns
+
+    def recording(batch, batch_kinds, *args):
+        parsed.append(list(batch_kinds))
+        return parse_lines(batch, batch_kinds, *args)
+
+    def splitting(*args):
+        splits.append(args)
+        return split_columns(*args)
+    with monkeypatch.context() as m:
+        m.setattr(cs, "_parse_lines", recording)
+        m.setattr(cs, "_split_columns", splitting)
+        ds = cs.open_datastore(str(p), chunk_size=chunk_size,
+                               treat_as_missing=("NA",), columns=columns)
+    assert [c.kind for c in ds.schema] == kinds
+    assert bool(splits) == split
+    if "NA" in lines[0]:
+        # the second batch of chunk 0: only the column of no kind guessed
+        assert parsed[1] == ["real", "integer"]
+    fast = read_every_way([str(p)], chunk_size, ("NA",), columns, columns)
+    monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
+    slow = read_every_way([str(p)], chunk_size, ("NA",), columns, columns)
+    assert_same_reads(fast, slow)
