@@ -7,14 +7,20 @@ int64 plus the missing mask and refused outside int64.  For random columns
 both must agree exactly: dtype, missing mask, bit-identical values, and the
 same error on the same cell.
 """
+import contextlib
 import csv
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dwkit import chunkstore as cs
+from dwkit.cli import main
 from dwkit.errors import DwkitError, MalformedValueError
 
 
@@ -619,3 +625,91 @@ def test_first_record_guess_equals_csv_path(tmp_path, monkeypatch, lines,
     monkeypatch.setattr(cs, "_unquoted", lambda *args: False)
     slow = read_every_way([str(p)], chunk_size, ("NA",), columns, columns)
     assert_same_reads(fast, slow)
+
+
+# --- metamorphic relations of the mapreduce command ---
+# Each column's cells are of one kind, and the first record has a cell in
+# every column, so chunk 0 infers the same kinds at any chunk size.  Then
+# the results, exit status and message of ``dwkit mapreduce`` must not
+# change with the chunk size, a split into two files, quoting cells or
+# CRLF line ends, and each op's value must be its value when asked alone.
+
+META_CELLS = {"integer": PLAIN_INTS, "real": PLAIN_REALS,
+              "text": st.sampled_from(["a", "yes", "no", " b ", "x y"])}
+
+
+def run_mapreduce(tmp, files, chunk_size, ops):
+    """(exit status, results or None, stderr) of ``dwkit mapreduce`` over
+    ``files``, a list of file texts, each written to a file of its own."""
+    paths = []
+    for text in files:
+        fd, path = tempfile.mkstemp(suffix=".csv", dir=tmp)
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        paths.append(path)
+    out = tempfile.mkdtemp(dir=tmp)
+    argv = ["mapreduce", "--chunk-size", str(chunk_size), "--out", out]
+    for path in paths:
+        argv += ["--input", path]
+    for op in ops:
+        argv += ["--op", op]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    results = None
+    if code == 0:
+        with open(os.path.join(out, "report.json")) as fh:
+            results = json.load(fh)["results"]["results"]
+    return code, results, err.getvalue()
+
+
+# sums of reals near the float64 limit overflow to inf, and inf + -inf is
+# NaN, as they should
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_mapreduce_metamorphic_relations(tmp_path_factory, monkeypatch):
+    monkeypatch.delenv("DWKIT_OUT", raising=False)
+
+    # each example runs the command up to eleven times: half the examples
+    # of the profile keep the test's cost near the other properties'
+    @settings(max_examples=settings().max_examples // 2)
+    @given(st.data())
+    def relations_hold(data):
+        kinds = data.draw(st.lists(st.sampled_from(list(META_CELLS)),
+                                   min_size=1, max_size=3))
+        nrows = data.draw(st.integers(1, 12))
+        # a first cell that infers its column's kind on its own
+        rows = [[data.draw(META_CELLS[kind].filter(
+            lambda cell, kind=kind: reference_infer_kind([cell], ()) == kind))
+            for kind in kinds]]
+        rows += [[data.draw(st.one_of(st.just("NA"), META_CELLS[kind]))
+                  for kind in kinds] for _ in range(nrows - 1)]
+        header = [f"c{j}" for j in range(len(kinds))]
+        ops = data.draw(st.lists(st.sampled_from(["count"] + [
+            f"{reducer}:{name}" for reducer in ("sum", "mean", "max", "min")
+            for name in header]), min_size=1, max_size=4, unique=True))
+        quoted = data.draw(st.sets(st.tuples(st.integers(0, nrows - 1),
+                                             st.integers(0, len(kinds) - 1))))
+        split = data.draw(st.integers(0, nrows))
+
+        def text(rows, end="\n", quote=frozenset()):
+            return "".join(",".join(f'"{cell}"' if (i, j) in quote else cell
+                                    for j, cell in enumerate(row)) + end
+                           for i, row in enumerate([header, *rows], -1))
+
+        tmp = tmp_path_factory.mktemp("metamorphic")
+        base = run_mapreduce(tmp, [text(rows)], 1000, ops)
+        for chunk_size in (1, 2, 7):
+            assert run_mapreduce(tmp, [text(rows)], chunk_size, ops) == base
+        assert run_mapreduce(tmp, [text(rows[:split]), text(rows[split:])],
+                             1000, ops) == base
+        for variant in (text(rows, quote=quoted), text(rows, "\r\n")):
+            assert run_mapreduce(tmp, [variant], 1000, ops) == base
+        code, results, _ = base
+        if code == 0:
+            for op in ops:
+                alone = run_mapreduce(tmp, [text(rows)], 1000, [op])
+                assert alone[0] == 0
+                assert alone[1][op] == results[op]
+    relations_hold()
