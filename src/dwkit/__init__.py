@@ -8,7 +8,7 @@ from .staging import (AnalysisKernel, ClusterConfig, EnergyBreakdown,
 from .schema_pca import NumericMatrix, SchemaProposal, design_schema
 from .placement import (PlacementPolicy, PlacementSimulator, StorageSite,
                         run_scenario)
-from .chunkstore import DataTable, open_datastore, preview, read_chunks
+from .chunkstore import DataTable, open_datastore, read_chunks
 from .mapreduce import mapreduce
 from .regress import ModelSpec, anova, f_pvalue, fit_ols, summarize
 
@@ -16,7 +16,7 @@ __all__ = [
     "AnalysisKernel", "ClusterConfig", "EnergyBreakdown", "StagingPlan",
     "Workload", "plan", "NumericMatrix", "SchemaProposal", "design_schema",
     "PlacementPolicy", "PlacementSimulator", "StorageSite", "run_scenario",
-    "DataTable", "open_datastore", "preview", "read_chunks", "mapreduce",
+    "DataTable", "open_datastore", "read_chunks", "mapreduce",
     "ModelSpec", "anova", "f_pvalue", "fit_ols", "summarize",
     "__version__",
 ]

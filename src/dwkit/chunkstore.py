@@ -20,22 +20,22 @@ one chunk's columns, whatever the chunk size.
 Each record is tokenized once per datastore.  ``open_datastore`` infers
 the kinds from the first chunk of the first file holding data rows, a
 batch at a time: kinds only widen (integer, then real, then text), and a
-batch whose every cell of a column is missing is no evidence, so the
-kinds are those of the whole chunk.  It keeps the columns of that chunk
-the first read will build (the numeric values and masks, and the tokens
-of text columns) with the file position after it.  The first read of the
-datastore takes chunk 0 from them and goes on reading the file from
-there; the kept chunk is then dropped, so any later read goes back to the
-file.  A chunk 0 with a short record, or with a column that a later batch
-widened past the kind an earlier batch was parsed as, is not kept, and
-the first read reads it again from the file, as it does when it asks for
-a column that was not kept.  A read builds only the columns it is asked for,
-and still checks every cell of the others: a numeric column is parsed
-and dropped, and a text column, whose every cell is valid, is checked
-only for short records.  So a malformed cell fails a read whichever
-columns it builds, and the fault named is the one a whole-chunk build
-meets first: the first faulty column, at its first faulty row, counted
-from the chunk's first record.
+batch whose every cell of a column is missing is no evidence, so the kinds
+are those of the whole chunk.  A batch's column is parsed at the column's
+kind so far whenever its cells fit that kind.  It keeps the table of the
+columns of that chunk the first read will build, with the file position
+after it.  The first read of the datastore takes chunk 0 from it and goes
+on reading the file from there; the kept chunk is then dropped, so any
+later read goes back to the file.  A chunk 0 with a short record, or with
+a column that a later batch widened past the kind an earlier batch was
+parsed as, is not kept, and the first read reads it again from the file,
+as it does when it asks for a column that was not kept.  A read builds
+only the columns it is asked for, and still checks every cell of the
+others: a numeric column is parsed and dropped, and a text column, whose
+every cell is valid, is checked only for short records.  So a malformed
+cell fails a read whichever columns it builds, and the fault named is the
+one a whole-chunk build meets first: the first faulty column, at its first
+faulty row, counted from the chunk's first record.
 
 Numeric columns are parsed a batch column at a time, for inference and
 for building tables alike: the missing tokens are dropped, one regular
@@ -132,12 +132,10 @@ class Datastore:
 
 @dataclass
 class _FirstChunk:
-    """The chunk ``open_datastore`` read, as columns: name -> (values,
-    mask), or the ``_pack``-ed tokens of a text column.  With its row
-    count, the index of its file and the file positions of its first
-    record and of the next one."""
-    columns: dict
-    nrows: int
+    """The table of the chunk ``open_datastore`` read, with the index of
+    its file and the file positions of its first record and of the next
+    one."""
+    table: DataTable
     file_index: int
     offset: int
     end: int
@@ -400,20 +398,6 @@ def _read_header(path):
     return [strip_quotes(t.strip()) for t in row[0]]
 
 
-def _pack(tokens):
-    """Tokens as one string and their lengths: for short tokens, a
-    tenth of the memory of a list of strings."""
-    return "".join(tokens), np.fromiter(map(len, tokens), np.int64,
-                                        len(tokens))
-
-
-def _unpack(packed):
-    """The token list ``_pack`` packed."""
-    joined, lengths = packed
-    ends = np.cumsum(lengths).tolist()
-    return [joined[a:b] for a, b in zip([0, *ends], ends)]
-
-
 def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
@@ -452,68 +436,49 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     return out
 
 
-def _infer_batch(columns, missing_tokens, keep):
-    """Per column of one batch of chunk 0, from the token lists of its
-    columns: (kind, parsed, packed), where kind is the narrowest kind of
-    its cells, or None for no evidence.  For a column in ``keep``, parsed
-    is the (values, mask) ``_parse_plain`` gave, or when it gave none,
-    packed is the column's tokens ``_pack``-ed; otherwise both are None.
-    No column a short record cuts is in ``keep``: chunk 0 is then not
-    kept."""
+def _infer_batch(rows, kinds, wanted, missing_tokens):
+    """Per column of one batch of chunk 0, given the kinds so far in
+    ``kinds``, None where a column has none yet: (kind, values, mask).
+    The kind is the kind so far when the cells fit it, else the narrowest
+    kind that fits them, or None for no evidence.  A column in ``wanted``
+    is parsed at that kind, as ``_build_chunk`` parses it, with values of
+    None for no evidence and a mask all True; the others have values and
+    mask None.
+
+    ``_Lines`` go through ``_parse_lines``, a column of no kind yet at the
+    kind its first cell guesses; where that declines, or a text guess is
+    one ``_infer_column`` turns down, the batch is split.  A text column
+    left out of ``wanted`` is not parsed there: every cell of it is
+    valid."""
+    if isinstance(rows, _Lines):
+        guess = [kind or _plain_kind([token]) or "text" for kind, token in
+                 zip(kinds, rows[0].rstrip("\r\n").split(","))]
+        got = _parse_lines(rows, guess, [j for j, kind in enumerate(kinds)
+                                         if kind != "text" or j in wanted],
+                           missing_tokens)
+        if got is not None and all(
+                _infer_column(got[j], missing_tokens)[0] == "text"
+                for j, kind in enumerate(kinds)
+                if kind is None and guess[j] == "text"):
+            return [(kind, None, None) if j not in wanted else
+                    (kind, *_parse_text(got[j], missing_tokens))
+                    if kind == "text" else (kind, *got[j])
+                    for j, kind in enumerate(guess)]
     out = []
-    for j, tokens in enumerate(columns):
+    for j, tokens in enumerate(_columns(rows, len(kinds))):
         kind, values, mask = _infer_column(tokens, missing_tokens, None)
-        if j not in keep:
-            out.append((kind, None, None))
-        elif values is not None:
-            out.append((kind, (values, mask), None))
-        else:
-            out.append((kind, None, _pack(tokens)))
+        if kinds[j] and (kind is None or
+                         _KINDS.index(kind) < _KINDS.index(kinds[j])):
+            kind, values = kinds[j], None   # the cells fit the kind so far
+        if j not in wanted:
+            values = mask = None
+        elif kind is None:
+            mask = np.ones(len(tokens), dtype=bool)
+        elif values is None:
+            values, mask = _parse_column(tokens, ColumnSpec("", kind),
+                                         missing_tokens, "")
+        out.append((kind, values, mask))
     return out
-
-
-def _infer_lines(lines, kinds, keep, missing_tokens):
-    """``_infer_batch`` of a batch of ``_Lines``, each column parsed at its
-    kind so far in ``kinds`` or, for one of no kind yet, the kind its first
-    cell guesses; None where ``_parse_lines`` declines or a guess fails, a
-    text guess whenever ``_infer_column`` disagrees.  A text column left
-    out of ``keep`` is not parsed: every cell of it is valid."""
-    guess = [kind or _plain_kind([token]) or "text" for kind, token in
-             zip(kinds, lines[0].rstrip("\r\n").split(","))]
-    got = _parse_lines(lines, guess, [j for j, kind in enumerate(kinds)
-                                      if kind != "text" or j in keep],
-                       missing_tokens)
-    if got is None or any(_infer_column(got[j], missing_tokens)[0] != "text"
-                          for j, kind in enumerate(kinds)
-                          if kind is None and guess[j] == "text"):
-        return None
-    return [(kind, None, None) if j not in keep else
-            (kind, None, _pack(got[j])) if kind == "text" else
-            (kind, got[j], None) for j, kind in enumerate(guess)]
-
-
-def _keep_column(batches, spec, missing_tokens):
-    """Column ``spec`` of chunk 0 from its batches' ``_infer_batch``
-    results: (values, mask), or the packed tokens of a text column.  None
-    when a batch was parsed as a narrower kind, where the first read must
-    read the chunk again: an integer batch cannot be widened to real in
-    place, as ``-0`` is 0 but ``-0.0``."""
-    if spec.kind == "text":
-        packs = [packed for _, _, packed in batches]
-        if None in packs:
-            return None
-        return ("".join(joined for joined, _ in packs),
-                np.concatenate([lengths for _, lengths in packs]))
-    parts = []
-    for kind, parsed, packed in batches:
-        if parsed is not None and kind == spec.kind:
-            parts.append(parsed)
-        elif packed is not None:   # not plain, or every cell missing
-            parts.append(_parse_numeric(_unpack(packed), spec,
-                                        missing_tokens, ""))
-        else:
-            return None
-    return _join(parts, spec.kind)
 
 
 def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
@@ -551,7 +516,7 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     kinds = [None] * ncols
     parts = {j: [] for name, j in last.items()
              if columns is None or name in columns}
-    nrows, short = 0, False
+    nrows, kept = 0, True
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
             lines = iter(fh.readline, "")
@@ -559,20 +524,18 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
             offset = fh.tell()
             context = f"{p} chunk 0"
             for rows in _read_batches(lines, chunk_size, context, ncols):
-                batch = None
-                if isinstance(rows, _Lines):
-                    batch = _infer_lines(rows, kinds, parts, tokens)
-                elif min(map(len, rows)) < ncols:
-                    short, parts = True, {}   # nothing is kept
-                if batch is None:
-                    batch = _infer_batch(_columns(rows, ncols), tokens,
-                                         parts)
-                for j, (kind, *_) in enumerate(batch):
-                    if kind and (kinds[j] is None or _KINDS.index(kind) >
-                                 _KINDS.index(kinds[j])):
-                        kinds[j] = kind
+                if (not isinstance(rows, _Lines)
+                        and min(map(len, rows)) < ncols):
+                    kept, parts = False, {}   # a short record
+                batch = _infer_batch(rows, kinds, parts, tokens)
+                # a kept column widened past the kind its earlier batches
+                # were parsed at: an integer batch cannot be widened to
+                # real in place, as -0 is 0 but -0.0
+                if any(kinds[j] not in (None, batch[j][0]) for j in parts):
+                    kept, parts = False, {}
+                kinds = [kind for kind, _, _ in batch]
                 for j, part in parts.items():
-                    part.append(batch[j])
+                    part.append(batch[j][1:])
                 nrows += len(rows)
                 del rows, batch   # before the next batch is read
             if nrows:
@@ -582,11 +545,9 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     schema = tuple(ColumnSpec(n, kinds[last[n]] or "text") for n in header)
     ds = Datastore(sources=tuple(paths), schema=schema,
                    missing_tokens=tokens, chunk_size=chunk_size)
-    if nrows and not short:
-        kept = {header[j]: _keep_column(part, schema[j], tokens)
-                for j, part in parts.items()}
-        if None not in kept.values():
-            ds._first.append(_FirstChunk(kept, nrows, *position))
+    if nrows and kept:
+        ds._first.append(_FirstChunk(_table(parts, schema, nrows),
+                                     *position))
     return ds
 
 
@@ -648,7 +609,10 @@ def _short_record(rows, j, spec, missing_tokens, context, row0):
 
 
 def _join(parts, kind):
-    """One column from its batches' (values, mask) parts."""
+    """One column from its batches' (values, mask) parts, where values of
+    None stand for a batch of missing cells."""
+    parts = [(_empty_column(kind, len(mask)) if values is None else values,
+              mask) for values, mask in parts]
     if len(parts) == 1:
         return parts[0]
     if not parts:
@@ -702,32 +666,24 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
         del rows   # before the next batch is read
     if fault is not None:
         raise fault
+    return _table(parts, schema, row0)
+
+
+def _table(parts, schema, nrows):
+    """The table of ``nrows`` rows of the columns ``parts`` holds: j ->
+    the (values, mask) parts of column ``schema[j]``, joined."""
     table, missing, kinds = {}, {}, {}
     for j, got in parts.items():
         spec = schema[j]
         table[spec.name], missing[spec.name] = _join(got, spec.kind)
         kinds[spec.name] = spec.kind
-    return DataTable(table, missing, kinds, nrows=row0)
+    return DataTable(table, missing, kinds, nrows=nrows)
 
 
 def _build_table(rows, schema, missing_tokens, context="", columns=None):
     """``_build_chunk`` of one list of rows."""
     return _build_chunk([rows] if rows else [], schema, missing_tokens,
                         context, columns)
-
-
-def _first_table(first, schema, missing_tokens, columns=None):
-    """The table of the columns named in ``columns`` (default: all) from
-    the chunk ``open_datastore`` kept, whose every cell it checked."""
-    table, missing, kinds = {}, {}, {}
-    for spec in schema:
-        if columns is None or spec.name in columns:
-            got = first.columns[spec.name]
-            table[spec.name], missing[spec.name] = (
-                _parse_text(_unpack(got), missing_tokens)
-                if spec.kind == "text" else got)
-            kinds[spec.name] = spec.kind
-    return DataTable(table, missing, kinds, nrows=first.nrows)
 
 
 def iter_file_chunks(ds: Datastore, file_index: int):
@@ -751,7 +707,7 @@ def iter_file_chunks(ds: Datastore, file_index: int):
         first = ds._first.pop()
         start = first.end
         yield 0, first.offset, first
-        chunk_index, first = 1, None   # the kept columns are released
+        chunk_index, first = 1, None   # the kept table is released
     with open(path, newline="") as fh:
         lines = iter(fh.readline, "")
         if start is None:
@@ -775,13 +731,18 @@ def iter_file_chunks(ds: Datastore, file_index: int):
 
 
 def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
-    """``read_chunk``, which ``read_chunks`` calls too.  The chunk
-    ``open_datastore`` kept is built from memory when it holds every
-    column asked for."""
+    """``read_chunk``, which ``read_chunks`` calls too.  The table
+    ``open_datastore`` kept is projected onto the columns asked for when
+    it holds every one of them."""
     if isinstance(rows, _FirstChunk):
-        if all(spec.name in rows.columns for spec in ds.schema
-               if columns is None or spec.name in columns):
-            return _first_table(rows, ds.schema, ds.missing_tokens, columns)
+        table = rows.table
+        names = [spec.name for spec in ds.schema
+                 if columns is None or spec.name in columns]
+        if all(n in table.columns for n in names):
+            return DataTable({n: table.columns[n] for n in names},
+                             {n: table.missing[n] for n in names},
+                             {n: table.kinds[n] for n in names},
+                             nrows=table.nrows)
         rows = None   # a column it did not keep: chunk 0 is read again
     context = f"{ds.sources[file_index]} chunk {chunk_index}"
     if rows is not None:
@@ -822,20 +783,6 @@ def read_all(ds: Datastore, columns=None) -> DataTable:
                                        columns=columns)])
 
 
-def preview(ds: Datastore, n=8) -> DataTable:
-    """First min(n, total) rows; does not consume any iteration state."""
-    rows = []
-    for path in ds.sources:
-        if len(rows) >= n:
-            break
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows.extend(_read_rows(reader, n - len(rows),
-                                   f"{path} preview"))
-    return _build_table(rows, ds.schema, ds.missing_tokens, context="preview")
-
-
 def concat_tables(tables) -> DataTable:
     if not tables:
         raise ValueError("no tables to concatenate")
@@ -848,30 +795,3 @@ def concat_tables(tables) -> DataTable:
         missing[name] = np.concatenate([t.missing[name] for t in tables])
     return DataTable(columns, missing, dict(first.kinds),
                      nrows=sum(t.nrows for t in tables))
-
-
-def _render_cell(value, kind, is_missing, missing_token):
-    if is_missing:
-        return missing_token
-    if kind == "integer":
-        return str(int(value))
-    if kind == "real":
-        return repr(float(value))
-    return str(value)
-
-
-def write_table(table: DataTable, path, missing_token="NA"):
-    """Write a DataTable back to delimited text.
-
-    Reals are rendered with round-trip-exact precision so reading the file
-    back reproduces values and missing mask exactly.
-    """
-    names = table.column_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(table.nrows):
-            writer.writerow([
-                _render_cell(table.columns[n][i], table.kinds[n],
-                             bool(table.missing[n][i]), missing_token)
-                for n in names])

@@ -82,19 +82,6 @@ class TestParseValue:
 
 
 class TestPreviewAndChunks:
-    def test_preview_first_rows(self, sample_ds):
-        t = cs.preview(sample_ds, 8)
-        assert t.nrows == 8
-        assert t.column("ActualElapsedTime")[0] == 53
-
-    def test_preview_zero(self, sample_ds):
-        t = cs.preview(sample_ds, 0)
-        assert t.nrows == 0
-        assert t.column_names == sample_ds.column_names()
-
-    def test_preview_beyond_end(self, sample_ds):
-        assert cs.preview(sample_ds, 1000).nrows == 8
-
     def test_chunk_sizes(self, sample_ds):
         sizes = [len(c) for c in cs.read_chunks(sample_ds)]
         assert sizes == [3, 3, 2]
@@ -140,29 +127,6 @@ class TestPreviewAndChunks:
         with pytest.raises(MalformedValueError) as err:
             list(cs.read_chunks(ds))
         assert "bad.csv" in str(err.value)
-
-
-class TestRoundTrip:
-    def test_round_trip_exact(self, tmp_path):
-        rows = ["1,0.1,hello,NA", "NA,2.5e-17,'NA',7",
-                "3,NA,\"quoted text\",8"]
-        src = write_csv(tmp_path / "src.csv", "i,r,t,j", rows)
-        ds = cs.open_datastore(src)
-        t1 = cs.read_all(ds)
-        out = tmp_path / "out.csv"
-        cs.write_table(t1, out)
-        t2 = cs.read_all(cs.open_datastore(str(out)))
-        assert t2.kinds == t1.kinds
-        for name in t1.column_names:
-            np.testing.assert_array_equal(t1.missing[name],
-                                          t2.missing[name])
-            m = ~t1.missing[name]
-            if t1.kinds[name] == "text":
-                assert [v for v, keep in zip(t1.column(name), m) if keep] \
-                    == [v for v, keep in zip(t2.column(name), m) if keep]
-            else:
-                np.testing.assert_array_equal(t1.column(name)[m],
-                                              t2.column(name)[m])
 
 
 def write_bytes(path, data):
@@ -394,6 +358,31 @@ class TestBatches:
             assert np.signbit(x[1]) and x[1] == 0   # -0 read as real
         assert list(first.missing["x"]) == [c == "NA" for c in cells]
 
+    @pytest.mark.parametrize("cells, kind", [
+        (["0.5", "1.5", "-0", "2"], "real"),   # then integers
+        (["a0", "a1", "-0", "2"], "text"),     # then numbers
+    ])
+    def test_later_batch_that_fits_the_kind_so_far_keeps_chunk_0(
+            self, tmp_path, monkeypatch, count_tokenized, cells, kind):
+        # each batch holds a missing token, so it is split, and the second
+        # batch's cells fit a narrower kind: they are parsed at the kind so
+        # far, and the first read takes chunk 0 from memory
+        p = write_csv(tmp_path / "f.csv", "x,y", [f"{c},NA" for c in cells])
+        monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
+        ds = cs.open_datastore(p, chunk_size=10)
+        assert ds.schema[0].kind == kind and ds._first
+        records = count_tokenized()
+        first = cs.read_all(ds)
+        assert len(records) == 0
+        again = cs.read_all(ds)   # from the file
+        assert len(records) == len(cells) + 1   # and the header
+        assert_same_table(first, again)
+        if kind == "real":
+            assert np.signbit(first.column("x")[2])   # -0 read as real
+            assert first.column("x").tobytes() == again.column("x").tobytes()
+        else:
+            assert list(first.column("x")) == cells
+
     def test_numeric_missing_token_in_later_batch_is_missing(
             self, tmp_path, monkeypatch, unquoted_verdicts):
         # np.loadtxt would read -999 as a number: a batch holding a missing
@@ -441,7 +430,7 @@ class TestBatches:
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         full = cs.read_all(cs.open_datastore(p))
         ds = cs.open_datastore(p, columns=["a", "t"])
-        assert set(ds._first[0].columns) == {"a", "t"}
+        assert set(ds._first[0].table.columns) == {"a", "t"}
         narrow = cs.open_datastore(p, columns=["a"])
         records = count_tokenized()
         assert_same_table(cs.read_all(ds, ["a", "t"]), cs.DataTable(
