@@ -61,15 +61,19 @@ limit.
 - Unquoted input is split into its columns by one ``str.split`` of the
   batch's text at commas and line ends, which gives the fields
   ``csv.reader`` gives.
-- Unquoted input with no missing token anywhere (``-999`` would parse as
-  a number) is parsed by one ``np.loadtxt`` call per batch, every batch
-  of chunk 0 included: its structured dtype holds each column at its
-  kind, int64, float64 or a text column's tokens, which then go through
-  ``parse_value`` as above; a NaN cell of a real column is missing.  A
-  column of chunk 0 of no kind yet takes the kind its first record's
-  cell guesses.  A batch loadtxt refuses, warns on (numpy 1.x reads
-  ``1.0`` as an integer with a warning) or shortens by a line it skips,
-  or whose guess fails, is split instead.
+- Unquoted input is parsed by one ``np.loadtxt`` call per batch, every
+  batch of chunk 0 included, unless a missing token that occurs in its
+  text holds a digit (``-999`` would parse as a number): its structured
+  dtype holds each column at its kind, int64, float64 or a text column's
+  tokens, which then go through ``parse_value`` as above.  Where a
+  missing token occurs, each real column has a converter that gives NaN
+  for a cell whose stripped text is a missing token that is its own
+  stripped, unquoted form, and ``float`` of any other cell; a NaN cell of
+  a real column is missing.  A missing cell of an integer column is one
+  loadtxt refuses.  A column of chunk 0 of no kind yet takes the kind its
+  first record's cell guesses.  A batch loadtxt refuses, warns on (numpy
+  1.x reads ``1.0`` as an integer with a warning) or shortens by a line
+  it skips, or whose guess fails, is split instead.
 
 The columns of a split or tokenized batch are parsed as above, so every
 fault is named as above and a column widens as above; loadtxt gives the
@@ -236,6 +240,12 @@ def _plain_kind(present):
     return None
 
 
+def _drop_set(missing_tokens):
+    """The missing tokens that are their own stripped, unquoted form: a
+    raw cell equal to one is missing to ``parse_value``."""
+    return {t for t in missing_tokens if strip_quotes(t.strip()) == t}
+
+
 def _parse_plain(tokens, kind, missing_tokens):
     """Parse a column of raw tokens as numbers in one numpy call.
 
@@ -247,7 +257,7 @@ def _parse_plain(tokens, kind, missing_tokens):
     unquoted form are dropped here, so every dropped cell is one
     ``parse_value`` also calls missing.
     """
-    drop = {t for t in missing_tokens if strip_quotes(t.strip()) == t}
+    drop = _drop_set(missing_tokens)
     # list membership compares strings; a set test would hash every token
     if not any(t in tokens for t in drop):
         present, mask = tokens, np.zeros(len(tokens), dtype=bool)
@@ -402,22 +412,38 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
     mask) of a numeric column, or the tokens of a text column.  A NaN cell
-    is missing, as ``parse_value`` has it.  None when the text holds a
-    missing token anywhere (loadtxt would read ``-999`` as a number), or
-    when loadtxt refuses a cell, warns or skips a line: the caller then
-    splits the lines, which gives the same values or names the fault."""
+    is missing, as ``parse_value`` has it.  When a missing token occurs in
+    the text, a real column's cells go through a converter: NaN for a cell
+    whose stripped text is in ``_drop_set``, a cell ``parse_value`` calls
+    missing, else ``float``, which refuses any other missing cell; loadtxt
+    refuses a missing cell of an integer column.  None when a missing
+    token in the text holds a digit (loadtxt would read ``-999`` as a
+    number), or when loadtxt refuses a cell, warns or skips a line: the
+    caller then splits the lines, which gives the same values or names the
+    fault.  With ``encoding=None``, numpy 1.x hands the converter ``str``
+    cells, as numpy 2 does."""
     text = "".join(lines)
-    if any(t in text for t in missing_tokens):
+    present = [t for t in missing_tokens if t in text]
+    if any(map(str.isdigit, "".join(present))):
         return None
     if not js:
         return {}
+    converters = {}
+    if present:
+        drop = _drop_set(missing_tokens)
+
+        def real(cell):
+            # stripped, as float strips blanks and reads " inf" as a number
+            return math.nan if cell.strip() in drop else float(cell)
+        converters = {j: real for j in js if kinds[j] == "real"}
     dtype = np.dtype([(str(j), _DTYPES[kinds[j]]) for j in js])
     try:
         with warnings.catch_warnings():
             # numpy 1.x parses 1.0 into an integer with only a warning
             warnings.simplefilter("error")
             got = np.loadtxt(lines, dtype, delimiter=",", comments=None,
-                             quotechar=None, usecols=js, ndmin=1)
+                             quotechar=None, usecols=js, ndmin=1,
+                             converters=converters, encoding=None)
     except (ValueError, OverflowError, Warning):
         return None
     if len(got) != len(lines):   # loadtxt skips blank lines
@@ -447,7 +473,8 @@ def _infer_batch(rows, kinds, wanted, missing_tokens):
 
     ``_Lines`` go through ``_parse_lines``, a column of no kind yet at the
     kind its first cell guesses; where that declines, or a text guess is
-    one ``_infer_column`` turns down, the batch is split.  A text column
+    one ``_infer_column`` turns down (the cells are numbers, or all
+    missing and so no evidence), the batch is split.  A text column
     left out of ``wanted`` is not parsed there: every cell of it is
     valid."""
     if isinstance(rows, _Lines):
@@ -457,7 +484,7 @@ def _infer_batch(rows, kinds, wanted, missing_tokens):
                                          if kind != "text" or j in wanted],
                            missing_tokens)
         if got is not None and all(
-                _infer_column(got[j], missing_tokens)[0] == "text"
+                _infer_column(got[j], missing_tokens, None)[0] == "text"
                 for j, kind in enumerate(kinds)
                 if kind is None and guess[j] == "text"):
             return [(kind, None, None) if j not in wanted else

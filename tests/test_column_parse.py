@@ -433,12 +433,15 @@ def assert_same_reads(got, want):
 
 
 def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
-    taken, split = [], []
+    taken, split, taken_with_missing = [], [], []
     parse_lines, split_columns = cs._parse_lines, cs._split_columns
 
-    def recording(*args):
-        got = parse_lines(*args)
+    def recording(lines, kinds, js, missing_tokens):
+        got = parse_lines(lines, kinds, js, missing_tokens)
         taken.append(got is not None)
+        if got is not None:
+            text = "".join(lines)
+            taken_with_missing.append(any(t in text for t in missing_tokens))
         return got
 
     def splitting(lines, ncols):
@@ -447,7 +450,7 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
 
     @given(st.data())
     def plain_equals_csv(data):
-        missing = data.draw(st.sampled_from([("NA",), ("NA", "-999")]))
+        missing = sorted(data.draw(st.sampled_from(MISSING_SETS)))
         ncols = data.draw(st.integers(1, 3))
         nrows = data.draw(st.integers(0, 14))
         lines = data.draw(plain_file_lines(ncols, nrows, missing))
@@ -480,13 +483,20 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
         plain_equals_csv()
     finally:
         csv.field_size_limit(limit)
-    # some batches were split, and loadtxt parsed some and declined others
+    # some batches were split, and loadtxt parsed some, one with a missing
+    # cell among them, and declined others
     assert split and True in taken and False in taken
+    assert True in taken_with_missing
 
 
 def plain_lines_then(odd):
     """Six plain lines of an integer and a text column, then ``odd``."""
     return [f"{i},t{i}\n" for i in range(6)] + odd
+
+
+def real_lines_then(odd):
+    """Six plain lines of a real and a text column, then ``odd``."""
+    return [f"{i}.5,t{i}\n" for i in range(6)] + odd
 
 
 @pytest.mark.parametrize("missing, lines", [
@@ -504,6 +514,21 @@ def plain_lines_then(odd):
     (("NA",), plain_lines_then(["NA,t\n", "8,'NA'\n"])),      # missing
     (("NA",), plain_lines_then(["7,a\x85b\n", "8,\u2028\n"])),
     (("NA",), plain_lines_then(["7,t\n", "x8,t\n"])),         # malformed
+    # a missing cell: loadtxt refuses it in an integer column, and turns it
+    # into NaN in a real column by its converter, which must call missing
+    # only what parse_value calls missing
+    (("NA",), plain_lines_then(["NA,t\n", "8,t\n"])),
+    (("NA", "-999"), real_lines_then(["-999,t\n", "8.5,t\n"])),
+    (("NA",), real_lines_then(["NA,t\n", " NA ,t\n", "'NA',t\n", "nan,t\n",
+                               "-nan,t\n", "8.5,t\n"])),
+    (("NA",), plain_lines_then(["7,NANCY\n", "8,t\n"])),     # not a cell
+    (("NA", ""), real_lines_then([",t\n", "8.5,\n"])),
+    (("NA", ""), plain_lines_then([",t\n", "8,\n"])),
+    (("NA", "'x'"), real_lines_then(["'x',t\n", "8.5,t\n"])),  # x is not
+    (("NA", " X"), real_lines_then([" X,t\n", "8.5,t\n"])),
+    (("NA", "X"), real_lines_then([" X,t\n", "8.5,t\n"])),
+    # float reads " inf" as infinity, parse_value as missing
+    (("NA", "inf"), real_lines_then([" inf,t\n", "inf,t\n"])),
 ])
 @pytest.mark.parametrize("chunk_size", [4, 100])
 @pytest.mark.parametrize("columns", [None, ["c0"]])
@@ -576,6 +601,80 @@ def test_fast_path_never_splits_plain_warehouse_file(tmp_path, monkeypatch):
     slow_schema, slow = read()
     assert schema == slow_schema
     assert_identical(fast, slow)
+
+
+def test_fast_path_parses_batch_with_missing_cells_in_one_loadtxt_call(
+        monkeypatch):
+    # numpy before 2.0 hands converters bytes unless told the encoding, and
+    # b"NA" is no missing token: the call would fail and the batch be split
+    lines = cs._Lines(["1,NA,yes\n", "-7,nan,NA\r\n", "30,-0.0,'NA'\n",
+                       "9223372036854775807,2.5,x y\n", "0,NA,no"])
+    kinds = ["integer", "real", "text"]
+    calls, loadtxt = [], np.loadtxt
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["usecols"])
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(cs.np, "loadtxt", counting)
+    got = cs._parse_lines(lines, kinds, [0, 1, 2], frozenset({"NA"}))
+    assert calls == [[0, 1, 2]]
+    assert got is not None
+    for j, tokens in enumerate(cs._split_columns(lines, 3)):
+        if kinds[j] == "text":
+            assert got[j] == tokens
+            continue
+        values, mask = cs._parse_column(
+            tokens, cs.ColumnSpec(f"c{j}", kinds[j]), {"NA"}, "")
+        assert got[j][0].dtype == values.dtype
+        assert got[j][0].tobytes() == values.tobytes()
+        np.testing.assert_array_equal(got[j][1], mask)
+    assert got[1][1].tolist() == [True, True, False, False, True]
+
+
+def test_fast_path_splits_only_first_batch_of_scan_file(tmp_path,
+                                                         monkeypatch):
+    # the mapreduce benchmark's columns: integers, a tail number that is
+    # sometimes 'NA', and reals with NA cells.  The first record's
+    # ExtraTime is NA, so chunk 0's first batch is guessed text there and
+    # split; loadtxt parses every later batch, missing cells and all
+    rng = np.random.default_rng(7)
+    header = ["ServerNum", "TailNum", "ActualElapsedTime", "CRSElapsedTime",
+              "ExtraTime", "Delay"]
+    lines = [",".join([
+        str(rng.integers(1000, 9999)),
+        "'NA'" if rng.random() < 0.05 else f"N{rng.integers(100, 999)}AB",
+        str(rng.integers(1, 460)), str(rng.integers(30, 400)),
+        "NA" if i == 0 or rng.random() < 0.7
+        else f"{rng.exponential(15.0):.2f}",
+        "NA" if rng.random() < 0.1 else f"{rng.normal(12.0, 30.0):.2f}"])
+        + "\n" for i in range(5000)]
+    p = tmp_path / "scan.csv"
+    p.write_text(",".join(header) + "\n" + "".join(lines))
+    parsed, splits = [], []
+    parse_lines, split_columns = cs._parse_lines, cs._split_columns
+
+    def recording(*args):
+        got = parse_lines(*args)
+        parsed.append(got is not None)
+        return got
+
+    def splitting(*args):
+        splits.append(len(args[0]))
+        return split_columns(*args)
+    with monkeypatch.context() as m:
+        m.setattr(cs, "_parse_lines", recording)
+        m.setattr(cs, "_split_columns", splitting)
+        ds = cs.open_datastore(str(p), chunk_size=2000)
+        # loadtxt parses it, but the text guess of ExtraTime fails
+        assert (len(parsed), splits) == (1, [2000])
+        fast = cs.read_all(ds)
+    assert [c.kind for c in ds.schema] == [
+        "integer", "text", "integer", "integer", "real", "real"]
+    # chunk 0 comes from memory; chunks 1 and 2 take one call each
+    assert (parsed[1:], splits) == ([True, True], [2000])
+    monkeypatch.setattr(cs, "_parse_lines", lambda *args: None)
+    assert_identical(fast, cs.read_all(cs.open_datastore(str(p),
+                                                         chunk_size=2000)))
 
 
 @pytest.mark.parametrize("lines, kinds, split", [
