@@ -62,18 +62,22 @@ limit.
   batch's text at commas and line ends, which gives the fields
   ``csv.reader`` gives.
 - Unquoted input is parsed by one ``np.loadtxt`` call per batch, every
-  batch of chunk 0 included, unless a missing token that occurs in its
-  text holds a digit (``-999`` would parse as a number): its structured
-  dtype holds each column at its kind, int64, float64 or a text column's
+  batch of chunk 0 included, unless ``float`` reads a missing token that
+  occurs in its text as a number other than NaN (``-999``, or ``inf``,
+  whose padded `` inf`` would parse as infinity): its structured dtype
+  holds each column at its kind, int64, float64 or a text column's
   tokens, which then go through ``parse_value`` as above.  Where a
-  missing token occurs, each real column has a converter that gives NaN
-  for a cell whose stripped text is a missing token that is its own
-  stripped, unquoted form, and ``float`` of any other cell; a NaN cell of
-  a real column is missing.  A missing cell of an integer column is one
-  loadtxt refuses.  A column of chunk 0 of no kind yet takes the kind its
-  first record's cell guesses.  A batch loadtxt refuses, warns on (numpy
-  1.x reads ``1.0`` as an integer with a warning) or shortens by a line
-  it skips, or whose guess fails, is split instead.
+  missing token occurs, each real column has a converter, the
+  ``__getitem__`` of a dict that loadtxt calls from C: NaN for a cell
+  equal to a missing token that is its own stripped, unquoted form, and
+  ``float`` of any other cell, which refuses a padded or quoted missing
+  cell; a NaN cell of a real column is missing.  A missing cell of an
+  integer column is one loadtxt refuses.  A column of chunk 0 of no kind
+  yet takes the kind its first cell in the batch that is not such a
+  missing token guesses, or its first record's cell where it has none.
+  A batch loadtxt refuses, warns on (numpy 1.x reads ``1.0`` as an
+  integer with a warning) or shortens by a line it skips, or whose guess
+  fails, is split instead.
 
 The columns of a split or tokenized batch are parsed as above, so every
 fault is named as above and a column widens as above; loadtxt gives the
@@ -408,33 +412,47 @@ def _read_header(path):
     return [strip_quotes(t.strip()) for t in row[0]]
 
 
+class _NaNOrFloat(dict):
+    """Maps each key, a missing token, to NaN, and any other cell to its
+    ``float``.  The bound ``__getitem__`` is a converter that loadtxt
+    calls from C: a dict hit, or ``float`` through ``__missing__``, with
+    no Python frame.  A cell ``float`` refuses raises."""
+    __missing__ = staticmethod(float)
+
+
+def _reads_as_number(token):
+    """Whether ``float`` reads ``token`` as a number other than NaN."""
+    try:
+        return not math.isnan(float(token))
+    except ValueError:
+        return False
+
+
 def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
     mask) of a numeric column, or the tokens of a text column.  A NaN cell
     is missing, as ``parse_value`` has it.  When a missing token occurs in
-    the text, a real column's cells go through a converter: NaN for a cell
-    whose stripped text is in ``_drop_set``, a cell ``parse_value`` calls
-    missing, else ``float``, which refuses any other missing cell; loadtxt
-    refuses a missing cell of an integer column.  None when a missing
-    token in the text holds a digit (loadtxt would read ``-999`` as a
-    number), or when loadtxt refuses a cell, warns or skips a line: the
-    caller then splits the lines, which gives the same values or names the
-    fault.  With ``encoding=None``, numpy 1.x hands the converter ``str``
-    cells, as numpy 2 does."""
+    the text, a real column's cells go through a ``_NaNOrFloat``
+    converter: NaN for a cell in ``_drop_set``, a cell ``parse_value``
+    calls missing, else ``float``, which refuses any other missing cell
+    (a padded or quoted one included); loadtxt refuses a missing cell of
+    an integer column.  None when ``float`` reads a missing token in the
+    text as a number other than NaN (loadtxt would read ``-999``, or
+    `` inf`` with ``inf`` missing, as a number), or when loadtxt refuses a
+    cell, warns or skips a line: the caller then splits the lines, which
+    gives the same values or names the fault.  With ``encoding=None``,
+    numpy 1.x hands the converter ``str`` cells, as numpy 2 does."""
     text = "".join(lines)
     present = [t for t in missing_tokens if t in text]
-    if any(map(str.isdigit, "".join(present))):
+    if any(map(_reads_as_number, present)):
         return None
     if not js:
         return {}
     converters = {}
     if present:
-        drop = _drop_set(missing_tokens)
-
-        def real(cell):
-            # stripped, as float strips blanks and reads " inf" as a number
-            return math.nan if cell.strip() in drop else float(cell)
+        real = _NaNOrFloat.fromkeys(_drop_set(missing_tokens),
+                                    math.nan).__getitem__
         converters = {j: real for j in js if kinds[j] == "real"}
     dtype = np.dtype([(str(j), _DTYPES[kinds[j]]) for j in js])
     try:
@@ -462,6 +480,27 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     return out
 
 
+def _guess_kinds(lines, kinds, missing_tokens):
+    """``kinds`` with each None replaced by the kind its column's first
+    cell in ``lines`` that is not in ``_drop_set`` guesses: ``_plain_kind``
+    of the cell, or text.  Lines are split only while such a column is
+    left; a column with no such cell guesses from the first line's."""
+    drop = _drop_set(missing_tokens)
+    guess = list(kinds)
+    left = [j for j, kind in enumerate(kinds) if kind is None]
+    first = lines[0].rstrip("\r\n").split(",")
+    for line in lines:
+        if not left:
+            break
+        cells = line.rstrip("\r\n").split(",")
+        for j in [j for j in left if cells[j] not in drop]:
+            guess[j] = _plain_kind([cells[j]]) or "text"
+            left.remove(j)
+    for j in left:
+        guess[j] = _plain_kind([first[j]]) or "text"
+    return guess
+
+
 def _infer_batch(rows, kinds, wanted, missing_tokens):
     """Per column of one batch of chunk 0, given the kinds so far in
     ``kinds``, None where a column has none yet: (kind, values, mask).
@@ -472,14 +511,13 @@ def _infer_batch(rows, kinds, wanted, missing_tokens):
     mask None.
 
     ``_Lines`` go through ``_parse_lines``, a column of no kind yet at the
-    kind its first cell guesses; where that declines, or a text guess is
-    one ``_infer_column`` turns down (the cells are numbers, or all
-    missing and so no evidence), the batch is split.  A text column
-    left out of ``wanted`` is not parsed there: every cell of it is
-    valid."""
+    kind ``_guess_kinds`` gives it from one cell; where that declines, or
+    a text guess is one ``_infer_column`` turns down (the cells are
+    numbers, or all missing and so no evidence), the batch is split.  A
+    text column left out of ``wanted`` is not parsed there: every cell of
+    it is valid."""
     if isinstance(rows, _Lines):
-        guess = [kind or _plain_kind([token]) or "text" for kind, token in
-                 zip(kinds, rows[0].rstrip("\r\n").split(","))]
+        guess = _guess_kinds(rows, kinds, missing_tokens)
         got = _parse_lines(rows, guess, [j for j, kind in enumerate(kinds)
                                          if kind != "text" or j in wanted],
                            missing_tokens)

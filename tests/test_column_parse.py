@@ -529,6 +529,15 @@ def real_lines_then(odd):
     (("NA", "X"), real_lines_then([" X,t\n", "8.5,t\n"])),
     # float reads " inf" as infinity, parse_value as missing
     (("NA", "inf"), real_lines_then([" inf,t\n", "inf,t\n"])),
+    (("NA", "Infinity"), real_lines_then([" Infinity,t\n", "infinity,t\n"])),
+    (("NA", "-inf"), real_lines_then([" -inf,t\n", "-inf,t\n"])),
+    # a missing token with a digit that float refuses: the converter calls
+    # it missing in a real column, and loadtxt refuses it in an integer one
+    (("NA", "N1"), real_lines_then(["N1,t\n", "8.5,N1\n", " N1,t\n",
+                                    "9.5,t\n"])),
+    (("NA", "N1"), plain_lines_then(["N1,t\n", "8,N1\n"])),
+    # float reads " nan" as NaN, which is missing either way
+    (("NA", "nan"), real_lines_then([" nan,t\n", "nan,t\n"])),
 ])
 @pytest.mark.parametrize("chunk_size", [4, 100])
 @pytest.mark.parametrize("columns", [None, ["c0"]])
@@ -631,12 +640,12 @@ def test_fast_path_parses_batch_with_missing_cells_in_one_loadtxt_call(
     assert got[1][1].tolist() == [True, True, False, False, True]
 
 
-def test_fast_path_splits_only_first_batch_of_scan_file(tmp_path,
-                                                         monkeypatch):
+def test_fast_path_never_splits_scan_file(tmp_path, monkeypatch):
     # the mapreduce benchmark's columns: integers, a tail number that is
     # sometimes 'NA', and reals with NA cells.  The first record's
-    # ExtraTime is NA, so chunk 0's first batch is guessed text there and
-    # split; loadtxt parses every later batch, missing cells and all
+    # ExtraTime is NA, so chunk 0's first batch guesses that column from
+    # its first cell that is not, and loadtxt parses every batch, missing
+    # cells and all
     rng = np.random.default_rng(7)
     header = ["ServerNum", "TailNum", "ActualElapsedTime", "CRSElapsedTime",
               "ExtraTime", "Delay"]
@@ -650,28 +659,26 @@ def test_fast_path_splits_only_first_batch_of_scan_file(tmp_path,
         + "\n" for i in range(5000)]
     p = tmp_path / "scan.csv"
     p.write_text(",".join(header) + "\n" + "".join(lines))
-    parsed, splits = [], []
-    parse_lines, split_columns = cs._parse_lines, cs._split_columns
+    parsed = []
+    parse_lines = cs._parse_lines
 
     def recording(*args):
         got = parse_lines(*args)
         parsed.append(got is not None)
         return got
 
-    def splitting(*args):
-        splits.append(len(args[0]))
-        return split_columns(*args)
+    def never(*args):
+        raise AssertionError("a scan batch was split")
     with monkeypatch.context() as m:
         m.setattr(cs, "_parse_lines", recording)
-        m.setattr(cs, "_split_columns", splitting)
+        m.setattr(cs, "_split_columns", never)
         ds = cs.open_datastore(str(p), chunk_size=2000)
-        # loadtxt parses it, but the text guess of ExtraTime fails
-        assert (len(parsed), splits) == (1, [2000])
+        assert parsed == [True]
         fast = cs.read_all(ds)
     assert [c.kind for c in ds.schema] == [
         "integer", "text", "integer", "integer", "real", "real"]
     # chunk 0 comes from memory; chunks 1 and 2 take one call each
-    assert (parsed[1:], splits) == ([True, True], [2000])
+    assert parsed == [True, True, True]
     monkeypatch.setattr(cs, "_parse_lines", lambda *args: None)
     assert_identical(fast, cs.read_all(cs.open_datastore(str(p),
                                                          chunk_size=2000)))
@@ -691,6 +698,13 @@ def test_fast_path_splits_only_first_batch_of_scan_file(tmp_path,
     # cell alone would guess integer
     (["1.5,NA\n", "2.5,NA\n", "3.5,NA\n", "3,4\n", "4,5\n", "5,6\n"],
      ["real", "integer"], True),
+    # a first record's missing cell: the column is guessed from its first
+    # cell that is not missing, real here, and loadtxt takes the NA
+    (["NA,a\n", "1.5,b\n", "NA,c\n", "3.5,d\n", "4,e\n"],
+     ["real", "text"], False),
+    # an integer guess past a missing cell, which loadtxt turns down
+    (["NA,a\n", "NA,b\n", "2,c\n", "3.5,d\n", "4,e\n"],
+     ["real", "text"], True),
 ])
 @pytest.mark.parametrize("chunk_size", [4, 100])
 @pytest.mark.parametrize("columns", [None, ["c0"]])
@@ -717,7 +731,7 @@ def test_first_record_guess_equals_csv_path(tmp_path, monkeypatch, lines,
                                treat_as_missing=("NA",), columns=columns)
     assert [c.kind for c in ds.schema] == kinds
     assert bool(splits) == split
-    if "NA" in lines[0]:
+    if lines[0] == "1.5,NA\n":
         # the second batch of chunk 0: only the column of no kind guessed
         assert parsed[1] == ["real", "integer"]
     fast = read_every_way([str(p)], chunk_size, ("NA",), columns, columns)
