@@ -64,6 +64,8 @@ def _load_config(path, what="config"):
         raise MissingFileError(what, path, exc) from None
     except ValueError as exc:   # not JSON, or not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+    except RecursionError:   # the decoder recurses once per nesting level
+        raise ConfigError(f"{what} {path} nests too deeply to read") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")
     version = cfg.pop("schema_version", CONFIG_SCHEMA_VERSION)
@@ -394,13 +396,12 @@ def _cmd_regress(args, output):
                         "infinite; anova.f is written null")
     warnings += identity["warnings"]
 
-    # every line's y is the response column, rendered once for all files
-    y = list(map(repr, lines[0].y.tolist()))
+    # every line's y is the response column, formatted once for all files
+    y = report.float_texts(lines[0].y)
     for ln in lines:
         report.write_csv(output.stage(f"factor_{ln.predictor}.csv"),
                          [ln.predictor, response, "fitted"],
-                         [map(repr, ln.x.tolist()), y,
-                          map(repr, ln.fitted.tolist())])
+                         [ln.x, y, ln.fitted])
     manifest = {"input": source, "response": response,
                 "predictors": predictors, "encode": encode}
     return manifest, body, warnings

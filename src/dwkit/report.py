@@ -2,7 +2,15 @@
 
 The JSON report is byte-identical across reruns on identical inputs (keys
 sorted, no timestamps); the text rendering is produced from the same dict
-so the two never disagree on a value.
+so the two never disagree on a value.  Both come from one walk of the
+report, in which each float is formatted once and its text serves both:
+report.json holds the bytes of ``json.dumps(report, sort_keys=True,
+indent=2)``, with flat lists joined in C rather than by ``json``'s
+pure-Python indented encoder.  A factor CSV formats each float of its
+columns once, each distinct value once in a column of few, and joins its
+rows in C.  Formatting floats dominates both (``float.__repr__`` is a
+shortest round-trip conversion, hundreds of ns a value), so the work is
+to format fewer of them.
 """
 from __future__ import annotations
 
@@ -14,6 +22,9 @@ import os
 import numpy as np
 
 from .errors import DwkitError
+
+# float.__repr__ of NaN and the infinities, which JSON cannot hold
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 def _sanitize(value):
@@ -33,27 +44,80 @@ def _sanitize(value):
     return value
 
 
-def _render(value, indent=0):
-    pad = "  " * indent
-    lines = []
+def _render(value, depth=0):
+    """``value``'s text in report.json and its lines in report.txt, both
+    ``depth`` levels in: a pair of strings, the lines joined.
+
+    The JSON text is what ``json.dumps(value, sort_keys=True, indent=2)``
+    writes nested that deep.  The lines list a dict's keys in insertion
+    order and a list's items each after ``-``, a value that is a nonempty
+    dict or list on the lines under its key or dash, an empty one as
+    ``(none)``.  Each float is formatted once, by ``float.__repr__`` as
+    ``json`` does, and its text serves both.  A flat list of floats, such
+    as a row of loadings, is joined in C; any other flat list is encoded
+    by one call of the C encoder.  A dict with a key that is not a str is
+    encoded by ``json`` itself, which makes the key one.  ValueError on
+    NaN or infinity."""
+    pad = "  " * depth
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(value, dict):
-        for key in value:
-            v = value[key]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render(v, indent + 1))
+        if not value:
+            return "{}", ""
+        texts, lines = {}, []
+        for key, v in value.items():
+            texts[key], text = _render(v, depth + 1)
+            if not isinstance(v, (dict, list)):
+                lines.append(f"{pad}{key}: {text}")
+            elif v:
+                lines += (f"{pad}{key}:", text)
             else:
-                lines.append(f"{pad}{key}: {_scalar(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(v)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
-    return lines
+                lines.append(f"{pad}{key}: (none)")
+        if {*map(type, value)} == {str}:
+            encode = json.encoder.encode_basestring_ascii
+            body = sep.join([f"{encode(key)}: {texts[key]}"
+                             for key in sorted(texts)])
+            text = "{\n" + inner + body + "\n" + pad + "}"
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2,
+                              allow_nan=False).replace("\n", "\n" + pad)
+        return text, "\n".join(lines)
+    if isinstance(value, list):
+        if not value:
+            return "[]", ""
+        types = {*map(type, value)}
+        if types == {float}:
+            texts = list(map(float.__repr__, value))
+            if not _NON_FINITE.isdisjoint(texts):
+                raise ValueError("a float that is not finite")
+            body = sep.join(texts)
+            block = f"{pad}- " + f"\n{pad}- ".join(texts)
+        elif dict in types or list in types:
+            texts, lines = [], []
+            for v in value:
+                json_text, text = _render(v, depth + 1)
+                texts.append(json_text)
+                if not isinstance(v, (dict, list)):
+                    lines.append(f"{pad}- {text}")
+                elif v:
+                    lines += (f"{pad}-", text)
+                else:
+                    lines.append(f"{pad}-")
+            body = sep.join(texts)
+            block = "\n".join(lines)
+        else:
+            body = json.dumps(value, allow_nan=False,
+                              separators=(sep, ": "))[1:-1]
+            block = f"{pad}- " + f"\n{pad}- ".join(map(_scalar, value))
+        return "[\n" + inner + body + "\n" + pad + "]", block
+    if type(value) is float:
+        text = float.__repr__(value)
+        if text in _NON_FINITE:
+            raise ValueError("a float that is not finite")
+        return text, text
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value), value
+    return json.dumps(value, allow_nan=False), _scalar(value)
 
 
 def _scalar(v):
@@ -89,7 +153,7 @@ def emit_report(report: dict, outdir) -> dict:
     """
     report = _sanitize(report)
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        json_text, txt_text = _render(report)
     except ValueError:
         path, value = _non_finite(report, "report")
         raise DwkitError(f"{path} is {value}, which report.json cannot "
@@ -98,18 +162,37 @@ def emit_report(report: dict, outdir) -> dict:
     json_path = os.path.join(outdir, "report.json")
     txt_path = os.path.join(outdir, "report.txt")
     with open(json_path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(json_text + "\n")
     with open(txt_path, "w") as fh:
-        fh.write("\n".join(_render(report)) + "\n")
+        fh.write(txt_text + "\n")
     return {"json": json_path, "txt": txt_path}
 
 
 def write_csv(path, header, columns):
-    """Write ``header`` and the data rows of ``columns``, cells already
-    rendered as text.  The header goes through ``csv.writer``, so a name
-    holding a comma or a quote is quoted; the cells, numbers that need no
-    quoting, are joined into ``\r\n``-ended lines in one string."""
-    line = ",".join(["{}"] * len(header)) + "\r\n"
+    """Write ``header`` and the data rows of ``columns``: each a float
+    array, formatted here by ``float_texts``, or a list of texts, written
+    as they are.  The header goes through ``csv.writer``, so a name holding
+    a comma or a quote is quoted; the cells, numbers that need no quoting,
+    are joined into ``\r\n``-ended lines in C."""
+    columns = [float_texts(col) if isinstance(col, np.ndarray) else col
+               for col in columns]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write("".join(map(line.format, *columns)))
+        if len(columns[0]):
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def float_texts(values):
+    """``repr`` of each float in the 1-D array ``values``, as a list.
+
+    A column whose first values repeat, such as a 0/1 flag or its fitted
+    line, has each distinct value formatted once and its texts picked by
+    index.  Values are told apart by their bits, since ``0.0 == -0.0``
+    but their texts differ."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    head = values[:64].tolist()
+    if len(set(head)) == len(head):
+        return list(map(float.__repr__, values.tolist()))
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return np.array(texts, dtype=object)[where].tolist()

@@ -889,3 +889,18 @@ class TestConfigValueTypes:
                                   "--n-compute", "many",
                                   "--out", str(tmp_path / "out")], capsys, 2)
         assert "n_compute" in err
+
+    @pytest.mark.parametrize("command, flag", [("plan", "--config"),
+                                               ("simulate", "--scenario")])
+    def test_deeply_nested_file_is_one_line_usage_error(self, tmp_path,
+                                                        capsys, command,
+                                                        flag):
+        # the json decoder recurses once per level and gives up with a
+        # RecursionError long before 100,000 levels
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        out = str(tmp_path / "out")
+        err = run_one_line_error([command, flag, str(path), "--out", out],
+                                 capsys, 2)
+        assert "nests too deeply" in err and str(path) in err
+        assert not os.path.exists(out)
