@@ -676,28 +676,8 @@ def drop_rate(events) -> float:
 
 def write_event_log(events, path):
     """One ``SimEvent.to_json`` line per event."""
-    rate_texts = {}
     with open(path, "w") as fh:
-        step = []   # progress events that share one time object
-
-        def write_step():
-            fh.write(_progress_lines(
-                step[0].time, [ev.seq for ev in step],
-                [ev.subject for ev in step],
-                [ev.detail["rate"] for ev in step],
-                [ev.detail["bytes_moved"] for ev in step], rate_texts))
-            step.clear()
-        for ev in events:
-            progress = (ev.kind == "transfer-progress"
-                        and ev.detail.keys() == {"rate", "bytes_moved"})
-            if step and not (progress and ev.time is step[0].time):
-                write_step()
-            if progress:
-                step.append(ev)
-            else:
-                fh.write(_event_line(ev))
-        if step:
-            write_step()
+        fh.writelines(map(_event_line, events))
 
 
 def _event_line(event):

@@ -1,11 +1,11 @@
 """OLS fitting, summary statistics, ANOVA, and per-factor fitted lines.
 
-Fits are solved by orthogonal factorization (never the normal equations);
-the F-test significance goes through the regularized incomplete beta
-function.  A bundled set of published figures from the five-warehouse
-data-wastage survey is reproduced from its own sums of squares, with the
-survey's internal inconsistencies surfaced as warnings rather than
-silently adopted.
+Each fit is solved by one SVD (never the normal equations), which also
+gives its rank test; the F-test significance goes through the regularized
+incomplete beta function.  A bundled set of published figures from the
+five-warehouse data-wastage survey is reproduced from its own sums of
+squares, with the survey's internal inconsistencies surfaced as warnings
+rather than silently adopted.
 """
 from __future__ import annotations
 
@@ -145,12 +145,14 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
     return DataTable(new_cols, dict(table.missing), new_kinds)
 
 
-def fit_ols(X, y, names=None) -> RegressionFit:
+def fit_ols(X, y, names=None, response="y") -> RegressionFit:
     """Least-squares fit of y on X plus an intercept column.
 
-    Solved via QR; a singular value ratio under 1e-10 raises
-    RankDeficientError naming the collinear column (pivoted QR identifies
-    it).
+    A value that is not finite raises ValueError naming its column.  The
+    fit is solved by ``np.linalg.lstsq``, whose SVD also gives the rank
+    test: a smallest-to-largest singular value ratio under 1e-10 raises
+    RankDeficientError naming the first predictor that adds no rank to
+    the columns before it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 1 and X.shape[1] > 1 and np.asarray(y).size == X.shape[1]:
@@ -161,17 +163,21 @@ def fit_ols(X, y, names=None) -> RegressionFit:
         names = tuple(f"x{j + 1}" for j in range(p))
     if n <= p + 1:
         raise ValueError(f"need more than {p + 1} observations, got {n}")
+    # LAPACK is handed no infinity or NaN: it would print its own errors
+    for name, col in zip((*names, response), (*X.T, y)):
+        if not np.isfinite(col).all():
+            raise ValueError(f"column {name!r} holds a non-finite value")
     design = np.column_stack([np.ones(n), X])
 
-    import scipy.linalg   # here, so importing dwkit does not load scipy
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    bad = np.nonzero(diag < _RANK_TOL * diag.max())[0]
-    if bad.size:
-        col = piv[bad[0]]
-        raise RankDeficientError("intercept" if col == 0 else names[col - 1])
-
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
+    if sv[-1] < _RANK_TOL * sv[0]:
+        # the whole design decides; a prefix only names the column, and
+        # the last is named when no shorter prefix fails
+        for k in range(1, p):
+            s = np.linalg.svd(design[:, :k + 1], compute_uv=False)
+            if s[-1] < _RANK_TOL * s[0]:
+                raise RankDeficientError(names[k - 1])
+        raise RankDeficientError(names[-1])
     fitted = design @ beta
     return RegressionFit(intercept=float(beta[0]), slopes=beta[1:],
                          predictor_names=tuple(names), fitted=fitted,
@@ -182,7 +188,7 @@ def fit_model(table: DataTable, spec: ModelSpec) -> RegressionFit:
     X = np.column_stack([np.asarray(table.column(p), dtype=float)
                          for p in spec.predictors])
     y = np.asarray(table.column(spec.response), dtype=float)
-    return fit_ols(X, y, names=spec.predictors)
+    return fit_ols(X, y, names=spec.predictors, response=spec.response)
 
 
 def summary_from_sums(ss_regression, ss_residual, df_regression,
@@ -207,7 +213,7 @@ def f_pvalue(f, df1, df2) -> float:
     """Upper tail of the F distribution at (df1, df2)."""
     if f < 0:
         raise ValueError("F statistic must be >= 0")
-    from scipy.special import betainc   # loaded on first use, as in fit_ols
+    from scipy.special import betainc   # importing dwkit loads no scipy
     x = df2 / (df2 + df1 * f)
     return float(betainc(df2 / 2.0, df1 / 2.0, x))
 

@@ -789,6 +789,13 @@ class TestDesignSchemaCommand:
                                       op, "--out", str(out)], capsys, 1)
             assert op in err
             assert not out.exists()
+        # LAPACK prints its errors from C, which only a fresh process shows
+        proc = run_process(["regress", "--input", str(p), "--response", "a",
+                            "--predictors", "b",
+                            "--out", str(tmp_path / "fit")])
+        assert_one_line_error(proc, 1)
+        assert "'b'" in proc.stderr
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -812,17 +819,32 @@ def test_empty_out_is_one_line_usage_error(capsys):
     assert "--out" in err
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # only regress uses scipy, and imports it when it fits
+def scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh
+    interpreter that can import dwkit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwkit.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dwkit.cli; print(sorted(m for m "
-         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", f"import json, sys\n{code}\n"
+         "print(json.dumps(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy')))"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only regress's F-test uses scipy, and imports scipy.special when it
+    # runs
+    assert scipy_modules_after("import dwkit.cli") == []
+
+
+def test_a_regress_run_loads_no_scipy_linalg(tmp_path):
+    loaded = scipy_modules_after(
+        "from dwkit.cli import main\n"
+        f"assert main(['regress', '--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert not [m for m in loaded if m.startswith("scipy.linalg")]
 
 
 def test_version_flag():

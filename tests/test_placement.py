@@ -521,19 +521,22 @@ SUBJECTS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028'),
                 min_size=1, max_size=6))
 @example([(False, 0.0, 0.0, 1.0, "a"), (False, -0.0, -0.0, 1.0, "b")])
 def test_progress_lines_match_to_json(rows):
-    # events of one step share a time object, as the simulator builds them
-    events = []
+    # a row marked same_step joins the step before, as one progress call
+    steps = []
     for same_step, t, rate, moved, subject in rows:
-        if same_step and events:
-            t = events[-1].time
-        events.append(SimEvent(t, len(events), "transfer-progress", subject,
-                               {"rate": rate, "bytes_moved": moved}))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "events.jsonl")
-        write_event_log(events, path)
-        with open(path) as fh:
-            lines = fh.read().split("\n")
-    assert lines == [ev.to_json() for ev in events] + [""]
+        if not (same_step and steps):
+            steps.append((t, []))
+        steps[-1][1].append((subject, rate, moved))
+    fh = io.StringIO()
+    writer = EventLogWriter(fh)
+    events = []
+    for t, step in steps:
+        seq = len(events)
+        writer.progress(t, seq, *map(list, zip(*step)))
+        events += [SimEvent(t, seq + i, "transfer-progress", subject,
+                            {"rate": rate, "bytes_moved": moved})
+                   for i, (subject, rate, moved) in enumerate(step)]
+    assert fh.getvalue().split("\n") == [ev.to_json() for ev in events] + [""]
 
 
 def test_progress_event_with_other_details_is_written_whole(tmp_path):

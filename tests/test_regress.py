@@ -97,8 +97,16 @@ class TestFitOls:
     def test_constant_column_collides_with_intercept(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([rng.normal(size=15), np.ones(15)])
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError) as err:
             fit_ols(X, rng.normal(size=15), names=("a", "const"))
+        assert err.value.column == "const"
+
+    def test_infinite_cell_names_its_column(self):
+        X = np.column_stack([np.arange(5.0), [1.0, 2.0, np.inf, 4.0, 0.0]])
+        with pytest.raises(ValueError, match="'b'"):
+            fit_ols(X, np.arange(5.0), names=("a", "b"))
+        with pytest.raises(ValueError, match="'y'"):
+            fit_ols(X[:, 0], [1.0, -np.inf, 3.0, 4.0, 5.0])
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError):
@@ -119,6 +127,29 @@ class TestFitOls:
             ModelSpec(response="y", predictors=("y", "x"))
         with pytest.raises(ValueError):
             ModelSpec(response="y", predictors=("x", "x"))
+
+
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+           st.just(m), st.integers(0, m),
+           st.lists(st.integers(-3, 3), min_size=m + 1, max_size=m + 1))),
+       st.integers(3, 20), st.integers(0, 2**32 - 1))
+def test_rank_test_names_the_inserted_column(shape, extra_rows, seed):
+    # a full-rank X fits as lstsq solves it; a column inserted at k that
+    # is a combination of the columns before it, the intercept's among
+    # them, is named, whatever follows it
+    m, k, weights = shape
+    rng = np.random.default_rng(seed)
+    n = m + extra_rows
+    X, y = rng.normal(size=(n, m)), rng.normal(size=n)
+    design = np.column_stack([np.ones(n), X])
+    fit = fit_ols(X, y)
+    np.testing.assert_array_equal([fit.intercept, *fit.slopes],
+                                  np.linalg.lstsq(design, y, rcond=None)[0])
+    names = tuple(f"x{j}" for j in range(m + 1))
+    dependent = design[:, :k + 1] @ weights[:k + 1]
+    with pytest.raises(RankDeficientError) as err:
+        fit_ols(np.insert(X, k, dependent, axis=1), y, names=names)
+    assert err.value.column == names[k]
 
 
 class TestSummaryAnova:
