@@ -32,7 +32,7 @@ def injector(kind, task_id, attempt):
 
 result = mapreduce(ds, make_column_emitter("Delay"), reduce_mean,
                    fail_injector=injector)
-print("mean(Delay) = %.3f (unchanged)" % result.table.column("value")[0])
+print("mean(Delay) = %.3f (unchanged)" % result.pairs[0][1])
 
 failures = [e for e in result.log if e["kind"] == "map-failed"]
 retries = [e for e in result.log if e["kind"] == "map-start"

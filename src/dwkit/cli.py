@@ -306,15 +306,11 @@ def _cmd_mapreduce(args, output):
     reduced = dict(out.pairs)
     results = {}
     for key, reducer, column in parsed:
-        if key not in reduced:
-            if reducer not in ("count", "sum"):
-                raise DwkitError(f"{key}: column {column!r} has no "
-                                 f"non-missing values")
-            value = 0   # no rows, or no values to add
-        else:
-            value = reduced[key]
-        results[key] = (int(value) if isinstance(value, (int, np.integer))
-                        else float(value))
+        if key not in reduced and reducer not in ("count", "sum"):
+            raise DwkitError(f"{key}: column {column!r} has no "
+                             f"non-missing values")
+        # no rows, or no values to add, is 0
+        results[key] = reduced.get(key, 0)
     manifest = {"input": inputs,
                 "chunk_size": chunk_size, "operations": ops}
     write_log(out.log, output.stage("scheduler.jsonl"))
@@ -362,7 +358,8 @@ def _cmd_regress(args, output):
     table, dropped = table.complete_cases([response, *predictors])
     try:
         fit = regress.fit_model(table, spec)
-    except ValueError as exc:   # too few rows for the predictors
+    # too few rows, a value that is not finite, or a collinear predictor
+    except (ValueError, regress.RankDeficientError) as exc:
         raise DwkitError(f"{source}: {exc}")
     summary = regress.summarize(fit)
     table_anova = regress.anova(fit)
@@ -373,8 +370,7 @@ def _cmd_regress(args, output):
     body = {
         "summary": asdict(summary),
         "coefficients": {"intercept": fit.intercept,
-                         **{n: float(b) for n, b in
-                            zip(fit.predictor_names, fit.slopes)}},
+                         **dict(zip(fit.predictor_names, fit.slopes))},
         "anova": dict(asdict(table_anova),
                       f=None if exact else table_anova.f),
         "factor_ranking": [{"predictor": ln.predictor,

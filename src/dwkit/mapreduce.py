@@ -10,24 +10,27 @@ A barrier separates the phases, then reduce tasks fold each key's values
 in key order.  Failed tasks re-execute from their chunk input up to an
 attempt cap, except on a ``DwkitError`` (a malformed cell, a text column),
 which would fail again and is raised at once; a test-only failure injector
-exercises the retry path.  The result is sorted by key, so a run is
+exercises the retry path.  The result is the reduced (key, value) pairs
+in key order, each value as the reducer returned it, so a run is
 deterministic for any chunk size.
 
 ``make_ops_mapper`` and ``reduce_op`` answer several aggregate ops in one
 pass, with map-side combiners: the shuffle holds one partial per op per
-chunk instead of one pair per value.
+chunk instead of one pair per value.  They are what the CLI runs.  The
+stock emitter and reducers are the per-value references that the tests
+and the demo fold with; of them the CLI uses only the names in
+``BUILTIN_REDUCERS``, to check an op.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import chunkstore
-from .chunkstore import DataTable, Datastore
+from .chunkstore import Datastore
 from .errors import DwkitError, TaskFailedError
 
 DEFAULT_ATTEMPT_CAP = 3
@@ -39,7 +42,6 @@ class InjectedFailure(RuntimeError):
 
 @dataclass
 class MapReduceResult:
-    table: DataTable
     log: list[dict]
     pairs: list[tuple]   # (key, reduced value) in key order, types kept
 
@@ -76,29 +78,6 @@ def _run_task(task_id, kind, fn, attempt_cap, fail_injector, log):
     raise TaskFailedError(task_id, last_exc)
 
 
-def _result_table(pairs):
-    keys = [k for k, _ in pairs]
-    values = [v for _, v in pairs]
-
-    def column(data):
-        if data and all(isinstance(v, (int, np.integer)) and
-                        not isinstance(v, bool) for v in data):
-            return np.array(data, dtype=np.int64), "integer"
-        if data and all(isinstance(v, (int, float, np.number)) and
-                        not isinstance(v, bool) for v in data):
-            return np.array(data, dtype=float), "real"
-        return np.array(data, dtype=object), "text"
-
-    kcol, kkind = column(keys)
-    vcol, vkind = column(values)
-    n = len(pairs)
-    missing = {"key": np.zeros(n, dtype=bool),
-               "value": np.array([isinstance(v, float) and math.isnan(v)
-                                  for v in values], dtype=bool)}
-    return DataTable({"key": kcol, "value": vcol}, missing,
-                     {"key": kkind, "value": vkind})
-
-
 def mapreduce(ds: Datastore, map_fn, reduce_fn, *, columns=None,
               attempt_cap=DEFAULT_ATTEMPT_CAP,
               fail_injector=None) -> MapReduceResult:
@@ -133,11 +112,11 @@ def mapreduce(ds: Datastore, map_fn, reduce_fn, *, columns=None,
                          attempt_cap, fail_injector, log)
                for k in sorted(groups)]
 
-    return MapReduceResult(table=_result_table(reduced), log=log,
-                           pairs=reduced)
+    return MapReduceResult(log, reduced)
 
 
-# --- stock map/reduce functions (CLI building blocks) ---
+# --- stock map/reduce functions: per-value references for the tests and
+# the demo; the CLI reads only BUILTIN_REDUCERS's names ---
 
 def map_count_rows(table):
     yield "rows", table.nrows

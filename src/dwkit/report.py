@@ -3,22 +3,22 @@
 The JSON report is byte-identical across reruns on identical inputs (keys
 sorted, no timestamps); the text rendering is produced from the same dict
 so the two never disagree on a value.  Both come from one walk of the
-report, in which each float is formatted once and its text serves both:
-report.json holds the bytes of ``json.dumps(report, sort_keys=True,
-indent=2)``, with lists of floats joined in C rather than by ``json``'s
-pure-Python indented encoder.  (A dict with a key that is not a str,
-which no report here holds, is left to ``json.dumps`` and formats its
-floats a second time.)  A factor CSV formats each float of its
-columns once, each distinct value once in a column of few, and joins its
-rows in C.  Formatting floats dominates both (``float.__repr__`` is a
-shortest round-trip conversion, hundreds of ns a value), so the work is
-to format fewer of them.
+report, the only place where its values become JSON values: a numpy array
+or scalar is converted to plain Python where the walk meets it, a tuple is
+written as a list, and each float is formatted once and its text serves
+both.  report.json holds the bytes of ``json.dumps(report,
+sort_keys=True, indent=2)`` for a report whose keys are all str, with
+lists of floats joined in C rather than by ``json``'s pure-Python
+indented encoder.  A factor CSV formats each float of its columns once,
+each distinct value once in a column of few, and joins its rows in C.
+Formatting floats dominates both (``float.__repr__`` is a shortest
+round-trip conversion, hundreds of ns a value), so the work is to format
+fewer of them.
 """
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 
 import numpy as np
@@ -29,37 +29,35 @@ from .errors import DwkitError
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
-def _sanitize(value):
-    """Coerce numpy scalars/arrays to plain Python for stable JSON."""
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()   # plain Python scalars, in nested lists
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+class _NonFinite(Exception):
+    """A NaN or an infinity that ``_render`` met, and the keys and indices
+    of its place in the report, innermost first: each dict and list adds
+    its own as the exception passes through it."""
+
+    def __init__(self, value, *path):
+        self.value, self.path = value, list(path)
 
 
 def _render(value, depth=0):
     """``value``'s text in report.json and its lines in report.txt, both
     ``depth`` levels in: a pair of strings, the lines joined.
 
-    The JSON text is what ``json.dumps(value, sort_keys=True, indent=2)``
-    writes nested that deep.  The lines list a dict's keys in insertion
-    order and a list's items each after ``-``, a value that is a nonempty
-    dict or list on the lines under its key or dash, an empty one as
-    ``(none)``.  Each float is formatted once, by ``float.__repr__`` as
-    ``json`` does, and its text serves both.  A list of floats only, such
-    as a row of loadings, is joined in C.  A dict with a key that is not a
-    str is a compatibility path that no report of this package takes: it
-    is encoded whole by ``json.dumps``, which makes the key a str, so its
-    floats are formatted again there.  ValueError on NaN or infinity."""
+    A numpy array becomes its nested lists, a numpy scalar its Python
+    value and a tuple a list, here where the walk meets them.  The JSON
+    text is what ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    nested that deep; every dict key must be a str.  The lines list a
+    dict's keys in insertion order and a list's items each after ``-``, a
+    value that is a nonempty dict or list on the lines under its key or
+    dash, an empty one as ``(none)``.  Each float is formatted once, by
+    ``float.__repr__`` as ``json`` does, and its text serves both.  A list
+    of floats only, such as a row of loadings, is joined in C.
+    ``_NonFinite`` on NaN or infinity."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()   # plain Python scalars, in nested lists
+    elif isinstance(value, np.generic):
+        value = value.item()
+    elif isinstance(value, tuple):
+        value = list(value)
     pad = "  " * depth
     inner = pad + "  "
     sep = ",\n" + inner
@@ -67,71 +65,61 @@ def _render(value, depth=0):
         if not value:
             return "{}", ""
         texts, lines = {}, []
-        for key, v in value.items():
-            texts[key], text = _render(v, depth + 1)
-            if not isinstance(v, (dict, list)):
-                lines.append(f"{pad}{key}: {text}")
-            elif v:
-                lines += (f"{pad}{key}:", text)
-            else:
-                lines.append(f"{pad}{key}: (none)")
-        if {*map(type, value)} == {str}:
-            encode = json.encoder.encode_basestring_ascii
-            body = sep.join([f"{encode(key)}: {texts[key]}"
-                             for key in sorted(texts)])
-            text = "{\n" + inner + body + "\n" + pad + "}"
-        else:
-            text = json.dumps(value, sort_keys=True, indent=2,
-                              allow_nan=False).replace("\n", "\n" + pad)
-        return text, "\n".join(lines)
+        try:
+            for key, v in value.items():
+                texts[key], text = _render(v, depth + 1)
+                # the layout follows the converted value, which only a
+                # dict or a list writes as JSON text opening with { or [
+                if texts[key][0] not in "{[":
+                    lines.append(f"{pad}{key}: {text}")
+                elif text:
+                    lines += (f"{pad}{key}:", text)
+                else:
+                    lines.append(f"{pad}{key}: (none)")
+        except _NonFinite as exc:
+            exc.path.append(key)
+            raise
+        encode = json.encoder.encode_basestring_ascii
+        body = sep.join([f"{encode(key)}: {texts[key]}"
+                         for key in sorted(texts)])
+        return "{\n" + inner + body + "\n" + pad + "}", "\n".join(lines)
     if isinstance(value, list):
         if not value:
             return "[]", ""
         if {*map(type, value)} == {float}:
             texts = list(map(float.__repr__, value))
             if not _NON_FINITE.isdisjoint(texts):
-                raise ValueError("a float that is not finite")
+                i = next(i for i, text in enumerate(texts)
+                         if text in _NON_FINITE)
+                raise _NonFinite(value[i], i)
             body = sep.join(texts)
             block = f"{pad}- " + f"\n{pad}- ".join(texts)
         else:
             texts, lines = [], []
-            for v in value:
-                json_text, text = _render(v, depth + 1)
-                texts.append(json_text)
-                if not isinstance(v, (dict, list)):
-                    lines.append(f"{pad}- {text}")
-                elif v:
-                    lines += (f"{pad}-", text)
-                else:
-                    lines.append(f"{pad}-")
+            try:
+                for i, v in enumerate(value):
+                    json_text, text = _render(v, depth + 1)
+                    texts.append(json_text)
+                    if json_text[0] not in "{[":
+                        lines.append(f"{pad}- {text}")
+                    elif text:
+                        lines += (f"{pad}-", text)
+                    else:
+                        lines.append(f"{pad}-")
+            except _NonFinite as exc:
+                exc.path.append(i)
+                raise
             body = sep.join(texts)
             block = "\n".join(lines)
         return "[\n" + inner + body + "\n" + pad + "]", block
     if type(value) is float:
         text = float.__repr__(value)
         if text in _NON_FINITE:
-            raise ValueError("a float that is not finite")
+            raise _NonFinite(value)
         return text, text
     if type(value) is str:
         return json.encoder.encode_basestring_ascii(value), value
     return json.dumps(value, allow_nan=False), str(value)
-
-
-def _non_finite(value, path):
-    """(path, value) of the first NaN or infinity in ``value``, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else (path, value)
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return None
-    for key, v in items:
-        found = _non_finite(v, f"{path}.{key}")
-        if found:
-            return found
-    return None
 
 
 def emit_report(report: dict, outdir) -> dict:
@@ -140,13 +128,12 @@ def emit_report(report: dict, outdir) -> dict:
     JSON has no NaN or infinity (RFC 8259), so a report holding one is a
     DwkitError that names it, raised before anything is written.
     """
-    report = _sanitize(report)
     try:
         json_text, txt_text = _render(report)
-    except ValueError:
-        path, value = _non_finite(report, "report")
-        raise DwkitError(f"{path} is {value}, which report.json cannot "
-                         f"hold") from None
+    except _NonFinite as exc:
+        path = "".join(f".{key}" for key in reversed(exc.path))
+        raise DwkitError(f"report{path} is {exc.value}, which report.json "
+                         f"cannot hold") from None
     os.makedirs(outdir, exist_ok=True)
     json_path = os.path.join(outdir, "report.json")
     txt_path = os.path.join(outdir, "report.txt")

@@ -38,10 +38,6 @@ class NumericMatrix:
                              "missing values upstream")
 
     @property
-    def rows(self):
-        return self.values.shape[0]
-
-    @property
     def cols(self):
         return self.values.shape[1]
 
@@ -50,10 +46,6 @@ class NumericMatrix:
 class CorrelationMatrix:
     values: np.ndarray
     col_names: list[str]
-
-    @property
-    def dim(self):
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)

@@ -180,12 +180,11 @@ def test_criterion_6_mapreduce_sample():
     for chunk_size in (1, 3, 8):
         ds = chunkstore.open_datastore(server_records_path(),
                                        chunk_size=chunk_size)
-        count = mapreduce(ds, map_count_rows,
-                          reduce_sum).table.column("value")[0]
+        count = mapreduce(ds, map_count_rows, reduce_sum).pairs[0][1]
         mean = mapreduce(ds, make_column_emitter("Delay"),
-                         reduce_mean).table.column("value")[0]
+                         reduce_mean).pairs[0][1]
         mx = mapreduce(ds, make_column_emitter("ActualElapsedTime"),
-                       reduce_max).table.column("value")[0]
+                       reduce_max).pairs[0][1]
         results[chunk_size] = (int(count), float(mean), int(mx))
 
     injected = []
@@ -198,7 +197,7 @@ def test_criterion_6_mapreduce_sample():
 
     ds = chunkstore.open_datastore(server_records_path(), chunk_size=3)
     faulty = mapreduce(ds, make_column_emitter("Delay"), reduce_mean,
-                       fail_injector=injector).table.column("value")[0]
+                       fail_injector=injector).pairs[0][1]
     elapsed = time.perf_counter() - start
     ok = (all(v == (8, 15.875, 155) for v in results.values())
           and len(injected) == 2 and float(faulty) == 15.875
@@ -297,7 +296,7 @@ def test_criterion_9_property_suites(tmp_path):
         for chunk_size in (1, int(rng.integers(2, 8)), max(n, 1)):
             ds = chunkstore.open_datastore(str(csv), chunk_size=chunk_size)
             res = mapreduce(ds, make_column_emitter("v"), reduce_sum)
-            outs.add(int(res.table.column("value")[0]))
+            outs.add(int(res.pairs[0][1]))
         assert outs == {int(vals.sum())}
 
     # config round trip: the normalized manifest is a CLI fixed point

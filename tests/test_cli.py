@@ -618,6 +618,17 @@ class TestRegressCommand:
         assert rep["results"]["anova"]["significance_f"] == 0.0
         assert "F is infinite" in rep["warnings"][0]
 
+    def test_rank_deficient_input_is_named(self, tmp_path, capsys):
+        # c is constant, so it is collinear with the intercept
+        p = tmp_path / "collinear.csv"
+        p.write_text("y,a,c\n1,1,5\n2,2,5\n3,4,5\n4,3,5\n5,6,5\n")
+        err = run_one_line_error(["regress", "--input", str(p),
+                                  "--response", "y", "--predictors", "a,c",
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        assert str(p) in err
+        assert "'c'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_each_record_tokenized_once(self, count_tokenized, tmp_path):
         assert_each_record_tokenized_once(
             count_tokenized, tmp_path, ["regress", "--response", "x",

@@ -1,7 +1,8 @@
 """Fuzz the command line with malformed configs, scenarios and CSVs.
 
-Whatever the input, ``dwkit`` exits 0, 1 or 2 without a traceback; a
-failure is one line on stderr, and a success reruns byte for byte.
+Whatever the input, ``dwkit`` exits 0, 1 or 2 without a traceback or a
+warning; a failure is one line on stderr, and a success writes nothing
+there and reruns byte for byte.
 """
 import contextlib
 import copy
@@ -10,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -57,17 +59,20 @@ COMMANDS = {
 
 
 def run_cli(argv, tmp):
-    """Run ``dwkit argv --out <fresh dir>``; returns (code, stderr, the
-    output files' bytes)."""
+    """Run ``dwkit argv --out <fresh dir>``, which must raise no warning;
+    returns (code, stderr, the output files' bytes)."""
     out = tempfile.mkdtemp(dir=tmp)
     os.rmdir(out)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main([*argv, "--out", out])
         except SystemExit as exc:
             code = exc.code
+    assert not caught, (argv, [str(w.message) for w in caught])
     files = {}
     if os.path.isdir(out):
         for name in sorted(os.listdir(out)):
@@ -81,6 +86,7 @@ def check(argv, tmp):
     assert code in (0, 1, 2), (code, argv, err)
     assert "Traceback" not in err
     if code == 0:
+        assert err == "", (argv, err)
         assert run_cli(argv, tmp) == (0, err, files), argv
     else:
         assert len(err.strip().splitlines()) == 1, (argv, err)

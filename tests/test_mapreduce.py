@@ -28,25 +28,25 @@ def open_sample(chunk_size=3):
     return cs.open_datastore(server_records_path(), chunk_size=chunk_size)
 
 
-def as_dict(table):
-    return dict(zip(table.column("key"), table.column("value")))
+def as_dict(res):
+    return dict(res.pairs)
 
 
 class TestOracles:
     def test_count_rows(self):
         res = mapreduce(open_sample(), map_count_rows, reduce_sum)
-        assert as_dict(res.table) == {"rows": 8}
+        assert as_dict(res) == {"rows": 8}
 
     def test_mean_delay(self):
         res = mapreduce(open_sample(), make_column_emitter("Delay"),
                         reduce_mean)
-        assert as_dict(res.table)["Delay"] == pytest.approx(15.875)
+        assert as_dict(res)["Delay"] == pytest.approx(15.875)
 
     def test_max_elapsed(self):
         res = mapreduce(open_sample(),
                         make_column_emitter("ActualElapsedTime"),
                         reduce_max)
-        assert as_dict(res.table)["ActualElapsedTime"] == 155
+        assert as_dict(res)["ActualElapsedTime"] == 155
 
     def test_missing_values_skipped(self):
         # ExtraTime is all-NA, so the emitter yields nothing at all
@@ -54,15 +54,15 @@ class TestOracles:
             return len(values)
         res = mapreduce(open_sample(), make_column_emitter("ExtraTime"),
                         count)
-        assert res.table.nrows == 0
+        assert res.pairs == []
 
     def test_multi_key_sorted_output(self):
         def by_tail(table):
             for v in table.column("Delay", skip_missing=True):
                 yield ("late" if v > 10 else "early"), 1
         res = mapreduce(open_sample(), by_tail, reduce_sum)
-        assert list(res.table.column("key")) == ["early", "late"]
-        assert as_dict(res.table) == {"early": 4, "late": 4}
+        assert [key for key, _ in res.pairs] == ["early", "late"]
+        assert as_dict(res) == {"early": 4, "late": 4}
 
 
 class TestChunkInvariance:
@@ -70,7 +70,7 @@ class TestChunkInvariance:
     def test_same_answer(self, chunk_size):
         res = mapreduce(open_sample(chunk_size),
                         make_column_emitter("Delay"), reduce_mean)
-        assert as_dict(res.table)["Delay"] == pytest.approx(15.875)
+        assert as_dict(res)["Delay"] == pytest.approx(15.875)
 
     def test_tasks_run_on_the_callers_thread(self):
         threads = set()
@@ -84,7 +84,7 @@ class TestChunkInvariance:
             return sum(values)
 
         res = mapreduce(open_sample(1), map_fn, reduce_fn)
-        assert as_dict(res.table) == {"rows": 8}
+        assert as_dict(res) == {"rows": 8}
         assert threads == {threading.get_ident()}
 
 
@@ -102,7 +102,7 @@ class TestFailureHandling:
         res = mapreduce(open_sample(), make_column_emitter("Delay"),
                         reduce_mean, fail_injector=injector)
         assert len(hits) == 2
-        assert as_dict(res.table)["Delay"] == pytest.approx(15.875)
+        assert as_dict(res)["Delay"] == pytest.approx(15.875)
         failed = [e for e in res.log if e["kind"] == "map-failed"]
         assert len(failed) == 2
 
@@ -120,7 +120,7 @@ class TestFailureHandling:
         res = mapreduce(open_sample(), flaky_map, reduce_sum)
         # the failed chunk (the 2-row one) was re-read and mapped again
         assert sorted(seen) == [2, 2, 3, 3]
-        assert as_dict(res.table) == {"rows": 8}
+        assert as_dict(res) == {"rows": 8}
 
     def test_permanent_failure_raises(self):
         def injector(kind, task_id, attempt):
