@@ -405,7 +405,9 @@ def _columns(batch, ncols):
 
 
 def _read_header(path):
-    with open(path, newline="") as fh:
+    # a leading UTF-8 byte-order mark, as spreadsheets write, is not part
+    # of the first name; data reads skip the header line, mark included
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         row = _read_rows(csv.reader(fh), 1, f"{path} header")
     if not row:
         raise InconsistentHeaderError(f"{path}: empty file, no header")

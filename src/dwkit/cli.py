@@ -217,8 +217,29 @@ def _numeric_matrix_from_csv(path, chunk_size=100000):
     infinite = [n for n, col in zip(names, values.T) if np.isinf(col).any()]
     if infinite:
         raise DwkitError(f"{path}: column {infinite[0]!r} holds an infinity")
+    _refuse_overflow(path, names, values)
     return (schema_pca.NumericMatrix(values=values, col_names=names),
             _dropped_warnings(dropped, "a numeric column"))
+
+
+def _refuse_overflow(source, names, values):
+    """Name the first column of ``values`` (rows x columns) whose sum of
+    squared deviations overflows, which numpy would only warn of; an
+    infinity is left to the checks that name it.  Over n rows such a sum
+    is at most n max|v|^2, so only a column with a finite value above
+    sqrt(max float / 2n) is summed, scaled by that value."""
+    n = len(values)
+    largest = np.maximum(values.max(axis=0, initial=0.0),   # no |v| copy
+                         -values.min(axis=0, initial=0.0))
+    limit = math.sqrt(sys.float_info.max / (2 * max(n, 1)))
+    for j in np.flatnonzero(np.isfinite(largest) & (largest > limit)):
+        m = float(largest[j])
+        z = values[:, j] / m
+        z -= z.mean()
+        if z @ z > sys.float_info.max / m / m:
+            raise DwkitError(f"{source}: column {names[j]!r} holds a value "
+                             f"of magnitude {m:.3g}; its sum of squares "
+                             f"over {n} rows overflows")
 
 
 def _dropped_warnings(dropped, where):
@@ -356,6 +377,9 @@ def _cmd_regress(args, output):
                           f"two-valued ones with --encode")
     # incomplete rows are dropped, as design-schema does
     table, dropped = table.complete_cases([response, *predictors])
+    _refuse_overflow(source, [response, *predictors], np.column_stack(
+        [np.asarray(table.column(n), dtype=float)
+         for n in (response, *predictors)]))
     try:
         fit = regress.fit_model(table, spec)
     # too few rows, a value that is not finite, or a collinear predictor

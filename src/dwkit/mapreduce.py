@@ -204,14 +204,20 @@ def _fold_sum(arrays):
 
 def reduce_op(key, partials):
     """Fold one op's partials from ``make_ops_mapper``, in chunk order."""
-    reducer = key.split(":", 1)[0]
+    reducer, _, column = key.partition(":")
     if reducer == "count":
         return sum(partials)
     if reducer == "max":
         return max(partials)
     if reducer == "min":
         return min(partials)
-    total = _exact_sum(key, _fold_sum(partials),
+    # an overflow is named below; inf + -inf is NaN, which the report
+    # refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _fold_sum(partials)
+    if np.isinf(total) and all(np.isfinite(p).all() for p in partials):
+        raise DwkitError(f"{key}: the sum of column {column!r} overflows")
+    total = _exact_sum(key, total,
                        chain.from_iterable(p.tolist() for p in partials))
     if reducer == "sum":
         return total

@@ -10,14 +10,20 @@ rather than silently adopted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chunkstore import DataTable
-from .errors import NonBinaryColumnError, RankDeficientError
+from .errors import DwkitError, NonBinaryColumnError, RankDeficientError
 
 _RANK_TOL = 1e-10   # singular value ratio below which a column is collinear
+
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# the beta fraction takes at most 67 terms for df1 <= 500, df2 <= 1e6, and
+# 165 at df1 = df2 = 1e6
+_MAX_FRACTION_TERMS = 1000
 
 # truthy tokens recognized as the presence value of a binary column
 _TRUTHY = {"yes", "true", "y", "1", "present"}
@@ -209,13 +215,113 @@ def summarize(fit: RegressionFit) -> RegressionSummary:
                              fit.p, fit.n - fit.p - 1)
 
 
+def _stirling_remainder(z):
+    """lgamma(z) less Stirling's (z - 1/2) ln z - z + ln sqrt(2 pi).
+
+    From z = 10 on, by its asymptotic series, whose truncation error is
+    under 1e-16 there; below, lgamma's own value is small enough to
+    subtract from.
+    """
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LN_SQRT_2PI
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (
+        1 / 1188 - w * (691 / 360360 - w / 156)))))) / z
+
+
+def _rlog1(e, ratio):
+    """e - ln(1 + e), which is never negative; ``ratio`` is 1 + e computed
+    without cancellation, for e near -1.  Near 0, where the difference
+    cancels, it is summed as we - 2 (w^3/3 + w^5/5 + ...) with
+    w = e / (2 + e), from ln(1 + e) = 2 atanh(w)."""
+    if abs(e) > 0.5:
+        return e - math.log(ratio)
+    w = e / (2.0 + e)
+    w2 = w * w
+    power, total, k = w2, 1 / 3, 5
+    while power > 1e-17:   # |w| <= 1/3, so at most 18 terms
+        total += power / k
+        power *= w2
+        k += 2
+    return w * e - 2.0 * w * w2 * total
+
+
+def _log_beta_kernel(a, b, x, y):
+    """ln(x^a y^b / B(a, b)), with y = 1 - x.
+
+    With lam = a y - b x, x / x0 = 1 - lam/a and y / y0 = 1 + lam/b around
+    the mean x0 = a / (a + b), so (DiDonato & Morris, TOMS 708, brcomp)
+
+        x^a y^b / B(a, b) = sqrt(ab / (2 pi (a + b)))
+                            exp(-a rlog1(-lam/a) - b rlog1(lam/b) - d)
+
+    with d the Stirling remainders of a and b less that of a + b.  Both
+    rlog1 terms are >= 0, so no two large logarithms cancel, as lgamma(a +
+    b) - lgamma(a) would at large a.
+    """
+    lam = a * y - b * x
+    s = a + b
+    return (0.5 * math.log(a * b / (2.0 * math.pi * s))
+            - a * _rlog1(-lam / a, x * s / a)
+            - b * _rlog1(lam / b, y * s / b)
+            - (_stirling_remainder(a) + _stirling_remainder(b)
+               - _stirling_remainder(s)))
+
+
+def _beta_fraction(a, b, x, y):
+    """I_x(a, b) over its kernel x^a y^b / B(a, b), for x at most
+    (a + 1) / (a + b + 2): the even part of the continued fraction, started
+    from 1 + lam with lam = a y - b x (TOMS 708, bfrac), summed by the
+    three-term recurrence with rescaling.  Raises DwkitError rather than
+    return a value that has not converged."""
+    c = 1.0 + (a * y - b * x)
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = 1.0 + y
+    p, s = 1.0, a + 1.0
+    an, bn, anp1, bnp1 = 0.0, 1.0, 1.0, c / c1
+    r = c1 / c
+    for n in range(1, _MAX_FRACTION_TERMS + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        beta = n + w / s + (1.0 + t) / (c1 + t + t) * (c + n * yp1)
+        p = 1.0 + t
+        s += 2.0
+        an, anp1 = anp1, alpha * an + beta * anp1
+        bn, bnp1 = bnp1, alpha * bn + beta * bnp1
+        r0, r = r, anp1 / bnp1
+        if abs(r - r0) <= sys.float_info.epsilon * r:
+            return r
+        an, bn, anp1, bnp1 = an / bnp1, bn / bnp1, r, 1.0
+    raise DwkitError(f"the incomplete beta fraction at a={a!r}, b={b!r}, "
+                     f"x={x!r} did not converge in {_MAX_FRACTION_TERMS} "
+                     f"terms")
+
+
 def f_pvalue(f, df1, df2) -> float:
-    """Upper tail of the F distribution at (df1, df2)."""
-    if f < 0:
+    """Upper tail of the F distribution at (df1, df2).
+
+    That is the regularized incomplete beta I_x(df2/2, df1/2) at
+    x = df2 / (df2 + df1 f), as its kernel times its continued fraction,
+    or one less those of I_(1-x)(df1/2, df2/2) above the fraction's
+    switch point x = (a + 1) / (a + b + 2) (Press et al., Numerical
+    Recipes, 6.4).  The kernel is summed in log space, so the tail keeps
+    its relative accuracy down to the subnormal range.
+    """
+    if not f >= 0:
         raise ValueError("F statistic must be >= 0")
-    from scipy.special import betainc   # importing dwkit loads no scipy
     x = df2 / (df2 + df1 * f)
-    return float(betainc(df2 / 2.0, df1 / 2.0, x))
+    if x in (0.0, 1.0):   # F is 0, or df1 * F overflows
+        return x
+    y = 1.0 - x
+    a, b = df2 / 2.0, df1 / 2.0
+    if x <= (a + 1.0) / (a + b + 2.0):
+        return math.exp(_log_beta_kernel(a, b, x, y)) * _beta_fraction(
+            a, b, x, y)
+    return 1.0 - math.exp(_log_beta_kernel(b, a, y, x)) * _beta_fraction(
+        b, a, y, x)
 
 
 def anova_from_sums(ss_regression, ss_residual, df_regression,

@@ -154,8 +154,8 @@ class TestGoldenReport:
             "91d650a1dc9214b96b49cfc8e46c9fc298eff4496fde17ae29d56762e9e712a0",
         ),
         "regress": (
-            "6b711221e6c50638997dc8c283efd7f284ea8a2f17ef48b22452a37f7f4b87e3",
-            "ba854f0c7909a94f11f79594faf5fedb9c4f60084cd800eb1828e0ce5f014602",
+            "8c822cee125464111b16f0041188eb4808f804db65316a31654652a8f7620398",
+            "1511b6866e72f7edaf6364475af3fbf3bc257108495aa245520614ecf3c76a28",
         ),
     }
 
@@ -808,6 +808,39 @@ class TestDesignSchemaCommand:
         assert "'b'" in proc.stderr
         assert proc.stdout == ""
 
+    def test_overflowing_column_is_named_without_a_warning(self, tmp_path):
+        # finite values whose sums of squares overflow: numpy would warn,
+        # and a fit would call the column collinear
+        p = tmp_path / "huge.csv"
+        p.write_text("y,x\n1,1\n2,2\n1e308,1e308\n-1e308,3\n")
+        sums = tmp_path / "sums.csv"
+        sums.write_text("y\n1e308\n1e308\n")
+        for argv in (["design-schema", "--input", str(p)],
+                     ["regress", "--input", str(p), "--response", "y",
+                      "--predictors", "x"],
+                     ["mapreduce", "--input", str(sums), "--op", "sum:y"]):
+            proc = run_process([*argv, "--out", str(tmp_path / "out")])
+            assert_one_line_error(proc, 1)
+            assert "'y'" in proc.stderr and "overflow" in proc.stderr
+            assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["mapreduce", "--op", "sum:a"],
+    ["regress", "--response", "a", "--predictors", "b"],
+    ["design-schema"],
+])
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, argv):
+    # spreadsheet tools write "CSV UTF-8" with a leading byte-order mark
+    p = tmp_path / "in.csv"
+    reports = []
+    for mark in (b"\xef\xbb\xbf", b""):
+        p.write_bytes(mark + b"a,b\n1,2\n3,4\n5,7\n")
+        out = tmp_path / f"out{len(reports)}"
+        assert run([*argv, "--input", str(p), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
 
 @pytest.mark.parametrize("argv", [
     ["regress", "--response", "y", "--predictors", "a"],
@@ -830,32 +863,39 @@ def test_empty_out_is_one_line_usage_error(capsys):
     assert "--out" in err
 
 
-def scipy_modules_after(code):
-    """The scipy modules loaded once ``code`` has run in a fresh
-    interpreter that can import dwkit."""
+def run_code(code):
+    """Run ``code`` in a fresh interpreter that can import dwkit."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwkit.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import json, sys\n{code}\n"
-         "print(json.dumps(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy')))"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))))
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # only regress's F-test uses scipy, and imports scipy.special when it
-    # runs
-    assert scipy_modules_after("import dwkit.cli") == []
+    proc = run_code("import sys\nimport dwkit.cli\n"
+                    "print(sorted(m for m in sys.modules "
+                    "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_a_regress_run_loads_no_scipy_linalg(tmp_path):
-    loaded = scipy_modules_after(
-        "from dwkit.cli import main\n"
-        f"assert main(['regress', '--out', {str(tmp_path / 'out')!r}]) == 0")
-    assert not [m for m in loaded if m.startswith("scipy.linalg")]
+def test_no_command_needs_scipy(tmp_path):
+    # with every import of scipy failing, the commands that once used it
+    # still run: regress's F-test p-value is computed in the package
+    csv = tmp_path / "flags.csv"
+    csv.write_text("y,x,flag\n1.0,2.0,yes\n2.5,3.0,no\n2.0,5.0,yes\n"
+                   "4.5,4.0,no\n5.0,7.5,yes\n")
+    runs = [["regress"],
+            ["regress", "--input", str(csv), "--response", "y",
+             "--predictors", "x,flag", "--encode", "flag"],
+            ["design-schema", "--input", str(csv)]]
+    code = "import sys\nsys.modules['scipy'] = None\n" \
+        "from dwkit.cli import main\n" + "".join(
+            f"assert main({[*argv, '--out', str(tmp_path / str(i))]!r}) "
+            f"== 0\n" for i, argv in enumerate(runs))
+    proc = run_code(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_version_flag():

@@ -118,8 +118,13 @@ def command_lines(draw):
     return command, cfg, argv
 
 
+# JSON nested past the decoder's recursion limit, written as bytes
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
+
+
 @settings(max_examples=300)
 @given(command_lines())
+@example(("plan", DEEP_JSON, []))
 def test_command_line(case):
     command, cfg, argv = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,6 +181,7 @@ def scenarios(draw):
 @settings(max_examples=250)
 @given(scenarios(), st.sampled_from([[], ["--mode", "managed"],
                                      ["--until", "3s"]]))
+@example(DEEP_JSON, [])
 def test_scenario(scenario, flags):
     with tempfile.TemporaryDirectory() as tmp:
         check(["simulate", "--scenario", write(tmp, "s.json", scenario),
@@ -183,7 +189,9 @@ def test_scenario(scenario, flags):
 
 
 CELLS = st.sampled_from(["1", "2", "-3", "2.5", "0", "NA", "", "inf",
-                         "-inf", "nan", "1e400", "x", "y", '"q,r"', "1e5"])
+                         "-inf", "nan", "1e400", "x", "y", '"q,r"', "1e5",
+                         "1e308", "-1e308", "5e-324",
+                         "9223372036854775808"])
 
 
 @st.composite
@@ -202,6 +210,13 @@ def csv_bytes(draw):
                                      "regress"]))
 # a field past the csv module's size limit
 @example(b"a,b\n1,2\n3," + b"x" * 200000 + b"\n", "regress")
+# a UTF-8 byte-order mark before the header, as spreadsheets write
+@example(b"\xef\xbb\xbfa,b,c\n1,2,x\n3,4,y\n5,7,x\n", "mapreduce")
+@example(b"\xef\xbb\xbfa,b,c\n1,2,x\n3,4,y\n5,7,x\n", "regress")
+# finite values whose sums of squares overflow
+@example(b"a,b,c\n1,1,x\n2,2,y\n1e308,1e308,x\n-1e308,3,y\n",
+         "design-schema")
+@example(b"a,b,c\n1,1,x\n2,2,y\n1e308,1e308,x\n-1e308,3,y\n", "regress")
 def test_csv(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = write(tmp, "in.csv", data)

@@ -1,14 +1,17 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, betainc
 
 from dwkit import regress
 from dwkit.chunkstore import DataTable
-from dwkit.errors import NonBinaryColumnError, RankDeficientError
+from dwkit.errors import (DwkitError, NonBinaryColumnError,
+                          RankDeficientError)
 from dwkit.fixtures import warehouse_survey_table
 from dwkit.regress import (ModelSpec, anova, anova_from_sums, encode_binary,
                            f_pvalue, factor_lines, fit_model, fit_ols,
@@ -230,6 +233,70 @@ class TestFPvalue:
         assert f_pvalue(1e9, 3, 7) < 1e-10
         with pytest.raises(ValueError):
             f_pvalue(-0.1, 3, 7)
+
+    # F from 1e-4 to 1e4, spread evenly in its logarithm
+    F_VALUES = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+
+    @given(st.integers(1, 500), st.integers(1, 10**6), F_VALUES)
+    # the survey, the bundled fit and the warehouse-fit benchmark's report
+    @example(df1=6, df2=5, f=0.4)
+    @example(df1=6, df2=5, f=267.5)
+    @example(df1=11, df2=9988, f=133.88)
+    # where a plain continued fraction and lgamma-difference kernel erred
+    @example(df1=1, df2=446886, f=3.1226)
+    @example(df1=28, df2=326951, f=53.5967)
+    @example(df1=279, df2=93, f=8440.6)
+    def test_agrees_with_scipy(self, df1, df2, f):
+        # below about 1e-240 scipy's betainc itself drifts: against 50-digit
+        # mpmath it is 2% off at (53.5967, 28, 326951), 2.7e-298, and 56%
+        # off at (2967.6, 76, 214), 1.0e-289; the tail is checked against
+        # exact sums and pinned values below
+        ref = float(betainc(df2 / 2, df1 / 2, df2 / (df2 + df1 * f)))
+        if ref >= 1e-200:
+            rel = 1e-12 if df2 <= 10**4 else 1e-10
+            assert f_pvalue(f, df1, df2) == pytest.approx(ref, rel=rel,
+                                                          abs=0)
+
+    @staticmethod
+    def exact_tail(f, df1, df2):
+        """The upper tail at even df1, to 60 digits from the same float x:
+        x^a times the finite sum over k < df1/2 of (a)_k / k! y^k, with
+        a = df2/2 and y = 1 - x."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(df2 / (df2 + df1 * f))
+            a, y = Decimal(df2) / 2, 1 - x
+            term = total = Decimal(1)
+            for k in range(1, df1 // 2):
+                term *= (a + k - 1) / k * y
+                total += term
+            return float((x ** df2).sqrt() * total)
+
+    @given(st.integers(1, 250).map(lambda half: 2 * half),
+           st.integers(1, 10**6), st.floats(-4.0, 6.0).map(
+               lambda e: 10.0 ** e))
+    @example(df1=28, df2=326951, f=53.5967)
+    def test_tail_matches_the_exact_sum(self, df1, df2, f):
+        # relative accuracy holds down to the smallest normal float
+        exact = self.exact_tail(f, df1, df2)
+        if exact >= sys.float_info.min:
+            assert f_pvalue(f, df1, df2) == pytest.approx(exact, rel=1e-12,
+                                                          abs=0)
+
+    @pytest.mark.parametrize("f,df1,df2,value", [
+        # from mpmath at 50 and at 80 digits, which agree
+        (133.88, 11, 9988, 4.140601695409262e-288),
+        (53.5967, 28, 326951, 2.736736470728126e-298),
+        (3.1226, 1, 446886, 0.07721417426711238),
+        (8440.6, 279, 93, 2.306714557148321e-161),
+    ])
+    def test_tail_matches_pinned_values(self, f, df1, df2, value):
+        assert f_pvalue(f, df1, df2) == pytest.approx(value, rel=1e-12, abs=0)
+
+    def test_a_fraction_that_does_not_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(regress, "_MAX_FRACTION_TERMS", 2)
+        with pytest.raises(DwkitError, match="did not converge"):
+            f_pvalue(3.1226, 1, 446886)
 
 
 class TestSimpleFitAndFactorLines:
