@@ -9,6 +9,13 @@ retried through failures, never silently discarded) and
 queue; overload evicts the lowest-priority job), so the drop-rate contrast
 between the two designs can be measured on one scenario.
 
+The lossy queue ranks its entries by two keys made once per entry, when a
+job joins it (on submission or on a retry) and dropped when it leaves: an
+overflow evicts the least ``(priority, submitted_at, id)`` and an idle
+server starts the greatest ``(priority, -submitted_at)``, the first in
+queue order among equals.  Only a submission is checked against the
+capacity, so a retry can take the queue one past it.
+
 Outages are counted per kind and target: a site or link stays down until
 the last overlapping outage of that kind ends, and a ``disk-overflow``
 (which blocks inbound transfers only) never masks a ``site-down``.
@@ -233,6 +240,11 @@ class PlacementSimulator:
         self._order = 0
         self._seq = 0
         self._queue: list[str] = []  # queued/retrying job ids
+        # lossy mode: each queued job's eviction and service keys, made
+        # when it joins the queue and dropped when it leaves
+        self._lossy = self.policy.mode == "lossy-priority-baseline"
+        self._evict_key: dict[str, tuple] = {}
+        self._serve_key: dict[str, tuple] = {}
         # managed mode: how many leading queue entries were blocked at the
         # last dispatch; only a recovery can unblock them
         self._held = 0
@@ -377,20 +389,29 @@ class PlacementSimulator:
         return job_id
 
     def _enqueue(self, job):
-        self._queue.append(job.id)
-        if (self.policy.mode == "lossy-priority-baseline"
-                and self.policy.queue_capacity is not None
+        self._join_queue(job)
+        if (self._lossy and self.policy.queue_capacity is not None
                 and len(self._queue) > self.policy.queue_capacity):
-            victim_id = min(
-                self._queue,
-                key=lambda j: (self.jobs[j].priority,
-                               self.jobs[j].submitted_at, j))
-            self._queue.remove(victim_id)
+            # the lowest priority, then the earliest submitted, then the
+            # lowest id
+            victim_id = min(self._queue, key=self._evict_key.__getitem__)
+            self._leave_queue(victim_id)
             victim = self.jobs[victim_id]
             victim.state = "dropped"
             self._emit("transfer-dropped", victim_id,
                        reason="queue-evicted", priority=victim.priority,
                        bytes_moved=victim.bytes_moved)
+
+    def _join_queue(self, job):
+        self._queue.append(job.id)
+        if self._lossy:
+            self._evict_key[job.id] = (job.priority, job.submitted_at, job.id)
+            self._serve_key[job.id] = (job.priority, -job.submitted_at)
+
+    def _leave_queue(self, job_id):
+        """Take a queued job out of the lossy queue, with its keys."""
+        self._queue.remove(job_id)
+        del self._evict_key[job_id], self._serve_key[job_id]
 
     def _blocked(self, job):
         """Whether an open outage stops ``job``: a site-down at either
@@ -402,15 +423,15 @@ class PlacementSimulator:
                     or down["link-down", (job.source, job.dest)])
 
     def _dispatch(self):
-        if self.policy.mode == "lossy-priority-baseline":
-            # a single server: start the best queued job once it is idle
+        if self._lossy:
+            # a single server: start the best queued job once it is idle,
+            # the highest priority, then the earliest submitted, then the
+            # first in the queue
             if self._n or not self._queue:
                 return
-            nxt = max(self._queue,
-                      key=lambda j: (self.jobs[j].priority,
-                                     -self.jobs[j].submitted_at))
+            nxt = max(self._queue, key=self._serve_key.__getitem__)
             if not self._blocked(self.jobs[nxt]):
-                self._queue.remove(nxt)
+                self._leave_queue(nxt)
                 self._start(self.jobs[nxt])
             return
         # outages only add blocks until a recovery clears _held, so the
@@ -577,7 +598,9 @@ class PlacementSimulator:
             job.state = "failed-retrying"
             self._emit("retry-scheduled", job.id, attempt=job.retries,
                        bytes_moved=job.bytes_moved)
-            self._queue.append(job.id)
+            # no capacity check: a retry can take the lossy queue one past
+            # its bound
+            self._join_queue(job)
         else:
             job.state = "dropped"
             self._emit("transfer-dropped", job.id, reason="retry-exhausted",

@@ -156,9 +156,11 @@ def fit_ols(X, y, names=None, response="y") -> RegressionFit:
 
     A value that is not finite raises ValueError naming its column.  The
     fit is solved by ``np.linalg.lstsq``, whose SVD also gives the rank
-    test: a smallest-to-largest singular value ratio under 1e-10 raises
+    test: a smallest-to-largest singular value ratio under 1e-10, on the
+    design and again on its columns scaled to unit norm, raises
     RankDeficientError naming the first predictor that adds no rank to
-    the columns before it.
+    the columns before it.  A design that passes only when scaled is
+    solved scaled.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 1 and X.shape[1] > 1 and np.asarray(y).size == X.shape[1]:
@@ -177,13 +179,23 @@ def fit_ols(X, y, names=None, response="y") -> RegressionFit:
 
     beta, _, _, sv = np.linalg.lstsq(design, y, rcond=None)
     if sv[-1] < _RANK_TOL * sv[0]:
-        # the whole design decides; a prefix only names the column, and
-        # the last is named when no shorter prefix fails
-        for k in range(1, p):
-            s = np.linalg.svd(design[:, :k + 1], compute_uv=False)
-            if s[-1] < _RANK_TOL * s[0]:
-                raise RankDeficientError(names[k - 1])
-        raise RankDeficientError(names[-1])
+        # a predictor far larger than the intercept's ones makes a
+        # well-conditioned design look singular: rank is judged, and the
+        # fit solved, on columns scaled to unit norm (hypot does not
+        # overflow; a zero column stays zero)
+        norms = np.hypot.reduce(design, axis=0)
+        norms[norms == 0] = 1.0
+        scaled = design / norms
+        beta, _, _, sv = np.linalg.lstsq(scaled, y, rcond=None)
+        if sv[-1] < _RANK_TOL * sv[0]:
+            # the whole design decides; a prefix only names the column,
+            # and the last is named when no shorter prefix fails
+            for k in range(1, p):
+                s = np.linalg.svd(scaled[:, :k + 1], compute_uv=False)
+                if s[-1] < _RANK_TOL * s[0]:
+                    raise RankDeficientError(names[k - 1])
+            raise RankDeficientError(names[-1])
+        beta = beta / norms
     fitted = design @ beta
     return RegressionFit(intercept=float(beta[0]), slopes=beta[1:],
                          predictor_names=tuple(names), fitted=fitted,
@@ -353,7 +365,13 @@ def simple_fit(x, y):
     if sxx == 0:
         return 0.0, ym, 0.0
     slope = sxy / sxx
-    r2 = 1.0 if syy == 0 else (sxy * sxy) / (sxx * syy)
+    num, den = sxy * sxy, sxx * syy
+    if syy == 0:
+        r2 = 1.0
+    elif math.isfinite(num) and 0 < den < math.inf:
+        r2 = num / den
+    else:   # a product overflowed, or underflowed to zero
+        r2 = (sxy / sxx) * (sxy / syy)
     return slope, ym - slope * xm, r2
 
 

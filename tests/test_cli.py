@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dwkit
@@ -628,6 +629,40 @@ class TestRegressCommand:
         assert str(p) in err
         assert "'c'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_r_square_products_fit(self, tmp_path):
+        # sxy * sxy and sxx * syy both overflow: r2 is inf / inf unless it
+        # is taken as the product of the two slopes
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(0, 1e9, 10), rng.uniform(-3e153, 3e153, 10)
+        p = tmp_path / "huge.csv"
+        p.write_text("y,x\n" + "".join(
+            f"{b!r},{a!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        out = str(tmp_path / "out")
+        assert run(["regress", "--input", str(p), "--response", "y",
+                    "--predictors", "x", "--out", out]) == 0
+        res = load_report(out)["results"]
+        r2 = res["factor_ranking"][0]["r_square"]
+        assert 0 <= r2 <= 1
+        assert r2 == pytest.approx(res["summary"]["r_square"], rel=1e-12)
+
+    def test_large_well_conditioned_predictor_fits(self, tmp_path):
+        # the design's singular value ratio is under 1e-10 only because x
+        # is near 1e10 and the intercept's column 1
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0, 1e10, 50)
+        y = 2 * x / 1e10 + rng.normal(size=50)
+        p = tmp_path / "large.csv"
+        p.write_text("y,x\n" + "".join(
+            f"{b!r},{a!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        out = str(tmp_path / "out")
+        assert run(["regress", "--input", str(p), "--response", "y",
+                    "--predictors", "x", "--out", out]) == 0
+        coefficients = load_report(out)["results"]["coefficients"]
+        design = np.column_stack([np.ones(50), x / 1e10])
+        want = np.linalg.lstsq(design, y, rcond=None)[0] / [1.0, 1e10]
+        np.testing.assert_allclose(
+            [coefficients["intercept"], coefficients["x"]], want, rtol=1e-9)
 
     def test_each_record_tokenized_once(self, count_tokenized, tmp_path):
         assert_each_record_tokenized_once(

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -119,6 +120,71 @@ class TestSubmitAndAcl:
         assert sim.jobs["p3"].state == "dropped"
         assert sim.jobs["p5"].state == "queued"
         assert sim.jobs["p4"].state == "queued"
+
+
+def lossy_simulator(capacity=None):
+    return PlacementSimulator(two_sites(), PlacementPolicy(
+        mode="lossy-priority-baseline", queue_capacity=capacity))
+
+
+def interrupted_retry(capacity):
+    """A lossy run in which job "r" starts at 0, "n1" and "n2" of the same
+    priority join the queue at 1, and a link-down from 2 to 3 sends "r"
+    back to the end of the queue."""
+    sim = lossy_simulator(capacity)
+    sim.schedule(0.0, sim.submit_transfer, "a", "b", 100 * GB, "u",
+                 priority=5, job_id="r")
+    for jid in ("n1", "n2"):
+        sim.schedule(1.0, sim.submit_transfer, "a", "b", 1 * GB, "u",
+                     priority=5, job_id=jid)
+    sim.inject_failure("link-down", ("a", "b"), at=2.0, duration=1.0)
+    return sim
+
+
+class TestLossyQueueRanking:
+    def test_eviction_tie_goes_by_id(self):
+        sim = lossy_simulator(capacity=2)
+        for jid in ("c", "a", "b"):
+            sim.submit_transfer("a", "b", 1 * GB, "u", priority=1,
+                                job_id=jid)
+        assert [sim.jobs[j].state for j in "abc"] == [
+            "dropped", "queued", "queued"]
+
+    def test_service_tie_goes_to_the_earlier_submitted(self):
+        # the queue holds them out of submission order, as a retry does
+        sim = lossy_simulator()
+        sim.now = 5.0
+        sim.submit_transfer("a", "b", 1 * GB, "u", priority=1, job_id="x")
+        sim.now = 2.0
+        sim.submit_transfer("a", "b", 1 * GB, "u", priority=1, job_id="y")
+        sim._dispatch()
+        assert sim.jobs["y"].state == "active"
+        assert sim.jobs["x"].state == "queued"
+
+    def test_full_service_tie_goes_to_the_first_queued(self):
+        sim = lossy_simulator()
+        for jid in ("z", "a"):
+            sim.submit_transfer("a", "b", 1 * GB, "u", priority=1,
+                                job_id=jid)
+        sim._dispatch()
+        assert sim.jobs["z"].state == "active"
+        assert sim.jobs["a"].state == "queued"
+
+    def test_retry_is_served_before_newer_jobs(self):
+        sim = interrupted_retry(capacity=None)
+        sim.run()
+        starts = [(ev.subject, ev.time) for ev in sim.events
+                  if ev.kind == "transfer-start"]
+        assert [subject for subject, _ in starts] == ["r", "r", "n1", "n2"]
+        assert starts[1] == ("r", 3.0)
+
+    def test_retry_can_take_the_queue_one_past_its_capacity(self):
+        sim = interrupted_retry(capacity=2)
+        sim.run(until=2.5)
+        assert sim._queue == ["n1", "n2", "r"]
+        assert not [ev for ev in sim.events if ev.kind == "transfer-dropped"]
+        sim.run()
+        assert sim.metrics()["completed"] == 3
 
 
 class TestTransferOracles:
@@ -438,18 +504,20 @@ class TestOverlappingOutages:
                             and start <= ev.time < end), (ev, outages)
 
 
-def outage_simulator(data, transfers):
+def outage_simulator(data, transfers, modes=MODES, capacities=st.none(),
+                     priorities=st.just(0)):
     """Draw ``transfers`` transfers and stacked outages of every kind on
     three sites, as test_no_transfer_starts_inside_an_open_outage does;
-    returns a function that builds a simulator of them with a given sink.
-    Job ids are str or, through the library, int."""
+    returns a function that builds a simulator of them with a given sink,
+    of a given class.  Job ids are str or, through the library, int."""
     sites = ["a", "b", "c"]
-    policy = PlacementPolicy(mode=data.draw(st.sampled_from(MODES)),
-                             retry_limit=data.draw(st.integers(0, 3)))
+    policy = PlacementPolicy(mode=data.draw(st.sampled_from(modes)),
+                             retry_limit=data.draw(st.integers(0, 3)),
+                             queue_capacity=data.draw(capacities))
     times = st.integers(0, 30).map(float)
     routes = st.permutations(sites).map(lambda p: tuple(p[:2]))
     requests = [(data.draw(times), *data.draw(routes),
-                 data.draw(st.integers(1, 40)) * GB)
+                 data.draw(st.integers(1, 40)) * GB, data.draw(priorities))
                 for _ in range(transfers)]
     outages = []
     for _ in range(data.draw(st.integers(1, 8))):
@@ -461,12 +529,13 @@ def outage_simulator(data, transfers):
                         data.draw(st.none() | times)))
     int_ids = data.draw(st.booleans())
 
-    def build(sink=None):
-        sim = PlacementSimulator(
+    def build(sink=None, simulator=PlacementSimulator):
+        sim = simulator(
             [StorageSite(s, 1e15, 10 * GB, 10 * GB) for s in sites], policy,
             sink=sink)
-        for i, (at, src, dst, size) in enumerate(requests):
+        for i, (at, src, dst, size, priority) in enumerate(requests):
             sim.schedule(at, sim.submit_transfer, src, dst, size, "u",
+                         priority=priority,
                          job_id=i + 1 if int_ids else None)
         for kind, target, at, duration in outages:
             sim.inject_failure(kind, target, at=at, duration=duration)
@@ -502,6 +571,61 @@ def test_log_writer_matches_the_event_list(transfers, data):
                if ev.kind == "transfer-dropped"}
     assert writer.drop_rate == drop_rate(listed.events) == (
         len(dropped) / len(seen) if seen else 0.0)
+
+
+class LambdaRankedSimulator(PlacementSimulator):
+    """The reference lossy queue: it keeps no keys, and builds each job's
+    rank key from the job at every comparison."""
+
+    def _join_queue(self, job):
+        self._queue.append(job.id)
+
+    def _enqueue(self, job):
+        self._queue.append(job.id)
+        if (self.policy.mode == "lossy-priority-baseline"
+                and self.policy.queue_capacity is not None
+                and len(self._queue) > self.policy.queue_capacity):
+            victim_id = min(
+                self._queue,
+                key=lambda j: (self.jobs[j].priority,
+                               self.jobs[j].submitted_at, j))
+            self._queue.remove(victim_id)
+            victim = self.jobs[victim_id]
+            victim.state = "dropped"
+            self._emit("transfer-dropped", victim_id,
+                       reason="queue-evicted", priority=victim.priority,
+                       bytes_moved=victim.bytes_moved)
+
+    def _dispatch(self):
+        if self.policy.mode != "lossy-priority-baseline":
+            return super()._dispatch()
+        if self._n or not self._queue:
+            return
+        nxt = max(self._queue,
+                  key=lambda j: (self.jobs[j].priority,
+                                 -self.jobs[j].submitted_at))
+        if not self._blocked(self.jobs[nxt]):
+            self._queue.remove(nxt)
+            self._start(self.jobs[nxt])
+
+
+@given(data=st.data())
+def test_lossy_ranking_equals_the_lambda_oracle(data):
+    # keys made once per queue entry choose as keys built per comparison:
+    # the same victims and the same service order, so the same log
+    build = outage_simulator(
+        data, data.draw(st.integers(2, 8)),
+        modes=["lossy-priority-baseline"],
+        capacities=st.none() | st.integers(1, 4),
+        priorities=st.integers(0, 2))
+    until = data.draw(st.none() | st.integers(0, 60).map(float))
+    kept = build()
+    oracle = build(simulator=LambdaRankedSimulator)
+    assert kept.run(until) == oracle.run(until)
+    assert kept.events == oracle.events
+    assert kept._queue == oracle._queue
+    # keys are held only while a job is queued
+    assert set(kept._evict_key) == set(kept._serve_key) == set(kept._queue)
 
 
 # finite floats, with subnormals, integral values, values past 1e16 and
@@ -860,3 +984,38 @@ class TestGoldenLog:
             (tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in ("events.jsonl", "report.json"))
         assert digests == self.OVERLOADED[until]
+
+    # sha256 of events.jsonl and report.json in lossy mode, by queue
+    # capacity, as written by the simulator that built each queued job's
+    # rank key anew at every comparison
+    OVERLOADED_LOSSY = {
+        None: (
+            "0db5fd47a86506fc9181dd533b277f5487607998ca18ff19338e21ddfd84f979",
+            "ee6d5f3e42f509284f34eaa2c4c4acf2b8e5019de93fe47998b89f96460310c3",
+        ),
+        16: (
+            "0eeb2c716cf82928c3dfb8213f3c6f41705cee3ad71c66e9298c63157a1fd240",
+            "748c6227abce1296db7de82044905fcdcc2c8f57c674ef15f60ff8f2bfc95593",
+        ),
+    }
+
+    @pytest.mark.parametrize("capacity", sorted(OVERLOADED_LOSSY, key=str))
+    def test_overloaded_lossy_log_matches_pinned_digests(
+            self, tmp_path, monkeypatch, capacity):
+        from dwkit.cli import main
+        scenario = overloaded_scenario()
+        scenario["policy"]["queue_capacity"] = capacity
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DWKIT_OUT", raising=False)
+        assert main(["simulate", "--scenario", "scenario.json", "--mode",
+                     "lossy-priority-baseline", "--out", "out"]) == 0
+        kinds = Counter(json.loads(line)["kind"] for line in (
+            tmp_path / "out" / "events.jsonl").read_text().splitlines())
+        # outages interrupt the server, and a bound queue evicts
+        assert kinds["retry-scheduled"] >= 1
+        assert bool(kinds["transfer-dropped"]) == (capacity is not None)
+        digests = tuple(hashlib.sha256(
+            (tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("events.jsonl", "report.json"))
+        assert digests == self.OVERLOADED_LOSSY[capacity]

@@ -155,6 +155,21 @@ def test_rank_test_names_the_inserted_column(shape, extra_rows, seed):
     assert err.value.column == names[k]
 
 
+@given(st.sampled_from([1e10, 1e12, 1e15]), st.integers(0, 2**32 - 1))
+def test_rank_of_a_large_predictor_is_judged_on_scaled_columns(scale, seed):
+    # y = 2 x / scale + N(0, 1) over 50 rows: the design's singular value
+    # ratio is under 1e-10, and from 1e15 on lstsq's own cutoff truncates
+    # it, but its column-scaled ratio is about 0.25
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, scale, 50)
+    y = 2 * x / scale + rng.normal(size=50)
+    fit = fit_ols(x, y)
+    design = np.column_stack([np.ones(50), x / scale])
+    want = np.linalg.lstsq(design, y, rcond=None)[0] / [1.0, scale]
+    np.testing.assert_allclose([fit.intercept, *fit.slopes], want,
+                               rtol=1e-9, atol=1e-12)
+
+
 class TestSummaryAnova:
     def test_summary_from_survey_sums(self):
         s = summary_from_sums(20.0, 62.5, 6, 5)
@@ -309,6 +324,24 @@ class TestSimpleFitAndFactorLines:
         assert slope == pytest.approx(fit.slopes[0], rel=1e-12)
         assert intercept == pytest.approx(fit.intercept, rel=1e-12)
         assert r2 == pytest.approx(summarize(fit).r_square, rel=1e-12)
+
+    @pytest.mark.parametrize("x_scale, y_scale", [
+        (1e9, 3e153), (1e10, 3e153), (1e10, 1.2e144), (1e-100, 1e-100)],
+        ids=["both-overflow", "both-overflow-wider", "sxx-syy-overflows",
+             "sxx-syy-underflows"])
+    def test_r_square_where_a_product_leaves_the_float_range(
+            self, x_scale, y_scale):
+        rng = np.random.default_rng(29)
+        u = rng.uniform(0, 1, 10)
+        v = u + rng.uniform(-1, 1, 10)
+        x, y = u * x_scale, v * y_scale
+        xm, ym = x.mean(), y.mean()
+        sxy = float((x - xm) @ (y - ym))
+        products = [sxy * sxy,
+                    float((x - xm) @ (x - xm)) * float((y - ym) @ (y - ym))]
+        assert not all(0 < p < math.inf for p in products)
+        _, _, r2 = simple_fit(x, y)
+        assert r2 == pytest.approx(simple_fit(u, v)[2], rel=1e-12)
 
     def test_constant_x(self):
         slope, intercept, r2 = simple_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
