@@ -18,24 +18,23 @@ once the chunk ends.  So a read holds one batch's lines or row lists plus
 one chunk's columns, whatever the chunk size.
 
 Each record is tokenized once per datastore.  ``open_datastore`` infers
-the kinds from the first chunk of the first file holding data rows, a
-batch at a time: kinds only widen (integer, then real, then text), and a
-batch whose every cell of a column is missing is no evidence, so the kinds
-are those of the whole chunk.  A batch's column is parsed at the column's
-kind so far whenever its cells fit that kind.  It keeps the table of the
-columns of that chunk the first read will build, with the file position
-after it.  The first read of the datastore takes chunk 0 from it and goes
-on reading the file from there; the kept chunk is then dropped, so any
-later read goes back to the file.  A chunk 0 with a short record, or with
-a column that a later batch widened past the kind an earlier batch was
-parsed as, is not kept, and the first read reads it again from the file,
-as it does when it asks for a column that was not kept.  A read builds
-only the columns it is asked for, and still checks every cell of the
-others: a numeric column is parsed and dropped, and a text column, whose
-every cell is valid, is checked only for short records.  So a malformed
-cell fails a read whichever columns it builds, and the fault named is the
-one a whole-chunk build meets first: the first faulty column, at its first
-faulty row, counted from the chunk's first record.
+the kinds of the columns its reads may build, by default all, from the
+first chunk of the first file holding data rows, a batch at a time:
+kinds only widen (integer, then real, then text), and a batch whose every
+cell of a column is missing is no evidence, so the kinds are those of the
+whole chunk.  A batch's column is parsed at the column's kind so far
+whenever its cells fit that kind.  It keeps that chunk's columns and the
+file position after it: the first read takes chunk 0 from them and reads
+on from there, and any later read goes back to the file.  A chunk 0 with
+a record of another width, or with a column that a later batch widened
+past the kind an earlier batch was parsed as, is not kept.
+
+A read parses only the columns it builds, and checks the width of every
+record: one of more or fewer fields than the header is a fault at its
+row.  The fault named is the one a whole-chunk build meets first, column
+by column, with rows counted from the chunk's first record: a malformed
+cell of a built column, or a short record at its first absent column, and
+after the last column a long record.
 
 Numeric columns are parsed a batch column at a time, for inference and
 for building tables alike: the missing tokens are dropped, one regular
@@ -92,11 +91,12 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import (DwkitError, InconsistentHeaderError,
-                     MalformedValueError, MissingFileError)
+                     MalformedValueError, MissingFileError, RecordWidthError)
 
 DEFAULT_MISSING_TOKENS = ("NA",)
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -121,7 +121,7 @@ def strip_quotes(token: str) -> str:
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
-    kind: str    # integer | real | text
+    kind: str | None   # integer | real | text; None: no read builds it
 
 
 @dataclass(frozen=True)
@@ -140,10 +140,11 @@ class Datastore:
 
 @dataclass
 class _FirstChunk:
-    """The table of the chunk ``open_datastore`` read, with the index of
-    its file and the file positions of its first record and of the next
-    one."""
-    table: DataTable
+    """The chunk ``open_datastore`` read, as ``_table`` parts, with its
+    row count, the index of its file and the file positions of its first
+    record and of the next one."""
+    parts: dict
+    nrows: int
     file_index: int
     offset: int
     end: int
@@ -381,27 +382,25 @@ def _read_batches(lines, n, context, ncols, rows=None):
         rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, ncols)
 
 
-def _split_columns(lines, ncols):
-    """The ``ncols`` columns of a batch of ``_Lines``, as token lists
-    sliced one at a time from one split of their text at commas and line
-    ends."""
+def _split_columns(lines, ncols, js):
+    """The token lists of columns ``js`` of a batch of ``_Lines``, sliced
+    one at a time from one split of their text at commas and line ends."""
     # one expression, so that each copy of the text is dropped as soon as
     # the next is made; each \r is one of a \r\n
     flat = "".join(lines).replace("\r", "").replace("\n", ",").split(",")
     stop = len(lines) * ncols   # before the field after a last line end
-    return (flat[j:stop:ncols] for j in range(ncols))
+    return (flat[j:stop:ncols] for j in js)
 
 
-def _columns(batch, ncols):
-    """The token lists of a batch's ``ncols`` columns, one at a time:
-    split from ``_Lines``, or zipped from csv rows, where a column past a
-    short record holds the cells of the records that reach it."""
+def _columns(batch, ncols, js):
+    """The token lists of a batch's columns ``js``, one at a time: split
+    from ``_Lines``, or taken from csv rows, where a column past a short
+    record holds the cells of the records that reach it."""
     if isinstance(batch, _Lines):
-        return _split_columns(batch, ncols)
+        return _split_columns(batch, ncols, js)
     width = min(map(len, batch))
-    return chain(islice(zip(*batch), ncols),
-                 ([row[j] for row in batch if j < len(row)]
-                  for j in range(width, ncols)))
+    return (list(map(itemgetter(j), batch)) if j < width
+            else [row[j] for row in batch if j < len(row)] for j in js)
 
 
 def _read_header(path):
@@ -445,14 +444,14 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     cell, warns or skips a line: the caller then splits the lines, which
     gives the same values or names the fault.  With ``encoding=None``,
     numpy 1.x hands the converter ``str`` cells, as numpy 2 does."""
+    if not js:
+        return {}
     text = "".join(lines)
     # a one-character search is a memchr, far cheaper than a substring
     # search, and a token whose first character is absent is absent
     present = [t for t in missing_tokens if t[:1] in text and t in text]
     if any(map(_reads_as_number, present)):
         return None
-    if not js:
-        return {}
     converters = {}
     if present:
         real = _NaNOrFloat.fromkeys(_drop_set(missing_tokens),
@@ -484,14 +483,14 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     return out
 
 
-def _guess_kinds(lines, kinds, missing_tokens):
-    """``kinds`` with each None replaced by the kind its column's first
-    cell in ``lines`` that is not in ``_drop_set`` guesses: ``_plain_kind``
-    of the cell, or text.  Lines are split only while such a column is
+def _guess_kinds(lines, kinds, js, missing_tokens):
+    """``kinds`` with each None of columns ``js`` replaced by the kind its
+    column's first cell in ``lines`` not in ``_drop_set`` guesses: its
+    ``_plain_kind``, or text.  Lines are split only while such a column is
     left; a column with no such cell guesses from the first line's."""
     drop = _drop_set(missing_tokens)
     guess = list(kinds)
-    left = [j for j, kind in enumerate(kinds) if kind is None]
+    left = [j for j in js if kinds[j] is None]
     first = lines[0].rstrip("\r\n").split(",")
     for line in lines:
         if not left:
@@ -505,48 +504,39 @@ def _guess_kinds(lines, kinds, missing_tokens):
     return guess
 
 
-def _infer_batch(rows, kinds, wanted, missing_tokens):
-    """Per column of one batch of chunk 0, given the kinds so far in
-    ``kinds``, None where a column has none yet: (kind, values, mask).
-    The kind is the kind so far when the cells fit it, else the narrowest
-    kind that fits them, or None for no evidence.  A column in ``wanted``
+def _infer_batch(rows, kinds, js, missing_tokens):
+    """Columns ``js`` of one batch of chunk 0, given the kinds so far in
+    ``kinds``, None where a column has none yet: j -> (kind, values,
+    mask).  The kind is the kind so far when the cells fit it, else the
+    narrowest kind that fits them, or None for no evidence.  Each column
     is parsed at that kind, as ``_build_chunk`` parses it, with values of
-    None for no evidence and a mask all True; the others have values and
-    mask None.
+    None for no evidence and a mask all True.
 
     ``_Lines`` go through ``_parse_lines``, a column of no kind yet at the
     kind ``_guess_kinds`` gives it from one cell; where that declines, or
     a text guess is one ``_infer_column`` turns down (the cells are
-    numbers, or all missing and so no evidence), the batch is split.  A
-    text column left out of ``wanted`` is not parsed there: every cell of
-    it is valid."""
+    numbers, or all missing and so no evidence), the batch is split."""
     if isinstance(rows, _Lines):
-        guess = _guess_kinds(rows, kinds, missing_tokens)
-        got = _parse_lines(rows, guess, [j for j, kind in enumerate(kinds)
-                                         if kind != "text" or j in wanted],
-                           missing_tokens)
+        guess = _guess_kinds(rows, kinds, js, missing_tokens)
+        got = _parse_lines(rows, guess, js, missing_tokens)
         if got is not None and all(
                 _infer_column(got[j], missing_tokens, None)[0] == "text"
-                for j, kind in enumerate(kinds)
-                if kind is None and guess[j] == "text"):
-            return [(kind, None, None) if j not in wanted else
-                    (kind, *_parse_text(got[j], missing_tokens))
-                    if kind == "text" else (kind, *got[j])
-                    for j, kind in enumerate(guess)]
-    out = []
-    for j, tokens in enumerate(_columns(rows, len(kinds))):
+                for j in js if kinds[j] is None and guess[j] == "text"):
+            return {j: (guess[j], *_parse_text(got[j], missing_tokens))
+                    if guess[j] == "text" else (guess[j], *got[j])
+                    for j in js}
+    out = {}
+    for j, tokens in zip(js, _columns(rows, len(kinds), js)):
         kind, values, mask = _infer_column(tokens, missing_tokens, None)
         if kinds[j] and (kind is None or
                          _KINDS.index(kind) < _KINDS.index(kinds[j])):
             kind, values = kinds[j], None   # the cells fit the kind so far
-        if j not in wanted:
-            values = mask = None
-        elif kind is None:
+        if kind is None:
             mask = np.ones(len(tokens), dtype=bool)
         elif values is None:
             values, mask = _parse_column(tokens, ColumnSpec("", kind),
                                          missing_tokens, "")
-        out.append((kind, values, mask))
+        out[j] = kind, values, mask
     return out
 
 
@@ -555,9 +545,10 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     """Open one or more delimited files as a single datastore.
 
     ``treat_as_missing`` extends the default missing tokens.  ``columns``
-    names the columns the first read will build (default: all): only
-    those of chunk 0 are kept, and a first read that asks for another
-    reads chunk 0 again.
+    names the columns any read of the datastore may build (default: all).
+    Only those are inferred, parsed and kept, and a read that asks for
+    another is an error; every other column has kind None and is checked
+    only for width, as every record is.
     """
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -578,13 +569,14 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
                 f"{p}: header differs from {paths[0]}")
 
     # infer from the first chunk of the first file holding data rows, a
-    # batch at a time, and keep the columns asked for for the first read;
-    # a repeated name takes its last column, as a dict of columns would
+    # batch at a time, and keep its columns for the first read; a repeated
+    # name takes its last column, as a dict of columns would
     ncols = len(header)
     last = {name: j for j, name in enumerate(header)}
+    js = sorted(j for name, j in last.items()
+                if columns is None or name in columns)
     kinds = [None] * ncols
-    parts = {j: [] for name, j in last.items()
-             if columns is None or name in columns}
+    parts = {j: [] for j in js}
     nrows, kept = 0, True
     for fi, p in enumerate(paths):
         with open(p, newline="") as fh:
@@ -594,15 +586,16 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
             context = f"{p} chunk 0"
             for rows in _read_batches(lines, chunk_size, context, ncols):
                 if (not isinstance(rows, _Lines)
-                        and min(map(len, rows)) < ncols):
-                    kept, parts = False, {}   # a short record
-                batch = _infer_batch(rows, kinds, parts, tokens)
+                        and any(len(row) != ncols for row in rows)):
+                    kept, parts = False, {}   # a record of another width
+                batch = _infer_batch(rows, kinds, js, tokens)
                 # a kept column widened past the kind its earlier batches
                 # were parsed at: an integer batch cannot be widened to
                 # real in place, as -0 is 0 but -0.0
                 if any(kinds[j] not in (None, batch[j][0]) for j in parts):
                     kept, parts = False, {}
-                kinds = [kind for kind, _, _ in batch]
+                for j in js:
+                    kinds[j] = batch[j][0]
                 for j, part in parts.items():
                     part.append(batch[j][1:])
                 nrows += len(rows)
@@ -610,13 +603,13 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
             if nrows:
                 position = fi, offset, fh.tell()
                 break
-    # without data rows, every column is text
-    schema = tuple(ColumnSpec(n, kinds[last[n]] or "text") for n in header)
+    # without data rows, a column is text
+    schema = tuple(ColumnSpec(n, kinds[last[n]] or "text" if last[n] in js
+                              else None) for n in header)
     ds = Datastore(sources=tuple(paths), schema=schema,
                    missing_tokens=tokens, chunk_size=chunk_size)
     if nrows and kept:
-        ds._first.append(_FirstChunk(_table(parts, schema, nrows),
-                                     *position))
+        ds._first.append(_FirstChunk(parts, nrows, *position))
     return ds
 
 
@@ -640,14 +633,6 @@ def _parse_cells(tokens, spec, missing_tokens, context):
     return vals, mask
 
 
-def _parse_numeric(tokens, spec, missing_tokens, context):
-    """(values, mask) of a numeric column: by ``_parse_plain`` in one
-    numpy call, or cell by cell where it declines."""
-    got = _parse_plain(tokens, spec.kind, missing_tokens)
-    return got[1:] if got else _parse_cells(tokens, spec, missing_tokens,
-                                            context)
-
-
 def _parse_text(tokens, missing_tokens):
     """(values, mask) of a text column.  A text cell's value depends on
     its token alone, so each distinct token is parsed once."""
@@ -658,23 +643,14 @@ def _parse_text(tokens, missing_tokens):
 
 
 def _parse_column(tokens, spec, missing_tokens, context):
-    """(values, mask) of a column of tokens of kind ``spec.kind``."""
+    """(values, mask) of a column of tokens of kind ``spec.kind``: a
+    numeric one by ``_parse_plain`` in one numpy call, or cell by cell
+    where it declines."""
     if spec.kind == "text":
         return _parse_text(tokens, missing_tokens)
-    return _parse_numeric(tokens, spec, missing_tokens, context)
-
-
-def _short_record(rows, j, spec, missing_tokens, context, row0):
-    """The fault of column ``j`` of a batch of rows some record of which
-    stops short of it, the batch's first record being row ``row0`` of its
-    chunk: a malformed cell above the first short record, else that
-    record."""
-    short = next(i for i, row in enumerate(rows) if j >= len(row))
-    _parse_cells([row[j] for row in rows[:short]], spec, missing_tokens,
-                 context)
-    return MalformedValueError("<absent>", spec.kind,
-                               f"{context} row {row0 + short}: "
-                               f"short record")
+    got = _parse_plain(tokens, spec.kind, missing_tokens)
+    return got[1:] if got else _parse_cells(tokens, spec, missing_tokens,
+                                            context)
 
 
 def _join(parts, kind):
@@ -690,23 +666,38 @@ def _join(parts, kind):
             np.concatenate([m for _, m in parts]))
 
 
+def _built(schema, columns):
+    """The positions of the columns a read builds, a name's last: those
+    named in ``columns``, by default every column the datastore inferred.
+    No read builds a column it did not infer."""
+    last = {spec.name: j for j, spec in enumerate(schema)
+            if spec.kind is not None}
+    outside = set(columns or ()) - set(last)
+    if outside:
+        raise ValueError(f"column(s) {sorted(outside)} are not among the "
+                         f"columns the datastore was opened with")
+    return sorted(j for name, j in last.items()
+                  if columns is None or name in columns)
+
+
 def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
-    """A table of the columns named in ``columns`` (default: all) from a
-    chunk's records, given as lists of rows, with every cell of every
-    column checked.  Each batch is parsed before the next is read, and
-    each column's parts are joined at the end; a text column left out is
-    only checked for short records.  After a fault the rest of the chunk
-    is still read and checked in the columns before the faulty one, so
-    the fault raised is the first in column order, then row order."""
-    parts = {j: [] for j, s in enumerate(schema)
-             if columns is None or s.name in columns}
-    checked, fault, row0 = schema, None, 0
+    """A table of the columns a read builds (``_built``) from a chunk's
+    records, given in batches of ``_Lines`` or of rows.  Only those
+    columns are parsed, and every record's width is checked.  Each batch
+    is parsed before the next is read, and each column's parts are joined
+    at the end.  After a fault the rest of the chunk is still read and
+    checked before the faulty column, so the fault raised is the first in
+    column order, then row order: a short record is a fault at its first
+    absent column, above which the column's cells are checked first, and
+    a long record one after the last column."""
+    js = _built(schema, columns)
+    parts = {j: [] for j in js}
     ncols, kinds = len(schema), [spec.kind for spec in schema]
+    limit, fault, row0 = ncols + 1, None, 0   # columns before limit checked
     for rows in batches:
+        use = [j for j in js if j < limit]
         if isinstance(rows, _Lines):
-            got = _parse_lines(rows, kinds, [
-                j for j, spec in enumerate(checked)
-                if spec.kind != "text" or j in parts], missing_tokens)
+            got = _parse_lines(rows, kinds, use, missing_tokens)
             if got is not None:
                 for j, part in parts.items():
                     part.append(got[j] if kinds[j] != "text" else
@@ -714,23 +705,27 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
                 row0 += len(rows)
                 del rows, got   # before the next batch is read
                 continue
-            width = ncols
-        else:
-            width = min(map(len, rows))
-        for j, (spec, tokens) in enumerate(zip(checked,
-                                               _columns(rows, ncols))):
-            if spec.kind == "text" and j not in parts and j < width:
-                continue   # every cell of a complete text column is valid
-            try:
-                if j >= width:
-                    raise _short_record(rows, j, spec, missing_tokens,
-                                        context, row0)
-                got = _parse_column(tokens, spec, missing_tokens, context)
-            except MalformedValueError as exc:
-                checked, fault, parts = schema[:j], exc, {}
-                break
-            if j in parts:
-                parts[j].append(got)
+        # a record's faulty column: first absent, ncols if long, else ncols + 1
+        width = (np.full(1, ncols) if isinstance(rows, _Lines)
+                 else np.fromiter(map(len, rows), int, len(rows)))
+        key = np.minimum(width, ncols) + (width == ncols)
+        bad, i = int(key.min()), int(key.argmin())
+        cols = [j for j in use if j < bad]
+        try:
+            for j, tokens in zip(cols, _columns(rows, ncols, cols)):
+                got = _parse_column(tokens, schema[j], missing_tokens,
+                                    context)
+                if j in parts:
+                    parts[j].append(got)
+            j = bad
+            if bad < limit:
+                if bad in use:   # the column's cells above it come first
+                    _parse_column([row[bad] for row in rows[:i]],
+                                  schema[bad], missing_tokens, context)
+                raise RecordWidthError(f"{context} row {row0 + i}",
+                                       len(rows[i]), ncols)
+        except MalformedValueError as exc:
+            limit, fault, parts = j, exc, {}
         row0 += len(rows)
         del rows   # before the next batch is read
     if fault is not None:
@@ -800,19 +795,11 @@ def iter_file_chunks(ds: Datastore, file_index: int):
 
 
 def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
-    """``read_chunk``, which ``read_chunks`` calls too.  The table
-    ``open_datastore`` kept is projected onto the columns asked for when
-    it holds every one of them."""
+    """``read_chunk``, which ``read_chunks`` calls too.  Of the chunk
+    ``open_datastore`` kept, only the columns asked for are joined."""
     if isinstance(rows, _FirstChunk):
-        table = rows.table
-        names = [spec.name for spec in ds.schema
-                 if columns is None or spec.name in columns]
-        if all(n in table.columns for n in names):
-            return DataTable({n: table.columns[n] for n in names},
-                             {n: table.missing[n] for n in names},
-                             {n: table.kinds[n] for n in names},
-                             nrows=table.nrows)
-        rows = None   # a column it did not keep: chunk 0 is read again
+        return _table({j: rows.parts[j] for j in _built(ds.schema, columns)},
+                      ds.schema, rows.nrows)
     context = f"{ds.sources[file_index]} chunk {chunk_index}"
     if rows is not None:
         return _build_chunk(rows, ds.schema, ds.missing_tokens, context,
@@ -839,6 +826,7 @@ def read_chunks(ds: Datastore, columns=None):
     (file, chunk index) pair for re-execution.  ``columns`` as for
     ``read_all``.
     """
+    _built(ds.schema, columns)   # a refused read takes no chunk
     for fi in range(len(ds.sources)):
         for ci, offset, rows in iter_file_chunks(ds, fi):
             yield _read_chunk(ds, fi, ci, offset, columns, rows)
@@ -846,7 +834,8 @@ def read_chunks(ds: Datastore, columns=None):
 
 def read_all(ds: Datastore, columns=None) -> DataTable:
     """The whole datastore as one table of the columns named in
-    ``columns`` (default: all); every cell of the others is checked."""
+    ``columns``, by default every column ``open_datastore`` was asked for;
+    a column it was not asked for is an error."""
     return concat_tables(list(read_chunks(ds, columns)) or
                          [_build_table([], ds.schema, ds.missing_tokens,
                                        columns=columns)])

@@ -63,6 +63,16 @@ class MalformedValueError(DwkitError):
         super().__init__(msg)
 
 
+class RecordWidthError(MalformedValueError):
+    """A record of more or fewer fields than its file's header."""
+
+    def __init__(self, context, width, ncols):
+        self.token = self.kind = None
+        side = "short" if width < ncols else "long"
+        DwkitError.__init__(self, f"{context}: {side} record of {width} "
+                                  f"field(s); the header has {ncols}")
+
+
 class TaskFailedError(DwkitError):
     def __init__(self, task_id, cause):
         self.task_id = task_id

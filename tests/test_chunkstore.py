@@ -430,7 +430,7 @@ class TestBatches:
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         full = cs.read_all(cs.open_datastore(p))
         ds = cs.open_datastore(p, columns=["a", "t"])
-        assert set(ds._first[0].table.columns) == {"a", "t"}
+        assert set(ds._first[0].parts) == {0, 2}
         narrow = cs.open_datastore(p, columns=["a"])
         records = count_tokenized()
         assert_same_table(cs.read_all(ds, ["a", "t"]), cs.DataTable(
@@ -438,10 +438,16 @@ class TestBatches:
             {n: full.missing[n] for n in "at"},
             {n: full.kinds[n] for n in "at"}))
         assert len(records) == 0   # from the kept chunk
-        # a first read asking for a column that was not kept reads chunk
-        # 0 again
-        assert_same_table(cs.read_all(narrow), full)
-        assert len(records) == 7
+        # a read builds the columns the datastore was opened with, and
+        # refuses any other without reading
+        assert [c.kind for c in narrow.schema] == ["integer", None, None]
+        with pytest.raises(ValueError, match=r"\['b'\] are not among"):
+            cs.read_all(narrow, ["a", "b"])
+        assert len(records) == 0
+        assert_same_table(cs.read_all(narrow), cs.DataTable(
+            {"a": full.columns["a"]}, {"a": full.missing["a"]},
+            {"a": "integer"}))
+        assert len(records) == 0
         # a short record is named whichever columns were kept
         p = write_csv(tmp_path / "s.csv", "a,b", ["1,1", "2"])
         ds = cs.open_datastore(p, columns=["a"])
@@ -464,16 +470,19 @@ class TestBatches:
                                                   monkeypatch):
         # in chunk 1, column b fails in the first batch and column a only
         # in the third: a whole-chunk build checks column a first, and so
-        # does a batched one
+        # does a batched one; a read of column b alone parses only b
         clean = [f"{i},{i}" for i in range(6)]
         p = write_csv(tmp_path / "f.csv", "a,b", clean + [
             "7,7", "8,oops", "9,9", "10,10", "bad,11", "12,12"])
         monkeypatch.setattr(cs, "_BATCH_RECORDS", 2)
         ds = cs.open_datastore(p, chunk_size=6)
         with pytest.raises(MalformedValueError) as err:
-            cs.read_all(ds, ["b"])
+            cs.read_all(ds)
         assert err.value.token == "bad"
         assert "chunk 1 column 'a'" in str(err.value)
+        with pytest.raises(MalformedValueError) as err:
+            cs.read_all(cs.open_datastore(p, chunk_size=6), ["b"])
+        assert err.value.token == "oops"
 
     def test_short_record_row_counts_from_chunk_start(self, tmp_path,
                                                       monkeypatch):

@@ -745,33 +745,88 @@ class TestIncompleteRows:
 
     LATER = "y,a,b\n" + "".join(f"{k},{k % 7},{k}\n" for k in range(10000))
 
-    # a command builds only the columns it uses, and checks the others
+    # a command parses only the columns it uses, and checks every record's
+    # width: a malformed cell of another column is never read, and a short
+    # or long record fails the run
     @pytest.mark.parametrize("argv, body, message", [
         (["mapreduce", "--op", "sum:a", "--chunk-size", "2"],
-         "a,b\n1,2\n3,4\n5,oops\n", "token 'oops' is neither missing nor "
-         "a valid integer ({} chunk 1 column 'b')"),
+         "a,b\n1,2\n3,4\n5,oops\n", None),
         (["mapreduce", "--op", "sum:a", "--chunk-size", "2"],
-         "a,t\n1,x\n2,y\n3\n", "token '<absent>' is neither missing nor "
-         "a valid text ({} chunk 1 row 0: short record)"),
+         "a,t\n1,x\n2,y\n3\n", "{} chunk 1 row 0: short record of 1 "
+         "field(s); the header has 2"),
+        (["mapreduce", "--op", "sum:a", "--chunk-size", "2"],
+         "a,t\n1,x\n2,y\n3,z,w\n", "{} chunk 1 row 0: long record of 3 "
+         "field(s); the header has 2"),
         (["regress", "--response", "y", "--predictors", "a"],
-         LATER + "1,2,oops\n", "token 'oops' is neither missing nor a "
-         "valid integer ({} chunk 1 column 'b')"),
+         LATER + "1,2,oops\n", None),
         (["regress", "--response", "y", "--predictors", "a"],
-         "y,a,t\n1,2,u\n2,3\n3,5,w\n4,4,x\n", "token '<absent>' is "
-         "neither missing nor a valid text ({} chunk 0 row 1: short "
-         "record)"),
+         "y,a,t\n1,2,u\n2,3\n3,5,w\n4,4,x\n", "{} chunk 0 row 1: short "
+         "record of 2 field(s); the header has 3"),
+        (["regress", "--response", "y", "--predictors", "a"],
+         LATER + "1,2,3,4\n", "{} chunk 1 row 0: long record of 4 "
+         "field(s); the header has 3"),
         (["design-schema"], "a,b,t\n1,2,x\n2,3,y\n3,5\n4,4,z\n",
-         "token '<absent>' is neither missing nor a valid text ({} chunk 0 "
-         "row 2: short record)"),
-    ], ids=["mapreduce-cell", "mapreduce-short", "regress-cell",
-            "regress-short", "design-schema-short"])
-    def test_unused_columns_are_checked(self, tmp_path, capsys, argv, body,
-                                        message):
+         "{} chunk 0 row 2: short record of 2 field(s); the header has 3"),
+        (["design-schema"], "a,b,t\n1,2,x\n2,3,y\n3,5,z,\n4,4,z\n",
+         "{} chunk 0 row 2: long record of 4 field(s); the header has 3"),
+    ], ids=["mapreduce-cell", "mapreduce-short", "mapreduce-long",
+            "regress-cell", "regress-short", "regress-long",
+            "design-schema-short", "design-schema-long"])
+    def test_unused_columns_are_checked_only_for_width(
+            self, tmp_path, capsys, argv, body, message):
         p = tmp_path / "bad.csv"
         p.write_text(body)
-        err = run_one_line_error([argv[0], "--input", str(p), *argv[1:],
-                                  "--out", str(tmp_path / "out")], capsys, 1)
-        assert err == f"dwkit: error: {message.format(p)}\n"
+        argv = [argv[0], "--input", str(p), *argv[1:], "--out"]
+        if message is not None:
+            err = run_one_line_error([*argv, str(tmp_path / "out")], capsys,
+                                     1)
+            assert err == f"dwkit: error: {message.format(p)}\n"
+            return
+        # every output equals that of the file without the bad column
+        outputs = []
+        for text in (body, "".join(line.rpartition(",")[0] + "\n"
+                                   for line in body.splitlines())):
+            p.write_text(text)
+            out = tmp_path / f"out{len(outputs)}"
+            assert run([*argv, str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
+    # a thousands separator: unquoted, it makes its record one field too
+    # long; quoted, its cell is text, which a numeric column refuses and by
+    # which chunk 0 infers a text column
+    @pytest.mark.parametrize("later", [False, True],
+                             ids=["chunk-0", "later-chunk"])
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    @pytest.mark.parametrize("argv, chunk_size, text_outcome", [
+        (["mapreduce", "--op", "sum:amount", "--op", "count"], 1000,
+         (1, "dwkit: error: sum:amount: column 'amount' is not numeric")),
+        (["regress", "--response", "amount", "--predictors", "id"], 10000,
+         (2, "dwkit: usage error: column(s) ['amount'] are not numeric; "
+             "0/1-encode two-valued ones with --encode")),
+        (["design-schema"], 100000, (0, "")),
+    ], ids=["mapreduce", "regress", "design-schema"])
+    def test_thousands_separator(self, tmp_path, capsys, argv, chunk_size,
+                                 text_outcome, quote, later):
+        p = tmp_path / "sep.csv"
+        # a later chunk starts after chunk_size plain records
+        p.write_text("id,amount\n"
+                     + "".join(f"{k},{k % 7}\n"
+                               for k in range(chunk_size * later))
+                     + f"1,250\n2,{quote}1,000{quote}\n3,40\n")
+        code = run([argv[0], "--input", str(p), *argv[1:], "--out",
+                    str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip()
+        if not quote:
+            assert (code, err) == (1, f"dwkit: error: {p} chunk {int(later)} "
+                                   f"row 1: long record of 3 field(s); the "
+                                   f"header has 2")
+        elif later:
+            assert (code, err) == (1, f"dwkit: error: token '1,000' is "
+                                   f"neither missing nor a valid integer "
+                                   f"({p} chunk 1 column 'amount')")
+        else:
+            assert (code, err) == text_outcome
 
 
 class TestChunkSizeValidation:

@@ -3,9 +3,10 @@
 ``reference_build_table`` and ``reference_infer_kind`` parse cell by cell,
 as ``chunkstore._build_table`` and ``chunkstore._infer_column`` did before
 numeric columns were parsed a column at a time, with integers held as
-int64 plus the missing mask and refused outside int64.  For random columns
-both must agree exactly: dtype, missing mask, bit-identical values, and the
-same error on the same cell.
+int64 plus the missing mask and refused outside int64.  The reference
+builds only the columns asked for and checks every record's width.  For
+random columns both must agree exactly: dtype, missing mask,
+bit-identical values, and the same error on the same cell or record.
 """
 import contextlib
 import csv
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from dwkit import chunkstore as cs
 from dwkit.cli import main
-from dwkit.errors import DwkitError, MalformedValueError
+from dwkit.errors import DwkitError, MalformedValueError, RecordWidthError
 
 
 def reference_infer_kind(tokens, missing_tokens):
@@ -40,18 +41,29 @@ def reference_infer_kind(tokens, missing_tokens):
         return "text"
 
 
-def reference_build_table(rows, schema, missing_tokens, context=""):
-    columns, missing, kinds = {}, {}, {}
-    n = len(rows)
+def reference_build_table(rows, schema, missing_tokens, context="",
+                          columns=None):
+    """The columns named in ``columns`` (default: every column with a
+    kind) of ``rows``, parsed cell by cell, with every record's width
+    checked.  Column by column, a malformed cell of a column built is a
+    fault, and so is a short record at its first absent column; after the
+    last column, a long record is one.  So the fault raised is the first
+    in column order, then row order."""
+    table, missing, kinds = {}, {}, {}
+    n, ncols = len(rows), len(schema)
     for j, spec in enumerate(schema):
+        built = spec.kind is not None and (columns is None
+                                           or spec.name in columns)
         mask = np.zeros(n, dtype=bool)
         vals = {"integer": np.zeros(n, dtype=np.int64),
                 "real": np.full(n, np.nan),
-                "text": np.empty(n, dtype=object)}[spec.kind]
+                "text": np.empty(n, dtype=object),
+                None: None}[spec.kind]
         for i, row in enumerate(rows):
             if j >= len(row):
-                raise MalformedValueError("<absent>", spec.kind,
-                                          f"{context} row {i}: short record")
+                raise RecordWidthError(f"{context} row {i}", len(row), ncols)
+            if not built:
+                continue
             try:
                 v = cs.parse_value(row[j], spec.kind, missing_tokens)
             except MalformedValueError as exc:
@@ -62,10 +74,14 @@ def reference_build_table(rows, schema, missing_tokens, context=""):
                 mask[i] = True
             else:
                 vals[i] = v
-        columns[spec.name] = vals
-        missing[spec.name] = mask
-        kinds[spec.name] = spec.kind
-    return cs.DataTable(columns, missing, kinds)
+        if built:
+            table[spec.name] = vals
+            missing[spec.name] = mask
+            kinds[spec.name] = spec.kind
+    for i, row in enumerate(rows):
+        if len(row) > ncols:
+            raise RecordWidthError(f"{context} row {i}", len(row), ncols)
+    return cs.DataTable(table, missing, kinds, nrows=n)
 
 
 # default, numeric, and padded (never a raw cell's own form) missing tokens
@@ -128,11 +144,14 @@ def test_build_table_equals_per_cell_reference(data):
     cols = data.draw(st.lists(columns(nrows), min_size=1, max_size=4))
     rows = [[col[i] for col in cols] for i in range(nrows)]
     if nrows and data.draw(st.integers(0, 4)) == 0:
-        i = data.draw(st.integers(0, nrows - 1))
-        rows[i] = rows[i][:data.draw(st.integers(0, len(cols) - 1))]
+        i = data.draw(st.integers(0, nrows - 1))   # a short or long record
+        width = data.draw(st.integers(0, len(cols) + 2).filter(
+            lambda width: width != len(cols)))
+        rows[i] = (rows[i] + ["7", "x"])[:width]
+    # a column of kind None is one no read builds
     kinds = [data.draw(st.sampled_from(
         [reference_infer_kind(col, missing_tokens), "integer", "real",
-         "text"])) for col in cols]
+         "text", None])) for col in cols]
     schema = tuple(cs.ColumnSpec(f"c{j}", k) for j, k in enumerate(kinds))
     assert_identical(
         outcome(cs._build_table, rows, schema, missing_tokens),
@@ -227,28 +246,24 @@ def failure(read):
         return (type(exc), str(exc), exc.token, exc.kind)
 
 
-def select(table, columns):
-    if columns is None or isinstance(table, tuple):
-        return table
-    return cs.DataTable({n: table.columns[n] for n in columns},
-                        {n: table.missing[n] for n in columns},
-                        {n: table.kinds[n] for n in columns},
-                        nrows=table.nrows)
-
-
-def expected_chunks(files, header, missing_tokens, chunk_size):
-    """(schema, outcomes): the per-cell reference over whole chunks, each
-    chunk's table, up to and with the first chunk's error."""
+def expected_chunks(files, header, missing_tokens, chunk_size, keep,
+                    columns):
+    """(schema, outcomes): the per-cell reference over whole chunks of a
+    datastore opened with columns ``keep`` and read with ``columns``, each
+    chunk's table, up to and with the first chunk's error.  Only the
+    columns kept are inferred, from the cells of the records of the first
+    chunk that reach them; the others have kind None."""
     first = next((rows for _, rows in files if rows), [])[:chunk_size]
     schema = tuple(cs.ColumnSpec(name, reference_infer_kind(
-        [row[j] for row in first if j < len(row)], missing_tokens))
+        [row[j] for row in first if j < len(row)], missing_tokens)
+        if keep is None or name in keep else None)
         for j, name in enumerate(header))
     outcomes = []
     for path, rows in files:
         for ci, start in enumerate(range(0, len(rows), chunk_size)):
             outcomes.append(failure(lambda: reference_build_table(
                 rows[start:start + chunk_size], schema, missing_tokens,
-                f"{path} chunk {ci}")))
+                f"{path} chunk {ci}", columns)))
             if isinstance(outcomes[-1], tuple):
                 return schema, outcomes
     return schema, outcomes
@@ -270,8 +285,10 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
     cols = [data.draw(widening_column(nrows)) for _ in range(ncols)]
     rows = [[col[i] for col in cols] for i in range(nrows)]
     for _ in range(data.draw(st.integers(0, 2)) if nrows else 0):
-        i = data.draw(st.integers(0, nrows - 1))   # a short record
-        rows[i] = rows[i][:data.draw(st.integers(0, ncols - 1))]
+        i = data.draw(st.integers(0, nrows - 1))   # a short or long record
+        width = data.draw(st.integers(0, ncols + 2).filter(
+            lambda width: width != ncols))
+        rows[i] = (rows[i] + ["7", "x"])[:width]
     header = [f"c{j}" for j in range(ncols)]
     split = data.draw(st.integers(0, nrows))   # either file may be empty
     tmp = tmp_path_factory.mktemp("batches")
@@ -280,12 +297,13 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
     paths = [p for p, _ in files]
     chunk_size = data.draw(st.integers(1, 7))
     columns = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
-    schema, want = expected_chunks(files, header, missing_tokens, chunk_size)
-    want = [select(t, columns) for t in want]
+    keep = data.draw(st.sampled_from([None, columns]))
+    schema, want = expected_chunks(files, header, missing_tokens, chunk_size,
+                                   keep, columns)
 
     def opened():
         ds = cs.open_datastore(paths, chunk_size=chunk_size,
-                               treat_as_missing=missing_tokens)
+                               treat_as_missing=missing_tokens, columns=keep)
         assert ds.schema == schema
         return ds
 
@@ -444,9 +462,9 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
             taken_with_missing.append(any(t in text for t in missing_tokens))
         return got
 
-    def splitting(lines, ncols):
+    def splitting(lines, ncols, js):
         split.append(len(lines))
-        return split_columns(lines, ncols)
+        return split_columns(lines, ncols, js)
 
     @given(st.data())
     def plain_equals_csv(data):
@@ -467,6 +485,8 @@ def test_plain_batches_equal_csv_path(monkeypatch, tmp_path_factory):
         chunk_size = data.draw(st.sampled_from([1, 2, 7]))
         keep = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
         columns = data.draw(st.sampled_from([None, ["c0"], header[1:]]))
+        if keep is not None and columns != keep:
+            columns = None   # no read builds a column that was not kept
         monkeypatch.setattr(cs, "_BATCH_RECORDS",
                             data.draw(st.sampled_from([1, 2, 3])))
         with monkeypatch.context() as m:
@@ -571,7 +591,7 @@ def test_fast_path_parses_mixed_batch_in_one_loadtxt_call(monkeypatch):
     monkeypatch.setattr(cs.np, "loadtxt", counting)
     got = cs._parse_lines(lines, kinds, [0, 1, 2], frozenset({"NA"}))
     assert calls == [[0, 1, 2]]
-    for j, tokens in enumerate(cs._split_columns(lines, 3)):
+    for j, tokens in enumerate(cs._split_columns(lines, 3, range(3))):
         if kinds[j] == "text":
             assert got[j] == tokens
             continue
@@ -628,7 +648,7 @@ def test_fast_path_parses_batch_with_missing_cells_in_one_loadtxt_call(
     got = cs._parse_lines(lines, kinds, [0, 1, 2], frozenset({"NA"}))
     assert calls == [[0, 1, 2]]
     assert got is not None
-    for j, tokens in enumerate(cs._split_columns(lines, 3)):
+    for j, tokens in enumerate(cs._split_columns(lines, 3, range(3))):
         if kinds[j] == "text":
             assert got[j] == tokens
             continue
@@ -684,6 +704,54 @@ def test_fast_path_never_splits_scan_file(tmp_path, monkeypatch):
                                                          chunk_size=2000)))
 
 
+def test_fast_path_parses_only_the_columns_a_command_uses(tmp_path,
+                                                         monkeypatch):
+    # a wide plain file: reals, a yes/no flag, and an integer column with
+    # NA cells, which loadtxt refuses, so a batch parsing it is split
+    rng = np.random.default_rng(3)
+    header = [f"m{j:02d}" for j in range(30)] + ["flag", "n"]
+    lines = [",".join([f"{v:.9g}" for v in rng.normal(0, 20, 30)]
+                      + [str(rng.choice(["yes", "no"])),
+                         "NA" if k % 5 == 0 else str(k)]) + "\n"
+             for k in range(5000)]
+    p = tmp_path / "wide.csv"
+    p.write_text(",".join(header) + "\n" + "".join(lines))
+    parsed, splits = [], []
+    parse_lines, split_columns = cs._parse_lines, cs._split_columns
+
+    def recording(lines, kinds, js, missing_tokens):
+        parsed.append([header[j] for j in js])
+        return parse_lines(lines, kinds, js, missing_tokens)
+
+    def splitting(*args):
+        splits.append(args)
+        return split_columns(*args)
+    monkeypatch.setattr(cs, "_parse_lines", recording)
+    monkeypatch.setattr(cs, "_split_columns", splitting)
+
+    def dwkit(*argv):
+        out = tmp_path / f"out{len(os.listdir(tmp_path))}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--input", str(p), "--out", str(out)]) == 0
+
+    # regress hands loadtxt its response, predictors and --encode columns
+    # alone, so the unused NA integer column never declines a batch
+    dwkit("regress", "--response", "m00", "--predictors", "m07,m21,flag",
+          "--encode", "flag")
+    assert parsed and all(names == ["m00", "m07", "m21", "flag"]
+                          for names in parsed)
+    assert not splits
+    # a count parses no column at all
+    parsed.clear()
+    dwkit("mapreduce", "--op", "count", "--chunk-size", "1000")
+    assert all(names == [] for names in parsed) and not splits
+    # the NA integer column declines every batch that parses it
+    parsed.clear()
+    ds = cs.open_datastore(str(p), columns=["n"])
+    assert cs.read_all(ds).missing_count("n") == 1000
+    assert parsed == [["n"]] * 3 and len(splits) == 3
+
+
 @pytest.mark.parametrize("lines, kinds, split", [
     # a text guess that _infer_column turns down: the batch is split
     (["nan,a\n", "1.5,b\n", "2.5,c\n", "3.5,d\n", "4.5,e\n"],
@@ -729,9 +797,13 @@ def test_first_record_guess_equals_csv_path(tmp_path, monkeypatch, lines,
         m.setattr(cs, "_split_columns", splitting)
         ds = cs.open_datastore(str(p), chunk_size=chunk_size,
                                treat_as_missing=("NA",), columns=columns)
-    assert [c.kind for c in ds.schema] == kinds
-    assert bool(splits) == split
-    if lines[0] == "1.5,NA\n":
+    # only the columns asked for are inferred, so c1, all missing in the
+    # first batch, splits it only where it is asked for
+    assert [c.kind for c in ds.schema] == [
+        kind if columns is None or f"c{j}" in columns else None
+        for j, kind in enumerate(kinds)]
+    assert bool(splits) == (split and not (columns and lines[0] == "1.5,NA\n"))
+    if lines[0] == "1.5,NA\n" and columns is None:
         # the second batch of chunk 0: only the column of no kind guessed
         assert parsed[1] == ["real", "integer"]
     fast = read_every_way([str(p)], chunk_size, ("NA",), columns, columns)
@@ -744,11 +816,16 @@ def test_first_record_guess_equals_csv_path(tmp_path, monkeypatch, lines,
 # Each column's cells are of one kind, and the first record has a cell in
 # every column, so chunk 0 infers the same kinds at any chunk size.  Then
 # the results, exit status and message of ``dwkit mapreduce`` must not
-# change with the chunk size, a split into two files, quoting cells or
-# CRLF line ends, and each op's value must be its value when asked alone.
+# change with the chunk size, a split into two files, quoting cells, CRLF
+# line ends or a column of garbage that no op names, and each op's value
+# must be its value when asked alone.
 
 META_CELLS = {"integer": PLAIN_INTS, "real": PLAIN_REALS,
               "text": st.sampled_from(["a", "yes", "no", " b ", "x y"])}
+# cells no kind but text takes, and numbers past int64 and float64
+GARBAGE = st.one_of(ODD_CELLS.filter(lambda cell: "\n" not in cell),
+                    st.sampled_from(["oops", '"a,b"', '"x""y"', "1e999",
+                                     "9" * 30, "\x00"]))
 
 
 def run_mapreduce(tmp, files, chunk_size, ops):
@@ -813,6 +890,15 @@ def test_mapreduce_metamorphic_relations(tmp_path_factory, monkeypatch):
 
         tmp = tmp_path_factory.mktemp("metamorphic")
         base = run_mapreduce(tmp, [text(rows)], 1000, ops)
+        # a column no op names is never parsed, whatever its cells hold:
+        # an integer first, then garbage, each cell in a chunk of its own
+        at = data.draw(st.integers(0, len(kinds)))
+        junk = [data.draw(PLAIN_INTS)] + [data.draw(GARBAGE)
+                                          for _ in range(nrows - 1)]
+        assert run_mapreduce(tmp, ["".join(
+            ",".join(row[:at] + [cell] + row[at:]) + "\n"
+            for row, cell in zip([header, *rows], ["junk", *junk]))],
+            1, ops) == base
         for chunk_size in (1, 2, 7):
             assert run_mapreduce(tmp, [text(rows)], chunk_size, ops) == base
         assert run_mapreduce(tmp, [text(rows[:split]), text(rows[split:])],
