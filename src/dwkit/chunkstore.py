@@ -43,8 +43,9 @@ expression checks that every other token is a plain ASCII number, and one
 A column that fails either step (quoted or padded cells, Unicode digits,
 ``1_000``, integers past int64, malformed cells) is parsed cell by cell
 with ``parse_value``, which gives the same values and names the first
-malformed cell with its file, chunk and column.  A text column goes
-through ``parse_value`` once per distinct token.
+malformed cell with its file, chunk, row and column, its row counted
+from the chunk's first record.  A text column goes through
+``parse_value`` once per distinct token.
 
 Each batch is first read as raw lines, and the input selects one of
 three paths, for every batch of every chunk, a chunk's first and chunk 0
@@ -613,9 +614,9 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     return ds
 
 
-def _parse_cells(tokens, spec, missing_tokens, context):
+def _parse_cells(tokens, spec, missing_tokens, context, row0=0):
     """Parse a column cell by cell with ``parse_value``; names the first
-    malformed cell."""
+    malformed cell, by its row, ``row0`` for the first token."""
     n = len(tokens)
     mask = np.zeros(n, dtype=bool)
     vals = _empty_column(spec.kind, n)
@@ -625,7 +626,7 @@ def _parse_cells(tokens, spec, missing_tokens, context):
         except MalformedValueError as exc:
             raise MalformedValueError(
                 token, spec.kind,
-                f"{context} column {spec.name!r}") from exc
+                f"{context} row {row0 + i} column {spec.name!r}") from exc
         if v is None or (isinstance(v, float) and math.isnan(v)):
             mask[i] = True
         else:
@@ -642,15 +643,15 @@ def _parse_text(tokens, missing_tokens):
     return values, np.equal(values, None)
 
 
-def _parse_column(tokens, spec, missing_tokens, context):
+def _parse_column(tokens, spec, missing_tokens, context, row0=0):
     """(values, mask) of a column of tokens of kind ``spec.kind``: a
     numeric one by ``_parse_plain`` in one numpy call, or cell by cell
-    where it declines."""
+    where it declines, rows counted from ``row0``."""
     if spec.kind == "text":
         return _parse_text(tokens, missing_tokens)
     got = _parse_plain(tokens, spec.kind, missing_tokens)
     return got[1:] if got else _parse_cells(tokens, spec, missing_tokens,
-                                            context)
+                                            context, row0)
 
 
 def _join(parts, kind):
@@ -714,14 +715,14 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
         try:
             for j, tokens in zip(cols, _columns(rows, ncols, cols)):
                 got = _parse_column(tokens, schema[j], missing_tokens,
-                                    context)
+                                    context, row0)
                 if j in parts:
                     parts[j].append(got)
             j = bad
             if bad < limit:
                 if bad in use:   # the column's cells above it come first
                     _parse_column([row[bad] for row in rows[:i]],
-                                  schema[bad], missing_tokens, context)
+                                  schema[bad], missing_tokens, context, row0)
                 raise RecordWidthError(f"{context} row {row0 + i}",
                                        len(rows[i]), ncols)
         except MalformedValueError as exc:

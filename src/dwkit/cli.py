@@ -202,32 +202,58 @@ def _cmd_plan(args, _output):
 
 # --- design-schema ---
 
-def _numeric_matrix_from_csv(path, chunk_size=100000):
-    ds = chunkstore.open_datastore(path, chunk_size=chunk_size)
-    names = [c.name for c in ds.schema if c.kind in ("integer", "real")]
+def _moments_from_csv(path):
+    """The folded ``Moments`` of a CSV's numeric columns over its rows with
+    every one present, read a chunk of ``_BATCH_RECORDS`` rows at a time,
+    and the warnings to report.  A name repeated in the header is its last
+    column, once."""
+    ds = chunkstore.open_datastore(path,
+                                   chunk_size=chunkstore._BATCH_RECORDS)
+    kinds = {c.name: c.kind for c in ds.schema}   # a name's last column
+    names = [n for n, kind in kinds.items() if kind in ("integer", "real")]
     if not names:
         raise ConfigError(f"{path} has no numeric columns")
-    table = chunkstore.read_all(ds, names)
-    table, dropped = table.complete_cases(names)
-    if table.nrows < 2:
-        raise DwkitError(f"{path} has {table.nrows} row(s) with every "
+    moments = schema_pca.Moments.of(np.empty((0, len(names))), names)
+    dropped = 0
+    for table in chunkstore.read_chunks(ds, names):
+        table, gone = table.complete_cases(names)
+        dropped += gone
+        moments = moments.merge(schema_pca.Moments.of(np.column_stack(
+            [np.asarray(table.column(n), dtype=float) for n in names]),
+            names))
+        del table   # before the next chunk is read
+    if moments.n < 2:
+        raise DwkitError(f"{path} has {moments.n} row(s) with every "
                          f"numeric column present; design-schema needs 2")
-    values = np.column_stack([np.asarray(table.column(n), dtype=float)
-                              for n in names])
-    infinite = [n for n, col in zip(names, values.T) if np.isinf(col).any()]
-    if infinite:
-        raise DwkitError(f"{path}: column {infinite[0]!r} holds an infinity")
-    _refuse_overflow(path, names, values)
-    return (schema_pca.NumericMatrix(values=values, col_names=names),
-            _dropped_warnings(dropped, "a numeric column"))
+    infinite = np.flatnonzero(np.isinf(moments.low) | np.isinf(moments.high))
+    if infinite.size:
+        raise DwkitError(f"{path}: column {names[infinite[0]]!r} holds an "
+                         f"infinity")
+    # a column that varies and whose sum of squared deviations left the
+    # float range; a constant one has zero variance, which design_schema
+    # names
+    over = np.flatnonzero(~np.isfinite(np.diagonal(moments.comoment))
+                          & (moments.low < moments.high))
+    if over.size:
+        j = over[0]
+        m = max(-moments.low[j], moments.high[j])
+        raise DwkitError(f"{path}: column {names[j]!r} holds a value of "
+                         f"magnitude {m:.3g}; its sum of squares over "
+                         f"{moments.n} rows overflows")
+    text = [n for n, kind in kinds.items() if kind == "text"]
+    warnings = _dropped_warnings(dropped, "a numeric column")
+    if text:
+        warnings.append(f"left out {len(text)} column(s) that are not "
+                        f"numeric: {text}")
+    return moments, warnings
 
 
 def _refuse_overflow(source, names, values):
-    """Name the first column of ``values`` (rows x columns) whose sum of
-    squared deviations overflows, which numpy would only warn of; an
-    infinity is left to the checks that name it.  Over n rows such a sum
-    is at most n max|v|^2, so only a column with a finite value above
-    sqrt(max float / 2n) is summed, scaled by that value."""
+    """For ``regress``, name the first column of ``values`` (rows x
+    columns) whose sum of squared deviations overflows, which numpy would
+    only warn of; an infinity is left to the checks that name it.  Over n
+    rows such a sum is at most n max|v|^2, so only a column with a finite
+    value above sqrt(max float / 2n) is summed, scaled by that value."""
     n = len(values)
     largest = np.maximum(values.max(axis=0, initial=0.0),   # no |v| copy
                          -values.min(axis=0, initial=0.0))
@@ -255,8 +281,8 @@ def _cmd_design_schema(args, _output):
         raise ConfigError("design-schema needs --input CSV")
     path = cfg["input"]
     threshold = cfg.get("threshold", schema_pca.DEFAULT_VARIANCE_THRESHOLD)
-    data, warnings = _numeric_matrix_from_csv(path)
-    proposal = schema_pca.design_schema(data, threshold)
+    moments, warnings = _moments_from_csv(path)
+    proposal = schema_pca.design_schema(moments, threshold)
     pca = proposal.pca
     body = {
         "variables": pca.col_names,

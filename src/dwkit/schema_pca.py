@@ -5,6 +5,12 @@ variables, eigendecompose the correlation matrix, accumulate explained
 variance, and retain the leading components.  Retained components become
 proposed warehouse dimensions; each variable joins the component on which
 its absolute loading is largest.
+
+The correlation comes from ``Moments``: the row count, column means,
+centred cross-product matrix and column extremes of a block of rows.
+Blocks fold by the pairwise update of Chan, Golub & LeVeque (1979), as
+Pebay (SAND2008-6212, 2008) extends it to co-moments, so a table read a
+chunk at a time is correlated from one chunk's rows in memory.
 """
 from __future__ import annotations
 
@@ -37,10 +43,6 @@ class NumericMatrix:
             raise ValueError("matrix contains non-finite entries; handle "
                              "missing values upstream")
 
-    @property
-    def cols(self):
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -65,19 +67,74 @@ class SchemaProposal:
     pca: PcaResult
 
 
+@dataclass(frozen=True)
+class Moments:
+    """The row count, column means, centred cross-product matrix
+    (``comoment[i, j]`` sums (x_i - mean_i)(x_j - mean_j) over the rows)
+    and column minima and maxima of a block of rows."""
+    n: int
+    mean: np.ndarray
+    comoment: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    col_names: list[str]
+
+    @classmethod
+    def of(cls, values, names) -> Moments:
+        """The moments of ``values`` (rows x columns, any number of rows),
+        centred at the block's own means.  Operations that leave the float
+        range give infinities or NaNs, without a warning."""
+        v = np.asarray(values, dtype=float)
+        n = len(v)
+        with np.errstate(all="ignore"):
+            mean = v.sum(axis=0) / max(n, 1)
+            d = v - mean
+            comoment = d.T @ d
+        return cls(n, mean, comoment, v.min(axis=0, initial=np.inf),
+                   v.max(axis=0, initial=-np.inf), list(names))
+
+    def merge(self, other: Moments) -> Moments:
+        """The moments of this block's rows and ``other``'s together."""
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        n = self.n + other.n
+        with np.errstate(all="ignore"):
+            delta = other.mean - self.mean
+            mean = self.mean + delta * (other.n / n)
+            comoment = (self.comoment + other.comoment
+                        + np.outer(delta, delta * (self.n * other.n / n)))
+        return Moments(n, mean, comoment, np.minimum(self.low, other.low),
+                       np.maximum(self.high, other.high), self.col_names)
+
+    def correlation(self) -> CorrelationMatrix:
+        """Pearson correlation of every column pair.  A column is of zero
+        variance exactly when its minimum equals its maximum; one whose sum
+        of squared deviations leaves the float range is refused too."""
+        names = self.col_names
+        constant = np.flatnonzero(self.low == self.high)
+        if constant.size:
+            raise ZeroVarianceColumnError(names[constant[0]])
+        ss = np.diagonal(self.comoment)
+        bad = np.flatnonzero(~np.isfinite(ss) | (ss == 0))
+        if bad.size:
+            j = bad[0]
+            raise InvalidCorrelationError(
+                f"column {names[j]!r}'s sum of squared deviations "
+                + ("underflows to 0" if ss[j] == 0 else "overflows"))
+        scale = np.sqrt(ss)
+        with np.errstate(all="ignore"):
+            corr = self.comoment / scale[:, None] / scale[None, :]
+        corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
+        np.fill_diagonal(corr, 1.0)
+        return CorrelationMatrix(values=corr, col_names=list(names))
+
+
 def correlation_matrix(data: NumericMatrix) -> CorrelationMatrix:
-    """Pearson correlation of every column pair ((n-1) sample convention)."""
-    stds = np.std(data.values, axis=0, ddof=1)
-    for j, s in enumerate(stds):
-        if s == 0:
-            raise ZeroVarianceColumnError(data.col_names[j])
-    if data.cols == 1:
-        corr = np.ones((1, 1))
-    else:
-        corr = np.corrcoef(data.values, rowvar=False)
-    corr = np.clip((corr + corr.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    return CorrelationMatrix(values=corr, col_names=list(data.col_names))
+    """Pearson correlation of every column pair, from the matrix's
+    ``Moments``."""
+    return Moments.of(data.values, data.col_names).correlation()
 
 
 def extract_factors(corr: CorrelationMatrix) -> PcaResult:
@@ -127,16 +184,19 @@ def select_components(result: PcaResult, threshold: float) -> list[int]:
     return list(range(k))
 
 
-def design_schema(data: NumericMatrix,
+def design_schema(data: Moments | NumericMatrix,
                   threshold: float = DEFAULT_VARIANCE_THRESHOLD
                   ) -> SchemaProposal:
     """Run the full pipeline and group variables into proposed dimensions.
 
+    ``data`` is folded ``Moments``, or a matrix, folded as one block.
     Each variable is assigned to the retained component with its largest
     absolute loading (ties to the lower component index); variables whose
     best |loading| is under ASSIGNMENT_FLOOR stay unassigned.
     """
-    pca = extract_factors(correlation_matrix(data))
+    if isinstance(data, NumericMatrix):
+        data = Moments.of(data.values, data.col_names)
+    pca = extract_factors(data.correlation())
     pca = replace(pca, cumulative=cumulative_variance(pca.eigenvalues))
     selected = select_components(pca, threshold)
     pca = replace(pca, selected=selected)

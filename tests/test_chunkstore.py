@@ -479,7 +479,7 @@ class TestBatches:
         with pytest.raises(MalformedValueError) as err:
             cs.read_all(ds)
         assert err.value.token == "bad"
-        assert "chunk 1 column 'a'" in str(err.value)
+        assert "chunk 1 row 4 column 'a'" in str(err.value)
         with pytest.raises(MalformedValueError) as err:
             cs.read_all(cs.open_datastore(p, chunk_size=6), ["b"])
         assert err.value.token == "oops"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,7 +532,7 @@ class TestFusedMapreduce:
          {"max:x": 2.0**63, "sum:x": 2.0**63}),
         (f"x\n1\n{'7' * 400}\n", 1000, ["count"], {"count": 2}),
         # past int64 in a later chunk, or an int64 sum that overflows
-        (f"x\n1\n{'7' * 400}\n", 1, ["sum:x"], "chunk 1 column 'x'"),
+        (f"x\n1\n{'7' * 400}\n", 1, ["sum:x"], "chunk 1 row 0 column 'x'"),
         (f"x\n{2**63 - 1}\n1\n", 1000, ["sum:x"],
          "sum:x: the integer sum is past int64"),
         # past the csv module's field limit, in the sample or later
@@ -804,7 +805,7 @@ class TestIncompleteRows:
         (["regress", "--response", "amount", "--predictors", "id"], 10000,
          (2, "dwkit: usage error: column(s) ['amount'] are not numeric; "
              "0/1-encode two-valued ones with --encode")),
-        (["design-schema"], 100000, (0, "")),
+        (["design-schema"], 2048, (0, "")),
     ], ids=["mapreduce", "regress", "design-schema"])
     def test_thousands_separator(self, tmp_path, capsys, argv, chunk_size,
                                  text_outcome, quote, later):
@@ -824,7 +825,7 @@ class TestIncompleteRows:
         elif later:
             assert (code, err) == (1, f"dwkit: error: token '1,000' is "
                                    f"neither missing nor a valid integer "
-                                   f"({p} chunk 1 column 'amount')")
+                                   f"({p} chunk 1 row 1 column 'amount')")
         else:
             assert (code, err) == text_outcome
 
@@ -913,6 +914,103 @@ class TestDesignSchemaCommand:
             assert_one_line_error(proc, 1)
             assert "'y'" in proc.stderr and "overflow" in proc.stderr
             assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("body", ["0.1,1\n0.1,2\n0.1,4\n",
+                                      "5,1\n5,2\n5,4\n"])
+    def test_constant_column_has_zero_variance(self, tmp_path, capsys,
+                                               body):
+        # three 0.1s do not sum to three times 0.1, so a variance computed
+        # in floats is not 0: a column is constant when its extremes agree
+        p = tmp_path / "const.csv"
+        p.write_text("a,b\n" + body)
+        err = run_one_line_error(["design-schema", "--input", str(p),
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        assert err == "dwkit: error: column 'a' has zero sample variance\n"
+
+    @pytest.mark.parametrize("later, code", [(0.1, 1), (0.2, 0)],
+                             ids=["constant", "varies-across-chunks"])
+    def test_zero_variance_spans_chunks(self, tmp_path, later, code):
+        # column a is 0.1 in chunk 0 and ``later`` in chunk 1
+        n = chunkstore._BATCH_RECORDS
+        p = tmp_path / "const.csv"
+        p.write_text("a,b\n" + "".join(
+            f"{0.1 if k < n else later},{k % 5}\n" for k in range(n + 3)))
+        assert run(["design-schema", "--input", str(p),
+                    "--out", str(tmp_path / "out")]) == code
+
+    def test_repeated_name_is_its_last_column_once(self, tmp_path):
+        results = []
+        for text in ("a,b,a\n1,2,3\n2,1,5\n3,3,4\n4,5,1\n",
+                     "a,b\n3,2\n5,1\n4,3\n1,5\n"):
+            p = tmp_path / "in.csv"
+            p.write_text(text)
+            out = str(tmp_path / f"out{len(results)}")
+            assert run(["design-schema", "--input", str(p),
+                        "--out", out]) == 0
+            results.append(load_report(out)["results"])
+        assert results[0]["variables"] == ["a", "b"]
+        assert results[0] == results[1]
+
+    def test_columns_left_out_are_named(self, tmp_path):
+        # one quoted thousands separator makes amount a text column
+        p = tmp_path / "text.csv"
+        p.write_text('id,amount,t\n1,250,x\n2,"1,000",y\n3,40,z\n'
+                     '4,7,w\n')
+        out = str(tmp_path / "out")
+        assert run(["design-schema", "--input", str(p), "--out", out]) == 0
+        report = load_report(out)
+        assert report["results"]["variables"] == ["id"]
+        assert report["warnings"][0] == ("left out 2 column(s) that are not "
+                                         "numeric: ['amount', 't']")
+
+    def test_kinds_come_from_the_first_chunk(self, tmp_path, capsys):
+        # design-schema reads chunks of _BATCH_RECORDS records, and infers
+        # the kinds from the first: a real cell at record 3,001 of an
+        # integer column is malformed, and a column missing in the first
+        # 3,000 records is text, left out
+        p = tmp_path / "late.csv"
+        p.write_text("a,b\n" + "".join(f"{k},{k % 7}\n"
+                                        for k in range(3000))
+                     + "2.5,3\n1,2\n")
+        err = run_one_line_error(["design-schema", "--input", str(p),
+                                  "--out", str(tmp_path / "out")], capsys, 1)
+        row = 3000 - chunkstore._BATCH_RECORDS
+        assert err == (f"dwkit: error: token '2.5' is neither missing nor a "
+                       f"valid integer ({p} chunk 1 row {row} column 'a')\n")
+        p.write_text("a,b,c\n" + "".join(f"{k},NA,{k % 3}\n"
+                                         for k in range(3000))
+                     + "".join(f"{k},{k % 5},{k % 4}\n" for k in range(9)))
+        out = str(tmp_path / "out")
+        assert run(["design-schema", "--input", str(p), "--out", out]) == 0
+        report = load_report(out)
+        assert report["results"]["variables"] == ["a", "c"]
+        assert report["warnings"][0] == ("left out 1 column(s) that are not "
+                                         "numeric: ['b']")
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # the moments are folded a chunk at a time, so the traced peak on a
+        # file four times as long is within 10% of the shorter file's
+        rng = np.random.default_rng(3)
+        paths = []
+        for chunks in (4, 16):
+            p = tmp_path / f"rows{chunks}.csv"
+            np.savetxt(p, rng.standard_normal(
+                (chunks * chunkstore._BATCH_RECORDS, 8)), fmt="%.9g",
+                delimiter=",", header=",".join("abcdefgh"), comments="")
+            paths.append(p)
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                assert run(["design-schema", "--input", str(path),
+                            "--out", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(paths[0])   # imports and caches filled
+        short, long = peak(paths[0]), peak(paths[1])
+        assert long <= 1.1 * short, (short, long)
 
 
 @pytest.mark.parametrize("argv", [

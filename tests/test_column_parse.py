@@ -69,7 +69,7 @@ def reference_build_table(rows, schema, missing_tokens, context="",
             except MalformedValueError as exc:
                 raise MalformedValueError(
                     row[j], spec.kind,
-                    f"{context} column {spec.name!r}") from exc
+                    f"{context} row {i} column {spec.name!r}") from exc
             if v is None or (isinstance(v, float) and math.isnan(v)):
                 mask[i] = True
             else:
@@ -213,8 +213,7 @@ def test_malformed_cell_in_later_chunk_is_named(tmp_path):
             read()
         assert err.value.token == "oops"
         assert str(p) in str(err.value)
-        assert "chunk 2" in str(err.value)
-        assert "column 'y'" in str(err.value)
+        assert "chunk 2 row 1 column 'y'" in str(err.value)
 
 
 # --- chunks built a batch at a time ---

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from dwkit.errors import ZeroVarianceColumnError
-from dwkit.schema_pca import (NumericMatrix, correlation_matrix,
+from dwkit.errors import InvalidCorrelationError, ZeroVarianceColumnError
+from dwkit.schema_pca import (Moments, NumericMatrix, correlation_matrix,
                               cumulative_variance, design_schema,
                               extract_factors, select_components)
 
@@ -47,6 +48,70 @@ class TestCorrelation:
         corr = random_correlation(rng, 6).values
         assert np.allclose(corr, corr.T, atol=1e-12)
         assert np.all(corr <= 1.0) and np.all(corr >= -1.0)
+
+
+    def test_constant_column_is_zero_variance_exactly(self):
+        # 0.1 three times has a sample variance of about 3e-34 in floats
+        data = matrix(np.column_stack([[0.1, 0.1, 0.1], [1, 2, 4]]),
+                      ["a", "b"])
+        with pytest.raises(ZeroVarianceColumnError) as err:
+            correlation_matrix(data)
+        assert err.value.column == "a"
+
+    def test_sum_of_squares_out_of_range_is_named(self):
+        for column, what in (([0.0, 5e-324, 0.0], "underflows to 0"),
+                             ([1e308, -1e308, 0.0], "overflows")):
+            data = matrix(np.column_stack([[1, 2, 4], column]), ["a", "b"])
+            with pytest.raises(InvalidCorrelationError) as err:
+                correlation_matrix(data)
+            assert str(err.value) == (f"column 'b''s sum of squared "
+                                      f"deviations {what}")
+
+
+def fold(blocks, names):
+    """The ``Moments`` of ``blocks`` merged left to right, as a chunked
+    read folds them."""
+    moments = Moments.of(np.empty((0, len(names))), names)
+    for block in blocks:
+        moments = moments.merge(Moments.of(block, names))
+    return moments
+
+
+@given(st.data())
+def test_fold_equals_corrcoef(data):
+    """Moments folded over any split of the rows, 1-row blocks included,
+    correlate the columns as np.corrcoef of the whole matrix does."""
+    ncols = data.draw(st.integers(1, 12))
+    nrows = data.draw(st.integers(2, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** np.array(data.draw(st.lists(
+        st.floats(-3, 6), min_size=ncols, max_size=ncols)))
+    offset = scale * np.array(data.draw(st.lists(
+        st.floats(-100, 100), min_size=ncols, max_size=ncols)))
+    mix = rng.standard_normal((ncols, ncols))
+    mix /= np.linalg.norm(mix, axis=0)   # each column of unit spread
+    values = offset + scale * (rng.standard_normal((nrows, ncols)) @ mix)
+    cuts = data.draw(st.one_of(
+        st.just(range(1, nrows)),   # one row per block
+        st.sets(st.integers(1, nrows - 1)).map(sorted)))
+    names = [f"X{j}" for j in range(ncols)]
+    moments = fold(np.split(values, list(cuts)), names)
+    assert moments.n == nrows
+    np.testing.assert_array_equal(moments.low, values.min(axis=0))
+    np.testing.assert_array_equal(moments.high, values.max(axis=0))
+    want = np.atleast_2d(np.corrcoef(values, rowvar=False))
+    np.testing.assert_allclose(moments.correlation().values, want,
+                               rtol=0, atol=1e-12)
+
+
+def test_fold_of_no_rows_is_the_identity():
+    values = np.array([[1.0, 2.0], [3.0, 5.0], [4.0, 4.0]])
+    whole = Moments.of(values, ["a", "b"])
+    for moments in (fold([values[:0], values], ["a", "b"]),
+                    whole.merge(Moments.of(values[:0], ["a", "b"]))):
+        assert moments.n == 3
+        np.testing.assert_array_equal(moments.comoment, whole.comoment)
+        np.testing.assert_array_equal(moments.mean, whole.mean)
 
 
 class TestEigen:
