@@ -34,7 +34,9 @@ record: one of more or fewer fields than the header is a fault at its
 row.  The fault named is the one a whole-chunk build meets first, column
 by column, with rows counted from the chunk's first record: a malformed
 cell of a built column, or a short record at its first absent column, and
-after the last column a long record.
+after the last column a long record.  Without these, ``_table``, which
+joins every read's columns, names the first infinite cell (``inf``,
+``1e400``) of a real column the same way; a missing token is never one.
 
 Numeric columns are parsed a batch column at a time, for inference and
 for building tables alike: the missing tokens are dropped, one regular
@@ -97,7 +99,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (DwkitError, InconsistentHeaderError,
-                     MalformedValueError, MissingFileError, RecordWidthError)
+                     InfiniteValueError, MalformedValueError,
+                     MissingFileError, RecordWidthError)
 
 DEFAULT_MISSING_TOKENS = ("NA",)
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -731,16 +734,20 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
         del rows   # before the next batch is read
     if fault is not None:
         raise fault
-    return _table(parts, schema, row0)
+    return _table(parts, schema, row0, context)
 
 
-def _table(parts, schema, nrows):
+def _table(parts, schema, nrows, context):
     """The table of ``nrows`` rows of the columns ``parts`` holds: j ->
-    the (values, mask) parts of column ``schema[j]``, joined."""
+    the (values, mask) parts of column ``schema[j]``, joined.  Refuses
+    the first infinite cell of a real column, named with ``context``."""
     table, missing, kinds = {}, {}, {}
     for j, got in parts.items():
         spec = schema[j]
         table[spec.name], missing[spec.name] = _join(got, spec.kind)
+        if spec.kind == "real" and np.isinf(table[spec.name]).any():
+            row = np.isinf(table[spec.name]).argmax()
+            raise InfiniteValueError(f"{context} row {row}", spec.name)
         kinds[spec.name] = spec.kind
     return DataTable(table, missing, kinds, nrows=nrows)
 
@@ -798,10 +805,10 @@ def iter_file_chunks(ds: Datastore, file_index: int):
 def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
     """``read_chunk``, which ``read_chunks`` calls too.  Of the chunk
     ``open_datastore`` kept, only the columns asked for are joined."""
+    context = f"{ds.sources[file_index]} chunk {chunk_index}"
     if isinstance(rows, _FirstChunk):
         return _table({j: rows.parts[j] for j in _built(ds.schema, columns)},
-                      ds.schema, rows.nrows)
-    context = f"{ds.sources[file_index]} chunk {chunk_index}"
+                      ds.schema, rows.nrows, context)
     if rows is not None:
         return _build_chunk(rows, ds.schema, ds.missing_tokens, context,
                             columns)

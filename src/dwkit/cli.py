@@ -225,21 +225,7 @@ def _moments_from_csv(path):
     if moments.n < 2:
         raise DwkitError(f"{path} has {moments.n} row(s) with every "
                          f"numeric column present; design-schema needs 2")
-    infinite = np.flatnonzero(np.isinf(moments.low) | np.isinf(moments.high))
-    if infinite.size:
-        raise DwkitError(f"{path}: column {names[infinite[0]]!r} holds an "
-                         f"infinity")
-    # a column that varies and whose sum of squared deviations left the
-    # float range; a constant one has zero variance, which design_schema
-    # names
-    over = np.flatnonzero(~np.isfinite(np.diagonal(moments.comoment))
-                          & (moments.low < moments.high))
-    if over.size:
-        j = over[0]
-        m = max(-moments.low[j], moments.high[j])
-        raise DwkitError(f"{path}: column {names[j]!r} holds a value of "
-                         f"magnitude {m:.3g}; its sum of squares over "
-                         f"{moments.n} rows overflows")
+    _refuse_overflow(path, moments)
     text = [n for n, kind in kinds.items() if kind == "text"]
     warnings = _dropped_warnings(dropped, "a numeric column")
     if text:
@@ -248,24 +234,17 @@ def _moments_from_csv(path):
     return moments, warnings
 
 
-def _refuse_overflow(source, names, values):
-    """For ``regress``, name the first column of ``values`` (rows x
-    columns) whose sum of squared deviations overflows, which numpy would
-    only warn of; an infinity is left to the checks that name it.  Over n
-    rows such a sum is at most n max|v|^2, so only a column with a finite
-    value above sqrt(max float / 2n) is summed, scaled by that value."""
-    n = len(values)
-    largest = np.maximum(values.max(axis=0, initial=0.0),   # no |v| copy
-                         -values.min(axis=0, initial=0.0))
-    limit = math.sqrt(sys.float_info.max / (2 * max(n, 1)))
-    for j in np.flatnonzero(np.isfinite(largest) & (largest > limit)):
-        m = float(largest[j])
-        z = values[:, j] / m
-        z -= z.mean()
-        if z @ z > sys.float_info.max / m / m:
-            raise DwkitError(f"{source}: column {names[j]!r} holds a value "
-                             f"of magnitude {m:.3g}; its sum of squares "
-                             f"over {n} rows overflows")
+def _refuse_overflow(source, moments):
+    """Name the first column of ``moments`` whose values differ and whose
+    sum of squared deviations overflows, which numpy would only warn of."""
+    over = np.flatnonzero(~np.isfinite(np.diagonal(moments.comoment))
+                          & (moments.low < moments.high))
+    if over.size:
+        j = over[0]
+        m = max(-moments.low[j], moments.high[j])
+        raise DwkitError(f"{source}: column {moments.col_names[j]!r} holds "
+                         f"a value of magnitude {m:.3g}; its sum of squares "
+                         f"over {moments.n} rows overflows")
 
 
 def _dropped_warnings(dropped, where):
@@ -402,13 +381,13 @@ def _cmd_regress(args, output):
         raise ConfigError(f"column(s) {text} are not numeric; 0/1-encode "
                           f"two-valued ones with --encode")
     # incomplete rows are dropped, as design-schema does
-    table, dropped = table.complete_cases([response, *predictors])
-    _refuse_overflow(source, [response, *predictors], np.column_stack(
-        [np.asarray(table.column(n), dtype=float)
-         for n in (response, *predictors)]))
+    names = [response, *predictors]
+    table, dropped = table.complete_cases(names)
+    _refuse_overflow(source, schema_pca.Moments.of(np.column_stack(
+        [np.asarray(table.column(n), dtype=float) for n in names]), names))
     try:
         fit = regress.fit_model(table, spec)
-    # too few rows, a value that is not finite, or a collinear predictor
+    # too few rows, or a collinear predictor
     except (ValueError, regress.RankDeficientError) as exc:
         raise DwkitError(f"{source}: {exc}")
     summary = regress.summarize(fit)

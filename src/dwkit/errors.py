@@ -73,6 +73,15 @@ class RecordWidthError(MalformedValueError):
                                   f"field(s); the header has {ncols}")
 
 
+class InfiniteValueError(MalformedValueError):
+    """A cell of a real column that parses as an infinity."""
+
+    def __init__(self, context, column):
+        self.token, self.kind = None, "real"
+        DwkitError.__init__(self, f"{context} column {column!r} holds an "
+                                  f"infinity")
+
+
 class TaskFailedError(DwkitError):
     def __init__(self, task_id, cause):
         self.task_id = task_id

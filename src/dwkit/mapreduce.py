@@ -203,7 +203,8 @@ def _fold_sum(arrays):
 
 
 def reduce_op(key, partials):
-    """Fold one op's partials from ``make_ops_mapper``, in chunk order."""
+    """Fold one op's partials from ``make_ops_mapper``, in chunk order.
+    The chunk engine builds no infinite cell: an infinite sum overflowed."""
     reducer, _, column = key.partition(":")
     if reducer == "count":
         return sum(partials)
@@ -211,11 +212,9 @@ def reduce_op(key, partials):
         return max(partials)
     if reducer == "min":
         return min(partials)
-    # an overflow is named below; inf + -inf is NaN, which the report
-    # refuses by name
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):   # an overflow is named below
         total = _fold_sum(partials)
-    if np.isinf(total) and all(np.isfinite(p).all() for p in partials):
+    if np.isinf(total):
         raise DwkitError(f"{key}: the sum of column {column!r} overflows")
     total = _exact_sum(key, total,
                        chain.from_iterable(p.tolist() for p in partials))

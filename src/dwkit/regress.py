@@ -154,7 +154,8 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
 def fit_ols(X, y, names=None, response="y") -> RegressionFit:
     """Least-squares fit of y on X plus an intercept column.
 
-    A value that is not finite raises ValueError naming its column.  The
+    A value that is not finite raises ValueError naming its column, for
+    a library caller, as the chunk engine builds no infinite cell.  The
     fit is solved by ``np.linalg.lstsq``, whose SVD also gives the rank
     test: a smallest-to-largest singular value ratio under 1e-10, on the
     design and again on its columns scaled to unit norm, raises
@@ -181,9 +182,10 @@ def fit_ols(X, y, names=None, response="y") -> RegressionFit:
     if sv[-1] < _RANK_TOL * sv[0]:
         # a predictor far larger than the intercept's ones makes a
         # well-conditioned design look singular: rank is judged, and the
-        # fit solved, on columns scaled to unit norm (hypot does not
-        # overflow; a zero column stays zero)
-        norms = np.hypot.reduce(design, axis=0)
+        # fit solved, on columns scaled to unit norm (a zero column stays
+        # zero, as does one whose norm overflows: it is named collinear)
+        with np.errstate(over="ignore"):
+            norms = np.hypot.reduce(design, axis=0)
         norms[norms == 0] = 1.0
         scaled = design / norms
         beta, _, _, sv = np.linalg.lstsq(scaled, y, rcond=None)

@@ -28,7 +28,8 @@ _EIG_CLAMP = 1e-9   # tiny negative eigenvalues clamped to zero
 
 @dataclass(frozen=True)
 class NumericMatrix:
-    """Observations x variables, no missing entries."""
+    """Observations x variables, no missing entries; a value that is not
+    finite is refused, for a library caller (the CLI folds ``Moments``)."""
     values: np.ndarray
     col_names: list[str]
 

@@ -878,27 +878,6 @@ class TestDesignSchemaCommand:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run(["design-schema", "--out", str(tmp_path / "out")]) == 2
 
-    def test_infinite_cell_is_one_line_error(self, tmp_path, capsys):
-        p = tmp_path / "inf.csv"
-        p.write_text("a,b\n1,2\n2,inf\n3,5\n4,4\n")
-        err = run_one_line_error(["design-schema", "--input", str(p),
-                                  "--out", str(tmp_path / "out")], capsys, 1)
-        assert "'b'" in err
-        # a mapreduce result over the cell is not finite: nothing is written
-        for op in ("sum:b", "max:b", "mean:b"):
-            out = tmp_path / op
-            err = run_one_line_error(["mapreduce", "--input", str(p), "--op",
-                                      op, "--out", str(out)], capsys, 1)
-            assert op in err
-            assert not out.exists()
-        # LAPACK prints its errors from C, which only a fresh process shows
-        proc = run_process(["regress", "--input", str(p), "--response", "a",
-                            "--predictors", "b",
-                            "--out", str(tmp_path / "fit")])
-        assert_one_line_error(proc, 1)
-        assert "'b'" in proc.stderr
-        assert proc.stdout == ""
-
     def test_overflowing_column_is_named_without_a_warning(self, tmp_path):
         # finite values whose sums of squares overflow: numpy would warn,
         # and a fit would call the column collinear
@@ -1028,6 +1007,50 @@ def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path, argv):
         assert run([*argv, "--input", str(p), "--out", str(out)]) == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+# each CSV command with the rows of the chunks it reads
+INFINITE_CELL_COMMANDS = {
+    "design-schema": (["design-schema"], chunkstore._BATCH_RECORDS),
+    "regress": (["regress", "--response", "y", "--predictors", "x"], 10000),
+    **{f"mapreduce-{op}": (["mapreduce", "--op", f"{op}:x"], 1000)
+       for op in ("sum", "mean", "max", "min")},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", [2, 10002], ids=["chunk0", "later-chunk"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e400", '"inf"',
+                                  "+Infinity"])
+@pytest.mark.parametrize("command", list(INFINITE_CELL_COMMANDS))
+def test_infinite_cell_is_one_line_error(tmp_path, capfd, command, cell,
+                                         row):
+    # an infinite cell is malformed, in every command and at any chunk:
+    # refused where its chunk is built, by file, chunk, row and column;
+    # capfd also shows what LAPACK would print from C
+    argv, chunk_size = INFINITE_CELL_COMMANDS[command]
+    p = tmp_path / "inf.csv"
+    cells = [f"{i % 7},{i * 3 % 11}.5" for i in range(10003)]
+    cells[row] = f"{row % 7},{cell}"
+    p.write_text("y,x\n" + "\n".join(cells) + "\n")
+    out = tmp_path / "out"
+    err = run_one_line_error([*argv, "--input", str(p), "--out", str(out)],
+                             capfd, 1)
+    assert err == (f"dwkit: error: {p} chunk {row // chunk_size} row "
+                   f"{row % chunk_size} column 'x' holds an infinity\n")
+    assert not out.exists()
+
+
+def test_infinite_cell_equal_to_a_missing_token_is_missing(tmp_path):
+    p = tmp_path / "inf.csv"
+    p.write_text("y,x\n1,2\n2,inf\n3,4\n")
+    out = tmp_path / "out"
+    assert run(["mapreduce", "--input", str(p), "--op", "mean:x",
+                "--op", "min:x", "--config",
+                write_config(tmp_path, {"missing_tokens": ["inf"]}),
+                "--out", str(out)]) == 0
+    assert load_report(out)["results"]["results"] == {"mean:x": 3.0,
+                                                      "min:x": 2}
 
 
 @pytest.mark.parametrize("argv", [

@@ -205,7 +205,8 @@ def csv_bytes(draw):
     return ("\n".join(lines) + "\n").encode()
 
 
-@settings(max_examples=300)
+# half as many again as the profile's examples: 300 at tier-1
+@settings(max_examples=settings().max_examples * 3 // 2)
 @given(csv_bytes(), st.sampled_from(["mapreduce", "design-schema",
                                      "regress"]))
 # a field past the csv module's size limit
@@ -217,6 +218,9 @@ def csv_bytes(draw):
 @example(b"a,b,c\n1,1,x\n2,2,y\n1e308,1e308,x\n-1e308,3,y\n",
          "design-schema")
 @example(b"a,b,c\n1,1,x\n2,2,y\n1e308,1e308,x\n-1e308,3,y\n", "regress")
+# a constant predictor whose norm passes the float range: collinear
+@example(b"a,b,c\n1,1e308,x\n2,1e308,y\n3,1e308,x\n4,1e308,y\n5,1e308,x\n",
+         "regress")
 def test_csv(data, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = write(tmp, "in.csv", data)

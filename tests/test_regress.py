@@ -104,6 +104,15 @@ class TestFitOls:
             fit_ols(X, rng.normal(size=15), names=("a", "const"))
         assert err.value.column == "const"
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_column_past_the_norm_range_is_collinear(self):
+        # the column's norm overflows, which scales it to zero: collinear
+        # with the intercept, and no numpy warning
+        X = np.column_stack([np.full(5, 1e308), [1.0, 0.0, 1.0, 0.0, 1.0]])
+        with pytest.raises(RankDeficientError) as err:
+            fit_ols(X, np.arange(5.0), names=("b", "c"))
+        assert err.value.column == "b"
+
     def test_infinite_cell_names_its_column(self):
         X = np.column_stack([np.arange(5.0), [1.0, 2.0, np.inf, 4.0, 0.0]])
         with pytest.raises(ValueError, match="'b'"):
