@@ -11,21 +11,24 @@ in key order.  Failed tasks re-execute from their chunk input up to an
 attempt cap, except on a ``DwkitError`` (a malformed cell, a text column),
 which would fail again and is raised at once; a test-only failure injector
 exercises the retry path.  The result is the reduced (key, value) pairs
-in key order, each value as the reducer returned it, so a run is
-deterministic for any chunk size.
+in key order, each value as the reducer returned it.
 
 ``make_ops_mapper`` and ``reduce_op`` answer several aggregate ops in one
 pass, with map-side combiners: the shuffle holds one partial per op per
-chunk instead of one pair per value.  They are what the CLI runs.  The
-stock emitter and reducers are the per-value references that the tests
-and the demo fold with; of them the CLI uses only the names in
-``BUILTIN_REDUCERS``, to check an op.
+chunk instead of one pair per value.  They are what the CLI runs.  A
+``sum`` or ``mean`` is exact: each chunk's partial is the exact total of
+its values, an int scaled by 2**1126 (``_exact_total``), and the
+reduce adds the partials and rounds once, so the result is the correctly
+rounded sum or mean whatever the chunk size or file split.  The stock
+emitter and reducers are the per-value references that the tests and the
+demo fold with; the stock ``sum``/``mean`` round the same exact total.
+Of them the CLI uses only the names in ``BUILTIN_REDUCERS``, to check an
+op.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -132,22 +135,12 @@ def make_column_emitter(column, key=None):
     return emit
 
 
-def _exact_sum(key, total, values):
-    """``total``, the sum of ``values``, if it is exact.  An int64 sum
-    wraps past int64, so it must equal the Python-int sum of the values;
-    any other sum is returned as it is."""
-    if isinstance(total, np.integer) and int(total) != sum(map(int, values)):
-        raise DwkitError(f"{key}: the integer sum is past int64")
-    return total
-
-
 def reduce_sum(key, values):
-    with np.errstate(over="ignore"):   # a wrapped sum is refused below
-        return _exact_sum(key, sum(values), values)
+    return reduce_op(f"sum:{key}", [_partial(key, np.asarray(values))])
 
 
 def reduce_mean(key, values):
-    return reduce_sum(key, values) / len(values)
+    return reduce_op(f"mean:{key}", [_partial(key, np.asarray(values))])
 
 
 def reduce_max(key, values):
@@ -165,15 +158,74 @@ BUILTIN_REDUCERS = {"sum": reduce_sum, "mean": reduce_mean,
 # One pass serves any number of ops.  Each chunk emits one partial per op,
 # keyed by the op ("count", "mean:Delay", ...), and the reducer dispatches
 # on the key's reducer name.  The partials fold to exactly what the stock
-# emitter and reducers above give over every value, in chunk order.
+# emitter and reducers above give over every value.
+
+# A finite float64 is M * 2**(e - 53), M an integer below 2**53 and e,
+# frexp's exponent, at least -1073 (5e-324 is 0.5 * 2**-1073), so the
+# float times 2**_SCALE is an integer.
+_SCALE = 1126
+# values summed at a time, which bounds the temporary arrays, about 28
+# bytes a value, to 0.5 MB whatever the chunk.  Below 2**26 values every
+# sum is exact: a float bucket's high parts, integers below 2**27, sum
+# below 2**53, and its low parts, multiples of 2**-26 below 1, below
+# 2**26, both exact in float64; an int64 array's 32-bit halves sum below
+# 2**63.
+_SLICE = 2**14
+
+
+def _exact_total(key, values):
+    """2**_SCALE times the exact sum of ``values``, a 1-D int64 or float64
+    array, as a Python int.
+
+    An int64 array's high and low 32-bit halves are summed in int64.  A
+    float64 array, after Neal's small superaccumulator (arXiv:1505.05571),
+    is split by ``np.frexp`` into mantissas and exponents; each mantissa,
+    times 2**27, into its integer part and its fraction, the high and low
+    26 bits of its 53; and each part summed per exponent by
+    ``np.bincount``, exactly.  A NaN or an infinity, which only a library
+    caller can pass, is a ``DwkitError``: it has no exact total."""
+    total = 0
+    if values.dtype.kind == "i":
+        for start in range(0, len(values), _SLICE):
+            part = values[start:start + _SLICE]
+            total += ((int((part >> 32).sum()) << 32)
+                      + int((part & 0xFFFFFFFF).sum()))
+        return total << _SCALE
+    if not np.isfinite(values).all():
+        raise DwkitError(f"{key}: a value that is not finite has no sum")
+    for start in range(0, len(values), _SLICE):
+        mantissas, exponents = np.frexp(values[start:start + _SLICE])
+        mantissas *= 2.0**27
+        high = np.trunc(mantissas)
+        mantissas -= high   # the low part, a multiple of 2**-26 below 1
+        least = int(exponents.min())
+        exponents -= least   # a bucket per exponent from the least up
+        buckets = zip(np.bincount(exponents, weights=high).tolist(),
+                      np.bincount(exponents, weights=mantissas).tolist())
+        total += sum(((int(h) << 26) + int(l * 2.0**26)) << k
+                     for k, (h, l) in enumerate(buckets)
+                     if h or l) << (least + _SCALE - 53)
+    return total
+
+
+def _partial(key, values):
+    """A ``sum``/``mean`` partial of ``values``, (t, s, count, integer):
+    their exact total times 2**_SCALE is ``t << s``, and ``s`` takes its
+    trailing zero bits, so that the shuffle keeps an int of tens of
+    bytes, not of 150; then their count, and whether they are
+    integers."""
+    total = _exact_total(key, values)
+    shift = (total & -total).bit_length() - 1 if total else 0
+    return total >> shift, shift, len(values), values.dtype.kind == "i"
+
 
 def make_ops_mapper(ops):
     """Map function for ``ops``, a list of (key, reducer, column): per
     chunk, ``count`` emits the row count, ``sum``/``mean`` the column's
-    non-missing values as one array, and ``max``/``min`` the first
-    occurrence of the column's extreme.  A chunk without non-missing
-    values emits nothing for a column op; a text column with values
-    raises ``DwkitError``."""
+    non-missing values' exact total, count and kind (``_partial``), and
+    ``max``/``min`` the first occurrence of the column's extreme.  A chunk
+    without non-missing values emits nothing for a column op; a text
+    column with values raises ``DwkitError``."""
     def emit(table):
         for key, reducer, column in ops:
             if reducer == "count":
@@ -185,26 +237,19 @@ def make_ops_mapper(ops):
             if table.kinds[column] == "text":
                 raise DwkitError(f"{key}: column {column!r} is not numeric")
             if reducer in ("sum", "mean"):
-                yield key, values
+                yield key, _partial(key, values)
             else:
                 pick = np.argmax if reducer == "max" else np.argmin
                 yield key, values[pick(values)]
     return emit
 
 
-def _fold_sum(arrays):
-    """``sum()`` over the arrays' elements, left to right.  Each step is
-    the same numpy scalar addition, so the result is bit-identical;
-    ``np.sum`` adds pairwise and would round differently."""
-    total = 0
-    for values in arrays:
-        total = np.add.accumulate(np.concatenate(([total], values)))[-1]
-    return total
-
-
 def reduce_op(key, partials):
-    """Fold one op's partials from ``make_ops_mapper``, in chunk order.
-    The chunk engine builds no infinite cell: an infinite sum overflowed."""
+    """Fold one op's partials from ``make_ops_mapper``.  A ``sum``/``mean``
+    adds the exact totals and rounds once: an integer column's sum is the
+    exact int, of any size; any other sum, and every mean, is the int's
+    true division, which Python rounds correctly.  A result past the
+    float range is a ``DwkitError`` naming the column."""
     reducer, _, column = key.partition(":")
     if reducer == "count":
         return sum(partials)
@@ -212,12 +257,13 @@ def reduce_op(key, partials):
         return max(partials)
     if reducer == "min":
         return min(partials)
-    with np.errstate(over="ignore"):   # an overflow is named below
-        total = _fold_sum(partials)
-    if np.isinf(total):
-        raise DwkitError(f"{key}: the sum of column {column!r} overflows")
-    total = _exact_sum(key, total,
-                       chain.from_iterable(p.tolist() for p in partials))
-    if reducer == "sum":
-        return total
-    return total / sum(len(p) for p in partials)
+    totals, shifts, counts, integers = zip(*partials)
+    total = sum(t << s for t, s in zip(totals, shifts))
+    if reducer == "sum" and all(integers):
+        return total >> _SCALE
+    try:
+        return total / (sum(counts) << _SCALE if reducer == "mean"
+                        else 1 << _SCALE)
+    except OverflowError:
+        raise DwkitError(f"{key}: the sum of column {column!r} "
+                         f"overflows") from None

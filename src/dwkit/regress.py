@@ -114,15 +114,13 @@ class FactorLine:
     fitted: np.ndarray
 
 
-def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
+def encode_binary(table: DataTable, columns) -> DataTable:
     """Encode two-valued columns as 1 (presence) / 0 (absence).
 
-    ``presence`` maps column name to its presence token; without it, a
-    recognized truthy token is the presence value, else the
+    A recognized truthy token is the presence value, else the
     lexicographically larger token.  Columns already holding {0, 1} pass
     through unchanged.
     """
-    presence = presence or {}
     new_cols = dict(table.columns)
     new_kinds = dict(table.kinds)
     for name in columns:
@@ -137,13 +135,8 @@ def encode_binary(table: DataTable, columns, presence=None) -> DataTable:
             continue   # no value to encode
         if len(distinct) != 2:
             raise NonBinaryColumnError(name, distinct)
-        if name in presence:
-            pos = str(presence[name])
-            if pos not in distinct:
-                raise NonBinaryColumnError(name, distinct)
-        else:
-            truthy = [t for t in distinct if t.lower() in _TRUTHY]
-            pos = truthy[0] if truthy else distinct[-1]
+        truthy = [t for t in distinct if t.lower() in _TRUTHY]
+        pos = truthy[0] if truthy else distinct[-1]
         encoded = np.zeros(len(mask), np.int64)
         encoded[~mask] = cells == pos
         new_cols[name] = encoded

@@ -1,7 +1,9 @@
 import json
 import os
+import sys
 import tempfile
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,36 +255,42 @@ class TestCombiners:
             assert run("max", "min") == {"count": len(cells),
                                          "max:x": max(present),
                                          "min:x": min(present)}
-            if not -2**63 <= total < 2**63:
-                with pytest.raises(DwkitError, match="past int64"):
-                    run("sum", "mean")
-                return
+            # a sum past int64 is the exact int, and a mean the exact
+            # quotient rounded once
             got = run("sum", "mean")
-            assert type(got["sum:x"]) is np.int64
-            assert got["sum:x"] == total
-            assert got["mean:x"] == float(total) / len(present)
+            assert type(got["sum:x"]) is int and got["sum:x"] == total
+            assert got["mean:x"] == float(Fraction(total, len(present)))
 
     @pytest.mark.filterwarnings("error")
-    def test_stock_reducers_refuse_a_wrapped_sum(self, tmp_path):
-        # the stock reducers add int64 scalars; past int64 they wrapped
+    def test_stock_reducers_sum_past_int64_exactly(self, tmp_path):
+        # the stock reducers once added int64 scalars, which wrapped past
+        # int64; they round the exact total as the fused ops do
         path = tmp_path / "edge.csv"
         path.write_text(f"x\n{2**63 - 1}\n1\n")
         ds = cs.open_datastore(str(path), chunk_size=1)
-        for reducer in (reduce_sum, reduce_mean):
-            with pytest.raises(DwkitError, match="x: the integer sum is "
-                               "past int64"):
-                mapreduce(ds, make_column_emitter("x"), reducer)
-        # in range, value and type are kept
-        path.write_text(f"x\n{2**62}\n{2**62 - 1}\n-5\n")
-        ds = cs.open_datastore(str(path), chunk_size=1)
         (_, total), = mapreduce(ds, make_column_emitter("x"),
                                 reduce_sum).pairs
-        assert type(total) is np.int64 and total == 2**63 - 6
+        assert type(total) is int and total == 2**63
         (_, mean), = mapreduce(ds, make_column_emitter("x"),
                                reduce_mean).pairs
-        assert type(mean) is np.float64 and mean == np.int64(2**63 - 6) / 3
+        assert type(mean) is float and mean == 2.0**62
+        path.write_text(f"x\n{2**62}\n{2**62 - 1}\n-5\n")
+        ds = cs.open_datastore(str(path), chunk_size=1)
+        (_, mean), = mapreduce(ds, make_column_emitter("x"),
+                               reduce_mean).pairs
+        assert mean == float(Fraction(2**63 - 6, 3))
         (_, rows), = mapreduce(ds, map_count_rows, reduce_sum).pairs
         assert type(rows) is int and rows == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("reducer", [reduce_sum, reduce_mean])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_stock_reducers_refuse_a_non_finite_value(self, reducer, bad):
+        # the chunk engine builds no infinite cell, but a library caller
+        # can pass one, which has no exact total
+        with pytest.raises(DwkitError, match="x: a value that is not "
+                           "finite has no sum"):
+            reducer("x", [1.0, bad])
 
     def test_one_partial_per_op_per_chunk(self):
         ds = open_sample(3)
@@ -295,10 +303,95 @@ class TestCombiners:
             [["count", "mean:Delay"]] * 3
         assert dict(res.pairs) == {"count": 8, "mean:Delay": 15.875}
 
-    def test_sum_folds_sequentially(self):
-        # each 1.0 added to 1e16 rounds away in a left fold; np.sum adds
-        # in interleaved partial sums and keeps them
-        values = np.array([1e16] + [1.0] * 15)
-        folded = reduce_op("sum:x", [values[:4], values[4:]])
-        assert folded == reduce_sum("x", list(values)) == 1e16
-        assert folded != np.sum(values)
+    def test_sum_is_rounded_once(self, tmp_path):
+        # a left fold rounds each 1.0 added to 1e16 away; the exact total
+        # keeps all fifteen
+        path = tmp_path / "x.csv"
+        path.write_text("x\n1e16\n" + "1.0\n" * 15)
+        ds = cs.open_datastore(str(path), chunk_size=4)
+        (_, folded), = mapreduce(ds, make_ops_mapper(
+            [("sum:x", "sum", "x")]), reduce_op).pairs
+        assert folded == reduce_sum("x", [1e16] + [1.0] * 15) == \
+            1.0000000000000016e16
+
+
+# reals across +-300 decades, with subnormals and the ends of the float
+# range, whose sums may overflow, and reals of one exponent, whose
+# mantissas' sum passes 53 bits; int64 values across the whole range
+REALS = st.one_of(
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10),
+              st.integers(-300, 300)),
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(1, 2),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                     -1e308, 1.7976931348623157e308, -0.0]))
+INT64S = st.one_of(st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, 2**63 - 1]))
+
+
+@given(st.one_of(st.lists(REALS, min_size=1, max_size=8),
+                 st.lists(INT64S, min_size=1, max_size=8)), st.data())
+def test_sum_and_mean_are_the_exact_total_rounded_once(values, data):
+    """At every chunk size and over a two-file split, fused and stock
+    ``sum``/``mean`` are the exact ``Fraction`` total rounded once: an
+    int for an integer sum, else ``float``, and a sum past the float
+    range is named.  ``math.fsum`` is no oracle: it overflows in between
+    on 1e308, 1e308, -1e308."""
+    exact = sum(map(Fraction, values))
+    if type(values[0]) is int:
+        want_sum = repr(int(exact))
+    else:
+        try:
+            want_sum = repr(float(exact))
+        except OverflowError:
+            want_sum = "sum:x: the sum of column 'x' overflows"
+    want = {"sum": want_sum, "mean": repr(float(exact / len(values)))}
+
+    def outcome(ds, reducer):
+        """The fused and the stock reducer's results, as their reprs or
+        error messages."""
+        runs = (lambda: mapreduce(ds, make_ops_mapper(
+                    [(f"{reducer}:x", reducer, "x")]), reduce_op),
+                lambda: mapreduce(ds, make_column_emitter("x"),
+                                  BUILTIN_REDUCERS[reducer]))
+        got = []
+        for run in runs:
+            try:
+                (_, value), = run().pairs
+                got.append(repr(value))
+            except DwkitError as exc:
+                got.append(str(exc))
+        return got
+
+    lines = [f"{v!r}\n" for v in values]
+    split = data.draw(st.integers(1, max(1, len(values) - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, part in (("all", lines), ("head", lines[:split]),
+                           ("tail", lines[split:])):
+            paths.append(os.path.join(tmp, f"{name}.csv"))
+            with open(paths[-1], "w") as fh:
+                fh.write("x\n" + "".join(part))
+        stores = [cs.open_datastore(paths[0], chunk_size=size)
+                  for size in range(1, len(values) + 1)]
+        if len(values) > 1:
+            stores.append(cs.open_datastore(
+                paths[1:], chunk_size=data.draw(st.integers(1, split))))
+        for ds in stores:
+            for reducer in ("sum", "mean"):
+                assert outcome(ds, reducer) == [want[reducer]] * 2, (
+                    ds.chunk_size, ds.sources, reducer)
+
+
+@pytest.mark.parametrize("values", [
+    [2**63 - 1, 2**63 - 1, -2**63, 5, 7],
+    [1e16, 1.0, 1.0, 1.0, 3.5, -1e16, 5e-324, 1.5]])
+def test_long_arrays_are_summed_in_slices(monkeypatch, values):
+    # arrays are summed 2**14 values at a time; at two values a slice,
+    # the totals are the same
+    # the package's ``mapreduce`` is the function, so the module is taken
+    # from sys.modules
+    monkeypatch.setattr(sys.modules["dwkit.mapreduce"], "_SLICE", 2)
+    exact = sum(map(Fraction, values))
+    assert repr(reduce_sum("x", values)) == repr(
+        int(exact) if type(values[0]) is int else float(exact))
+    assert reduce_mean("x", values) == float(exact / len(values))

@@ -44,11 +44,6 @@ class TestEncodeBinary:
         out = encode_binary(t, ["flag"])
         np.testing.assert_array_equal(out.column("flag"), [0, 1, 0])
 
-    def test_explicit_presence_token(self):
-        t = make_table(flag=["alpha", "beta", "alpha"])
-        out = encode_binary(t, ["flag"], presence={"flag": "alpha"})
-        np.testing.assert_array_equal(out.column("flag"), [1, 0, 1])
-
     def test_zero_one_passthrough(self):
         t = make_table(flag=[0.0, 1.0, 1.0])
         out = encode_binary(t, ["flag"])
@@ -58,11 +53,6 @@ class TestEncodeBinary:
         t = make_table(flag=["a", "b", "c"])
         with pytest.raises(NonBinaryColumnError):
             encode_binary(t, ["flag"])
-
-    def test_bad_presence_token_rejected(self):
-        t = make_table(flag=["a", "b"])
-        with pytest.raises(NonBinaryColumnError):
-            encode_binary(t, ["flag"], presence={"flag": "zzz"})
 
 
 class TestFitOls:
@@ -397,10 +387,9 @@ class TestSurveyIdentityReport:
         assert rep["published"]["adjusted_r_square"] == -0.76364
 
 
-def reference_encode_binary(table, columns, presence=None):
+def reference_encode_binary(table, columns):
     """encode_binary as three Python passes per column, cell by cell."""
     from dwkit.regress import _TRUTHY
-    presence = presence or {}
     new_cols, new_kinds = dict(table.columns), dict(table.kinds)
     for name in columns:
         mask, vals = table.missing[name], table.columns[name]
@@ -409,13 +398,8 @@ def reference_encode_binary(table, columns, presence=None):
             continue
         if len(distinct) != 2:
             raise NonBinaryColumnError(name, distinct)
-        if name in presence:
-            pos = str(presence[name])
-            if pos not in distinct:
-                raise NonBinaryColumnError(name, distinct)
-        else:
-            truthy = [t for t in distinct if t.lower() in _TRUTHY]
-            pos = truthy[0] if truthy else distinct[-1]
+        truthy = [t for t in distinct if t.lower() in _TRUTHY]
+        pos = truthy[0] if truthy else distinct[-1]
         new_cols[name] = np.array([not m and str(v) == pos
                                    for v, m in zip(vals, mask)], np.int64)
         new_kinds[name] = "integer"
@@ -437,12 +421,10 @@ def test_encode_binary_equals_cell_by_cell_reference(data):
     if kind == "text":
         col[mask] = None
     table = DataTable({"f": col}, {"f": mask}, {"f": kind})
-    presence = data.draw(st.sampled_from(
-        [None, {"f": "a"}, {"f": "yes"}, {"f": 2.5}]))
 
     def run(encode):
         try:
-            out = encode(table, ["f"], presence)
+            out = encode(table, ["f"])
         except NonBinaryColumnError as exc:
             return str(exc)
         return (out.kinds["f"], out.columns["f"].dtype,
