@@ -11,6 +11,9 @@ is written, so a run that fails leaves none of them.
 
 Exit codes: 0 success, 1 model/domain error, 2 usage error.
 The output directory comes from --out, overridable by $DWKIT_OUT.
+
+Each command imports the modules it runs once it is dispatched, so
+parsing the arguments loads none of them.
 """
 from __future__ import annotations
 
@@ -20,14 +23,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, chunkstore, fixtures, placement
-from . import regress, report, schema_pca, staging
-from .mapreduce import (BUILTIN_REDUCERS, make_ops_mapper,
-                        mapreduce as run_mapreduce, reduce_op, write_log)
+from . import __version__, report
 from .errors import ConfigError, DwkitError, MissingFileError
 from .units import (accept, choice, fraction, integer, list_of, normalize,
                     quantity, string, table)
@@ -47,10 +46,13 @@ _WORKLOAD_FIELDS = {
 }
 _KERNEL_FIELDS = {"name": string, "throughput": _RATE}
 _NAMES = list_of(string)
-_OP = accept(f"count or REDUCER:COLUMN with REDUCER in "
-             f"{sorted(BUILTIN_REDUCERS)}",
+# copies of placement.MODES and mapreduce.BUILTIN_REDUCERS's names, which
+# a test pins, so that building the parser imports neither module
+_MODES = ("managed", "lossy-priority-baseline")
+_REDUCERS = ("max", "mean", "min", "sum")
+_OP = accept(f"count or REDUCER:COLUMN with REDUCER in {list(_REDUCERS)}",
              lambda op: op == "count" or type(op) is str
-             and op.partition(":")[0] in BUILTIN_REDUCERS and ":" in op)
+             and op.partition(":")[0] in _REDUCERS and ":" in op)
 
 
 def _load_config(path, what="config"):
@@ -157,6 +159,9 @@ class _Output:
 # --- plan ---
 
 def _cmd_plan(args, _output):
+    from dataclasses import asdict
+
+    from . import staging
     cfg = _load_config(args.config)
     # flags override the config's values; a block that is not an object
     # is refused with the rest
@@ -207,6 +212,7 @@ def _moments_from_csv(path):
     every one present, read a chunk of ``_BATCH_RECORDS`` rows at a time,
     and the warnings to report.  A name repeated in the header is its last
     column, once."""
+    from . import chunkstore, schema_pca
     ds = chunkstore.open_datastore(path,
                                    chunk_size=chunkstore._BATCH_RECORDS)
     kinds = {c.name: c.kind for c in ds.schema}   # a name's last column
@@ -254,6 +260,7 @@ def _dropped_warnings(dropped, where):
 
 
 def _cmd_design_schema(args, _output):
+    from . import schema_pca
     cfg = _command_config(args, {"input": string,
                                  "threshold": fraction(zero=False)})
     if "input" not in cfg:
@@ -284,6 +291,7 @@ def _cmd_design_schema(args, _output):
 # --- simulate ---
 
 def _cmd_simulate(args, output):
+    from . import placement
     cfg = _command_config(args, {
         "scenario": string, "until": quantity("seconds"),
         "mode": choice(*placement.MODES)})
@@ -310,7 +318,21 @@ def _cmd_simulate(args, output):
 
 # --- mapreduce ---
 
+# module globals that _cmd_mapreduce calls by name, so that a tracer can
+# replace them; each imports the executor on its first call
+def run_mapreduce(ds, map_fn, reduce_fn, **kwargs):
+    from .mapreduce import mapreduce
+    return mapreduce(ds, map_fn, reduce_fn, **kwargs)
+
+
+def write_log(events, path):
+    from .mapreduce import write_log
+    write_log(events, path)
+
+
 def _cmd_mapreduce(args, output):
+    from . import chunkstore, fixtures
+    from .mapreduce import make_ops_mapper, reduce_op
     cfg = _command_config(args, {"input": _NAMES, "chunk_size": integer(1),
                                  "operations": list_of(_OP),
                                  "missing_tokens": _NAMES})
@@ -346,6 +368,9 @@ def _cmd_mapreduce(args, output):
 # --- regress ---
 
 def _cmd_regress(args, output):
+    from dataclasses import asdict
+
+    from . import chunkstore, fixtures, regress, schema_pca
     cfg = _command_config(args, {"input": string, "response": string,
                                  "predictors": _NAMES, "encode": _NAMES})
     path = cfg.get("input")
@@ -477,7 +502,7 @@ def build_parser():
     common(p)
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--until", help="simulation horizon, seconds")
-    p.add_argument("--mode", choices=placement.MODES,
+    p.add_argument("--mode", choices=_MODES,
                    help="override the scenario's policy mode")
 
     p = sub.add_parser("mapreduce", help="chunked aggregation over CSVs")

@@ -59,10 +59,16 @@ def _emit(log, kind, **detail):
     log.append({"seq": len(log), "kind": kind, **detail})
 
 
+# each event's kind is one of these strings, shared by every event of it
+_EVENT_KINDS = {kind: (f"{kind}-start", f"{kind}-failed", f"{kind}-done")
+                for kind in ("map", "reduce")}
+
+
 def _run_task(task_id, kind, fn, attempt_cap, fail_injector, log):
+    started, failed, done = _EVENT_KINDS[kind]
     last_exc = None
     for attempt in range(1, attempt_cap + 1):
-        _emit(log, f"{kind}-start", task=task_id, attempt=attempt)
+        _emit(log, started, task=task_id, attempt=attempt)
         try:
             if fail_injector is not None and fail_injector(kind, task_id,
                                                           attempt):
@@ -73,10 +79,10 @@ def _run_task(task_id, kind, fn, attempt_cap, fail_injector, log):
             raise   # deterministic: a retry would fail the same way
         except Exception as exc:
             last_exc = exc
-            _emit(log, f"{kind}-failed", task=task_id, attempt=attempt,
+            _emit(log, failed, task=task_id, attempt=attempt,
                   error=str(exc))
             continue
-        _emit(log, f"{kind}-done", task=task_id, attempt=attempt)
+        _emit(log, done, task=task_id, attempt=attempt)
         return out
     raise TaskFailedError(task_id, last_exc)
 

@@ -1155,6 +1155,82 @@ def test_no_command_needs_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# the modules that only some commands run
+COMMAND_MODULES = {"chunkstore", "fixtures", "mapreduce", "placement",
+                   "regress", "schema_pca", "staging"}
+
+
+def dwkit_modules_after(code):
+    """The names of the dwkit submodules a fresh interpreter has loaded
+    once it has run ``code``."""
+    proc = run_code(f"{code}\nimport json, sys\n"
+                    f"print(json.dumps([m for m in sys.modules "
+                    f"if m.startswith('dwkit.')]))")
+    assert proc.returncode == 0, proc.stderr
+    return {m.split(".", 1)[1]
+            for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_importing_the_package_loads_no_module():
+    assert dwkit_modules_after("import dwkit") == set()
+
+
+def test_importing_the_cli_loads_no_command_module():
+    assert dwkit_modules_after("import dwkit.cli") & COMMAND_MODULES == set()
+
+
+@pytest.mark.parametrize("command, argv, modules", [
+    ("plan", [], {"staging"}),
+    ("simulate", ["--scenario", overload_scenario_path()], {"placement"}),
+    ("mapreduce", ["--op", "count"], {"chunkstore", "mapreduce", "fixtures"}),
+    ("design-schema", ["--input", server_records_path()],
+     {"chunkstore", "schema_pca"}),
+    ("regress", [], {"chunkstore", "regress", "schema_pca", "fixtures"}),
+])
+def test_a_command_loads_only_its_modules(tmp_path, command, argv,
+                                          modules):
+    if command == "plan":
+        argv = ["--config", write_config(tmp_path, PLAN_CONFIG), *argv]
+    argv = [command, *argv, "--out", str(tmp_path / "out")]
+    loaded = dwkit_modules_after(
+        f"from dwkit.cli import main\nassert main({argv!r}) == 0")
+    assert loaded & COMMAND_MODULES == modules
+
+
+def test_parser_constants_match_their_modules():
+    from dwkit import cli, placement
+    from dwkit.mapreduce import BUILTIN_REDUCERS
+    assert cli._MODES == placement.MODES
+    assert cli._REDUCERS == tuple(sorted(BUILTIN_REDUCERS))
+
+
+def test_every_public_name_is_its_home_modules():
+    namespace = {}
+    exec("from dwkit import *", namespace)
+    assert set(dwkit.__all__) <= set(namespace)
+    assert set(dwkit.__all__) <= set(dir(dwkit))
+    for name in dwkit.__all__:
+        if name != "__version__":
+            home = sys.modules[f"dwkit.{dwkit._HOME[name]}"]
+            assert namespace[name] is getattr(dwkit, name) \
+                is getattr(home, name), name
+    assert dwkit.chunkstore is sys.modules["dwkit.chunkstore"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dwkit.no_such_name
+    assert not hasattr(dwkit, "no_such_name")
+
+
+def test_the_function_mapreduce_keeps_its_name_after_its_module_loads():
+    # importing the submodule dwkit.mapreduce binds it in the package,
+    # over the public function of the same name
+    assert dwkit_modules_after(
+        "import dwkit, sys\nfrom dwkit.mapreduce import reduce_op\n"
+        "from dwkit import mapreduce\n"
+        "assert mapreduce is sys.modules['dwkit.mapreduce'].mapreduce\n"
+        "assert dwkit.chunkstore is sys.modules['dwkit.chunkstore']") \
+        == {"chunkstore", "errors", "mapreduce"}
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
