@@ -6,10 +6,13 @@ single-variable fit, and recomputes the published regression summary
 from its own sums of squares, printing every internal inconsistency
 the audit finds.
 """
+import numpy as np
+
 from dwkit.fixtures import (WAREHOUSE_PREDICTORS, WAREHOUSE_RESPONSE,
                             warehouse_survey_table)
 from dwkit.regress import (ModelSpec, anova, factor_lines, fit_model,
                            summarize, survey_identity_report)
+from dwkit.schema_pca import Moments
 
 table = warehouse_survey_table()
 spec = ModelSpec(response=WAREHOUSE_RESPONSE,
@@ -26,8 +29,10 @@ print("  F(%d, %d) = %.3f  significance = %.2e"
       % (aov.df_regression, aov.df_residual, aov.f, aov.significance_f))
 
 print("\nsingle-factor ranking (strongest first):")
-for ln in factor_lines(table, WAREHOUSE_RESPONSE,
-                       list(WAREHOUSE_PREDICTORS)):
+names = [WAREHOUSE_RESPONSE, *WAREHOUSE_PREDICTORS]
+moments = Moments.of(np.column_stack([table.column(n) for n in names]),
+                     names)
+for ln in factor_lines(moments):
     print("  %-4s slope=%+.3f  r^2=%.3f"
           % (ln.predictor, ln.slope, ln.r_square))
 

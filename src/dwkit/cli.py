@@ -408,8 +408,9 @@ def _cmd_regress(args, output):
     # incomplete rows are dropped, as design-schema does
     names = [response, *predictors]
     table, dropped = table.complete_cases(names)
-    _refuse_overflow(source, schema_pca.Moments.of(np.column_stack(
-        [np.asarray(table.column(n), dtype=float) for n in names]), names))
+    moments = schema_pca.Moments.of(np.column_stack(
+        [np.asarray(table.column(n), dtype=float) for n in names]), names)
+    _refuse_overflow(source, moments)
     try:
         fit = regress.fit_model(table, spec)
     # too few rows, or a collinear predictor
@@ -419,7 +420,7 @@ def _cmd_regress(args, output):
     table_anova = regress.anova(fit)
     # an exact fit has F = inf, which JSON cannot hold: it is written null
     exact = not math.isfinite(table_anova.f)
-    lines = regress.factor_lines(table, response, predictors)
+    lines = regress.factor_lines(moments)
     identity = regress.survey_identity_report()
     body = {
         "summary": asdict(summary),
@@ -446,12 +447,13 @@ def _cmd_regress(args, output):
                         "infinite; anova.f is written null")
     warnings += identity["warnings"]
 
-    # every line's y is the response column, formatted once for all files
-    y = report.float_texts(lines[0].y)
+    # every file's y is the response column, formatted once for all files
+    y = report.float_texts(np.asarray(table.column(response), dtype=float))
     for ln in lines:
+        x = np.asarray(table.column(ln.predictor), dtype=float)
         report.write_csv(output.stage(f"factor_{ln.predictor}.csv"),
                          [ln.predictor, response, "fitted"],
-                         [ln.x, y, ln.fitted])
+                         [x, y, ln.intercept + ln.slope * x])
     manifest = {"input": source, "response": response,
                 "predictors": predictors, "encode": encode}
     return manifest, body, warnings

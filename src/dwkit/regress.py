@@ -1,8 +1,11 @@
 """OLS fitting, summary statistics, ANOVA, and per-factor fitted lines.
 
 Each fit is solved by one SVD (never the normal equations), which also
-gives its rank test; the F-test significance goes through the regularized
-incomplete beta function.  A bundled set of published figures from the
+gives its rank test, and keeps its sums of squares, not its rows; the
+F-test significance goes through the regularized incomplete beta
+function.  Each predictor's one-variable line is read from the
+co-moments of the response and the predictors that ``schema_pca.Moments``
+folds.  A bundled set of published figures from the
 five-warehouse data-wastage survey is reproduced from its own sums of
 squares, with the survey's internal inconsistencies surfaced as warnings
 rather than silently adopted.
@@ -17,6 +20,7 @@ import numpy as np
 
 from .chunkstore import DataTable
 from .errors import DwkitError, NonBinaryColumnError, RankDeficientError
+from .schema_pca import Moments
 
 _RANK_TOL = 1e-10   # singular value ratio below which a column is collinear
 
@@ -48,31 +52,14 @@ class RegressionFit:
     intercept: float
     slopes: np.ndarray
     predictor_names: tuple[str, ...]
-    fitted: np.ndarray
-    residuals: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.y)
+    n: int
+    ss_regression: float
+    ss_residual: float
+    ss_total: float
 
     @property
     def p(self):
         return len(self.slopes)
-
-    @property
-    def ss_residual(self):
-        return float(self.residuals @ self.residuals)
-
-    @property
-    def ss_total(self):
-        d = self.y - self.y.mean()
-        return float(d @ d)
-
-    @property
-    def ss_regression(self):
-        d = self.fitted - self.y.mean()
-        return float(d @ d)
 
 
 @dataclass(frozen=True)
@@ -109,9 +96,6 @@ class FactorLine:
     slope: float
     intercept: float
     r_square: float
-    x: np.ndarray
-    y: np.ndarray
-    fitted: np.ndarray
 
 
 def encode_binary(table: DataTable, columns) -> DataTable:
@@ -191,10 +175,19 @@ def fit_ols(X, y, names=None, response="y") -> RegressionFit:
                     raise RankDeficientError(names[k - 1])
             raise RankDeficientError(names[-1])
         beta = beta / norms
+    # one deviation array at a time
     fitted = design @ beta
+    mean = y.mean()
+    ss_regression = _sum_of_squares(fitted - mean)
+    ss_residual = _sum_of_squares(y - fitted)
     return RegressionFit(intercept=float(beta[0]), slopes=beta[1:],
-                         predictor_names=tuple(names), fitted=fitted,
-                         residuals=y - fitted, y=y)
+                         predictor_names=tuple(names), n=n,
+                         ss_regression=ss_regression, ss_residual=ss_residual,
+                         ss_total=_sum_of_squares(y - mean))
+
+
+def _sum_of_squares(d):
+    return float(d @ d)
 
 
 def fit_model(table: DataTable, spec: ModelSpec) -> RegressionFit:
@@ -349,40 +342,33 @@ def anova(fit: RegressionFit) -> AnovaTable:
                            fit.p, fit.n - fit.p - 1)
 
 
-def simple_fit(x, y):
-    """Closed-form one-variable OLS: (slope, intercept, r_square)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    sxx = float((x - xm) @ (x - xm))
-    syy = float((y - ym) @ (y - ym))
-    sxy = float((x - xm) @ (y - ym))
-    if sxx == 0:
-        return 0.0, ym, 0.0
-    slope = sxy / sxx
-    num, den = sxy * sxy, sxx * syy
-    if syy == 0:
-        r2 = 1.0
-    elif math.isfinite(num) and 0 < den < math.inf:
-        r2 = num / den
-    else:   # a product overflowed, or underflowed to zero
-        r2 = (sxy / sxx) * (sxy / syy)
-    return slope, ym - slope * xm, r2
-
-
-def factor_lines(table: DataTable, response, predictors=None):
-    """One-variable fit of the response on each predictor, strongest
-    single-variable R-square first (ties by predictor name)."""
-    if predictors is None:
-        predictors = [c for c in table.column_names if c != response]
-    y = np.asarray(table.column(response), dtype=float)
+def factor_lines(moments: Moments):
+    """One-variable fit of the response, the first column of ``moments``,
+    on each other column, strongest single-variable R-square first (ties
+    by predictor name).  A flat column, one whose minimum equals its
+    maximum or whose sum of squared deviations is 0, explains nothing: its
+    line is slope 0 at the response's mean, R-square 0.  On a flat
+    response, a column that is not flat has slope 0 and R-square 1."""
+    c, mean = moments.comoment, moments.mean
+    flat = (moments.low == moments.high) | (np.diagonal(c) == 0)
+    syy = 0.0 if flat[0] else float(c[0, 0])
     lines = []
-    for name in predictors:
-        x = np.asarray(table.column(name), dtype=float)
-        slope, intercept, r2 = simple_fit(x, y)
-        lines.append(FactorLine(predictor=name, slope=slope,
-                                intercept=intercept, r_square=r2, x=x, y=y,
-                                fitted=intercept + slope * x))
+    for j, name in enumerate(moments.col_names[1:], 1):
+        if flat[j]:
+            lines.append(FactorLine(name, 0.0, float(mean[0]), 0.0))
+            continue
+        sxx = float(c[j, j])
+        sxy = 0.0 if flat[0] else float(c[0, j])
+        slope = sxy / sxx
+        num, den = sxy * sxy, sxx * syy
+        if syy == 0:
+            r2 = 1.0
+        elif sys.float_info.min <= min(num, den) and max(num, den) < math.inf:
+            r2 = num / den
+        else:   # a product overflowed, or underflowed past the normal range
+            r2 = (sxy / sxx) * (sxy / syy)
+        lines.append(FactorLine(name, slope, float(mean[0] - slope * mean[j]),
+                                r2))
     lines.sort(key=lambda ln: (-ln.r_square, ln.predictor))
     return lines
 

@@ -83,12 +83,16 @@ class Moments:
     @classmethod
     def of(cls, values, names) -> Moments:
         """The moments of ``values`` (rows x columns, any number of rows),
-        centred at the block's own means.  Operations that leave the float
-        range give infinities or NaNs, without a warning."""
+        centred at the block's own means.  Each column is summed on its
+        own, which numpy does pairwise, so a mean's error grows with the
+        log of the row count, not the count (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., 2002, 4.2).
+        Operations that leave the float range give infinities or NaNs,
+        without a warning."""
         v = np.asarray(values, dtype=float)
         n = len(v)
         with np.errstate(all="ignore"):
-            mean = v.sum(axis=0) / max(n, 1)
+            mean = np.array([col.sum() for col in v.T]) / max(n, 1)
             d = v - mean
             comoment = d.T @ d
         return cls(n, mean, comoment, v.min(axis=0, initial=np.inf),

@@ -691,6 +691,30 @@ class TestRegressCommand:
         assert 0 <= r2 <= 1
         assert r2 == pytest.approx(res["summary"]["r_square"], rel=1e-12)
 
+    def test_fitted_column_is_the_report_line(self, tmp_path):
+        # each factor CSV's fitted text is repr(intercept + slope * x) of
+        # its factor_ranking line, its y the response's cell
+        rng = np.random.default_rng(17)
+        cols = rng.normal(size=(3, 40)) * [[1.0], [3e-4], [2e5]]
+        cols[0] += cols[1] * 1e3 - cols[2] * 1e-6
+        p = tmp_path / "reals.csv"
+        p.write_text("y,a,b\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in cols.T.tolist()))
+        out = tmp_path / "out"
+        assert run(["regress", "--input", str(p), "--response", "y",
+                    "--predictors", "a,b", "--out", str(out)]) == 0
+        ranking = load_report(str(out))["results"]["factor_ranking"]
+        assert len(ranking) == 2
+        for line in ranking:
+            name = line["predictor"]
+            rows = (out / f"factor_{name}.csv").read_text().splitlines()
+            assert rows[0] == f"{name},y,fitted"
+            for row, y in zip(rows[1:], cols[0].tolist(), strict=True):
+                x, y_text, fitted = row.split(",")
+                assert y_text == repr(y)
+                assert fitted == repr(line["intercept"]
+                                      + line["slope"] * float(x))
+
     def test_large_well_conditioned_predictor_fits(self, tmp_path):
         # the design's singular value ratio is under 1e-10 only because x
         # is near 1e10 and the intercept's column 1

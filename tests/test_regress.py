@@ -1,10 +1,11 @@
 import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn, betainc
 
@@ -15,8 +16,9 @@ from dwkit.errors import (DwkitError, NonBinaryColumnError,
 from dwkit.fixtures import warehouse_survey_table
 from dwkit.regress import (ModelSpec, anova, anova_from_sums, encode_binary,
                            f_pvalue, factor_lines, fit_model, fit_ols,
-                           simple_fit, summarize, summary_from_sums,
+                           summarize, summary_from_sums,
                            survey_identity_report)
+from dwkit.schema_pca import Moments
 
 
 def make_table(**cols):
@@ -313,16 +315,28 @@ class TestFPvalue:
             f_pvalue(3.1226, 1, 446886)
 
 
+def line(x, y):
+    """The factor line of ``y`` on ``x``, from the two columns' Moments."""
+    [ln] = factor_lines(Moments.of(np.column_stack([y, x]), ["y", "x"]))
+    return ln
+
+
+def table_moments(table, names):
+    return Moments.of(np.column_stack(
+        [np.asarray(table.column(n), dtype=float) for n in names]), names)
+
+
 class TestSimpleFitAndFactorLines:
     def test_closed_form_matches_fit_ols(self):
         rng = np.random.default_rng(23)
         x = rng.normal(size=30)
         y = 3.0 * x + rng.normal(size=30)
-        slope, intercept, r2 = simple_fit(x, y)
+        ln = line(x, y)
         fit = fit_ols(x, y)
-        assert slope == pytest.approx(fit.slopes[0], rel=1e-12)
-        assert intercept == pytest.approx(fit.intercept, rel=1e-12)
-        assert r2 == pytest.approx(summarize(fit).r_square, rel=1e-12)
+        assert ln.slope == pytest.approx(fit.slopes[0], rel=1e-12)
+        assert ln.intercept == pytest.approx(fit.intercept, rel=1e-12)
+        assert ln.r_square == pytest.approx(summarize(fit).r_square,
+                                            rel=1e-12)
 
     @pytest.mark.parametrize("x_scale, y_scale", [
         (1e9, 3e153), (1e10, 3e153), (1e10, 1.2e144), (1e-100, 1e-100)],
@@ -334,21 +348,36 @@ class TestSimpleFitAndFactorLines:
         u = rng.uniform(0, 1, 10)
         v = u + rng.uniform(-1, 1, 10)
         x, y = u * x_scale, v * y_scale
-        xm, ym = x.mean(), y.mean()
-        sxy = float((x - xm) @ (y - ym))
-        products = [sxy * sxy,
-                    float((x - xm) @ (x - xm)) * float((y - ym) @ (y - ym))]
+        c = Moments.of(np.column_stack([y, x]), ["y", "x"]).comoment
+        sxy = float(c[0, 1])
+        products = [sxy * sxy, float(c[0, 0]) * float(c[1, 1])]
         assert not all(0 < p < math.inf for p in products)
-        _, _, r2 = simple_fit(x, y)
-        assert r2 == pytest.approx(simple_fit(u, v)[2], rel=1e-12)
+        assert line(x, y).r_square == pytest.approx(line(u, v).r_square,
+                                                    rel=1e-12)
 
     def test_constant_x(self):
-        slope, intercept, r2 = simple_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-        assert (slope, intercept, r2) == (0.0, 2.0, 0.0)
+        ln = line([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        assert (ln.slope, ln.intercept, ln.r_square) == (0.0, 2.0, 0.0)
+
+    def test_flat_predictor_with_an_inexact_mean_explains_nothing(self):
+        # 0.1 summed seven times is not 0.7, so the mean of seven 0.1s is
+        # not 0.1 and the deviations leave sxx near 1e-33; the column's
+        # folded minimum equals its maximum, so it is flat
+        y = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0]
+        moments = Moments.of(np.column_stack([y, [0.1] * 7]), ["y", "x"])
+        assert moments.comoment[1, 1] > 0
+        [ln] = factor_lines(moments)
+        assert (ln.slope, ln.intercept, ln.r_square) == (
+            0.0, moments.mean[0], 0.0)
+
+    def test_flat_response_has_slope_zero(self):
+        ln = line([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0], [0.1] * 7)
+        assert (ln.slope, ln.r_square) == (0.0, 1.0)
 
     def test_survey_table_strongest_factor(self):
         t = warehouse_survey_table()
-        lines = factor_lines(t, "DW")
+        lines = factor_lines(table_moments(
+            t, ["DW", *(c for c in t.column_names if c != "DW")]))
         assert lines[0].predictor == "UP"
         r2s = [ln.r_square for ln in lines]
         assert r2s == sorted(r2s, reverse=True)
@@ -356,8 +385,47 @@ class TestSimpleFitAndFactorLines:
 
     def test_explicit_predictor_subset(self):
         t = warehouse_survey_table()
-        lines = factor_lines(t, "DW", predictors=["MS", "UP"])
+        lines = factor_lines(table_moments(t, ["DW", "MS", "UP"]))
         assert {ln.predictor for ln in lines} == {"MS", "UP"}
+
+
+def exact_line(x, y):
+    """Slope, intercept and R-square of y on x in exact arithmetic, with
+    the sums the errors are measured against."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    n = len(x)
+    xm, ym = sum(x) / n, sum(y) / n
+    sxx = sum((a - xm) ** 2 for a in x)
+    syy = sum((b - ym) ** 2 for b in y)
+    sxy = sum((a - xm) * (b - ym) for a, b in zip(x, y))
+    slope = sxy / sxx
+    return slope, ym - slope * xm, sxy * sxy / (sxx * syy), xm, ym, sxx, syy
+
+
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1),
+       st.integers(-100, 100), st.integers(-100, 100),
+       st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0.0, 4.0))
+# sxy * sxy and sxx * syy are subnormal, so their quotient keeps few bits
+@example(3, 0, -56, -100, 0.0, 0.0, 1.0)
+def test_factor_lines_match_the_exact_fit(n, seed, x_decade, y_decade,
+                                          x_offset, y_offset, noise):
+    # each error is measured against the scale it is computed at: the
+    # slope's against sqrt(syy / sxx), the intercept's against the means
+    # it is the difference of, R-square's against 1; offsets up to 1e6
+    # column scales, and scales from 1e-100 to 1e100, where sxx * syy
+    # leaves the float range
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1, 1, n)
+    x = (x_offset + u) * 10.0 ** x_decade
+    y = (y_offset + u + noise * rng.uniform(-1, 1, n)) * 10.0 ** y_decade
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    slope, intercept, r2, xm, ym, sxx, syy = exact_line(x, y)
+    ln = line(x, y)
+    spread = math.sqrt(float(syy)) / math.sqrt(float(sxx))
+    assert abs(Fraction(ln.slope) - slope) <= 1e-13 * spread
+    assert abs(Fraction(ln.intercept) - intercept) <= 1e-13 * (
+        abs(ym) + spread * abs(xm))
+    assert abs(Fraction(ln.r_square) - r2) <= 1e-13
 
 
 class TestSurveyIdentityReport:

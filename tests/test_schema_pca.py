@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +104,39 @@ def test_fold_equals_corrcoef(data):
     want = np.atleast_2d(np.corrcoef(values, rowvar=False))
     np.testing.assert_allclose(moments.correlation().values, want,
                                rtol=0, atol=1e-12)
+
+
+def test_fold_means_of_a_long_block_are_within_an_ulp_of_fsum():
+    # 0.1 added to a running total 1e5 times drifts 13,581 ulps from the
+    # exact sum; summed pairwise it stays within one
+    values = np.full((100_000, 2), 0.1)
+    values[:, 1] *= np.arange(100_000) % 7
+    mean = Moments.of(values, ["a", "b"]).mean
+    for j in range(2):
+        want = math.fsum(values[:, j]) / len(values)
+        assert abs(mean[j] - want) <= np.spacing(want)
+
+
+@given(st.integers(1, 100_000), st.integers(0, 2**32 - 1),
+       st.integers(-250, 250), st.floats(-1e3, 1e3))
+def test_fold_means_stay_within_the_pairwise_bound(n, seed, decade, offset):
+    """Each column's mean is within an ulp of fsum / n, plus the error
+    bound of numpy's pairwise sum: a term passes at most 15 additions in
+    its block's running sum, 3 joining the block's eight sums, 7 adding
+    its leftovers and one per halving above the block, gamma_d times the
+    sum of magnitudes with d under log2(n) + 25.  Adding row after row
+    bounds it only by n - 1."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** decade
+    values = np.column_stack([np.full(n, offset * scale),
+                              (offset + rng.uniform(-1, 1, n)) * scale])
+    mean = Moments.of(values, ["c", "u"]).mean
+    depth = math.ceil(math.log2(n)) + 25
+    for j in range(2):
+        col = values[:, j]
+        want = math.fsum(col) / n
+        bound = depth * 2.0**-53 * (math.fsum(np.abs(col)) / n)
+        assert abs(mean[j] - want) <= np.spacing(abs(want)) + bound
 
 
 def test_fold_of_no_rows_is_the_identity():
