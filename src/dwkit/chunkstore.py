@@ -88,6 +88,7 @@ same values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import re
@@ -137,6 +138,10 @@ class Datastore:
     # the chunk open_datastore read, until the first read takes it
     _first: list = field(default_factory=list, init=False, repr=False,
                          compare=False)
+    # columns asked for (a frozenset, or None) -> the positions reads
+    # build, found once per datastore (``_positions``)
+    _position_cache: dict = field(default_factory=dict, init=False,
+                                  repr=False, compare=False)
 
     def column_names(self):
         return [c.name for c in self.schema]
@@ -329,16 +334,25 @@ def _read_rows(reader, n, context):
 
 class _Lines(list):
     """A batch of raw lines that ``_unquoted`` passed: each line is one
-    record."""
+    record.  ``text`` is the lines joined, which the batch's parse reads
+    instead of joining them again."""
+
+    def __init__(self, lines, text=None):
+        super().__init__(lines)
+        self.text = "".join(lines) if text is None else text
 
 
-def _unquoted(lines, ncols):
+def _utf8_size(text):
+    """The number of bytes ``text`` takes in UTF-8."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+def _unquoted(lines, ncols, text):
     """Whether every line is one record of ``ncols`` unquoted fields:
-    their text holds no ``"``, no NUL and no ``\\r`` but in a ``\\r\\n``
-    line end, every line has ``ncols - 1`` commas, and no line is blank or
-    longer than the csv field limit.  Such lines split at their commas and
-    line ends into the fields ``csv.reader`` gives."""
-    text = "".join(lines)
+    their text, ``text``, holds no ``"``, no NUL and no ``\\r`` but in a
+    ``\\r\\n`` line end, every line has ``ncols - 1`` commas, and no line
+    is blank or longer than the csv field limit.  Such lines split at
+    their commas and line ends into the fields ``csv.reader`` gives."""
     limit = csv.field_size_limit()
     if ('"' in text or "\0" in text
             or len(text) > limit and max(map(len, lines)) > limit
@@ -361,29 +375,46 @@ def _unquoted(lines, ncols):
     return shape == want[:-1] and not text.endswith("\r")
 
 
+def _kept(lines, into):
+    """The items of ``lines``, each appended to ``into`` as it is taken."""
+    for line in lines:
+        into.append(line)
+        yield line
+
+
 def _read_batch(lines, n, context, ncols):
-    """The next ``n`` records of the line iterator ``lines``: their
-    ``_Lines`` when the lines pass ``_unquoted``, else a list of rows.
-    Lines that do not pass are tokenized by ``csv.reader``, which reads on
-    past them where a quoted field holds a newline."""
+    """The next ``n`` records of the line iterator ``lines``, and the
+    number of bytes their lines take in UTF-8: their ``_Lines`` when the
+    lines pass ``_unquoted``, else a list of rows.  Lines that do not pass
+    are tokenized by ``csv.reader``, which reads on past them where a
+    quoted field holds a newline."""
     got = _read_rows(lines, n, context)
-    if got and _unquoted(got, ncols):
-        return _Lines(got)
-    return _read_rows(csv.reader(chain(got, lines)), n, context)
+    text = "".join(got)
+    if got and _unquoted(got, ncols, text):
+        return _Lines(got, text), _utf8_size(text)
+    more = []   # the lines csv.reader reads on past them
+    rows = _read_rows(csv.reader(chain(got, _kept(lines, more))), n,
+                      context)
+    return rows, _utf8_size(text) + sum(map(_utf8_size, more))
 
 
-def _read_batches(lines, n, context, ncols, rows=None):
+def _read_batches(lines, n, context, ncols, first=None, position=None):
     """The next ``n`` records of the line iterator ``lines`` in
     ``_read_batch`` batches of at most ``_BATCH_RECORDS`` records, each
-    read once the one before is taken; ``rows`` is the first, when it is
-    already read."""
-    if rows is None:
-        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, ncols)
+    read once the one before is taken; ``first`` is the first batch and
+    its size, when it is already read.  ``position``, a list of one byte
+    offset, is advanced by each batch's size as the batch is taken."""
+    rows, size = first or _read_batch(lines, min(n, _BATCH_RECORDS),
+                                      context, ncols)
+    first = None   # the batch is held as rows alone, and only until taken
     while rows:
         n -= len(rows)
+        if position is not None:
+            position[0] += size
         yield rows
         del rows   # the consumer's now: not held while the next is read
-        rows = _read_batch(lines, min(n, _BATCH_RECORDS), context, ncols)
+        rows, size = _read_batch(lines, min(n, _BATCH_RECORDS), context,
+                                 ncols)
 
 
 def _split_columns(lines, ncols, js):
@@ -391,7 +422,7 @@ def _split_columns(lines, ncols, js):
     one at a time from one split of their text at commas and line ends."""
     # one expression, so that each copy of the text is dropped as soon as
     # the next is made; each \r is one of a \r\n
-    flat = "".join(lines).replace("\r", "").replace("\n", ",").split(",")
+    flat = lines.text.replace("\r", "").replace("\n", ",").split(",")
     stop = len(lines) * ncols   # before the field after a last line end
     return (flat[j:stop:ncols] for j in js)
 
@@ -433,6 +464,17 @@ def _reads_as_number(token):
         return False
 
 
+@functools.lru_cache(maxsize=64)
+def _loadtxt_args(kinds, js, missing_tokens):
+    """The structured dtype that holds columns ``js`` at their ``kinds``,
+    a field per column, and the ``_NaNOrFloat`` converters of its real
+    columns, made once for each read's columns."""
+    real = _NaNOrFloat.fromkeys(_drop_set(missing_tokens),
+                                math.nan).__getitem__
+    return (np.dtype([(str(j), _DTYPES[kinds[j]]) for j in js]),
+            {j: real for j in js if kinds[j] == "real"})
+
+
 def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
@@ -450,25 +492,22 @@ def _parse_lines(lines, kinds, js, missing_tokens):
     numpy 1.x hands the converter ``str`` cells, as numpy 2 does."""
     if not js:
         return {}
-    text = "".join(lines)
+    text = lines.text
     # a one-character search is a memchr, far cheaper than a substring
     # search, and a token whose first character is absent is absent
     present = [t for t in missing_tokens if t[:1] in text and t in text]
     if any(map(_reads_as_number, present)):
         return None
-    converters = {}
-    if present:
-        real = _NaNOrFloat.fromkeys(_drop_set(missing_tokens),
-                                    math.nan).__getitem__
-        converters = {j: real for j in js if kinds[j] == "real"}
-    dtype = np.dtype([(str(j), _DTYPES[kinds[j]]) for j in js])
+    dtype, converters = _loadtxt_args(tuple(kinds), tuple(js),
+                                      missing_tokens)
     try:
         with warnings.catch_warnings():
             # numpy 1.x parses 1.0 into an integer with only a warning
             warnings.simplefilter("error")
             got = np.loadtxt(lines, dtype, delimiter=",", comments=None,
                              quotechar=None, usecols=js, ndmin=1,
-                             converters=converters, encoding=None)
+                             converters=converters if present else {},
+                             encoding=None)
     except (ValueError, OverflowError, Warning):
         return None
     if len(got) != len(lines):   # loadtxt skips blank lines
@@ -583,7 +622,7 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
     parts = {j: [] for j in js}
     nrows, kept = 0, True
     for fi, p in enumerate(paths):
-        with open(p, newline="") as fh:
+        with open(p, newline="", encoding="utf-8") as fh:
             lines = iter(fh.readline, "")
             next(csv.reader(lines))   # header
             offset = fh.tell()
@@ -684,9 +723,19 @@ def _built(schema, columns):
                   if columns is None or name in columns)
 
 
-def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
-    """A table of the columns a read builds (``_built``) from a chunk's
-    records, given in batches of ``_Lines`` or of rows.  Only those
+def _positions(ds, columns):
+    """``_built`` for a read of ``ds``, found once per datastore for each
+    set of columns asked for."""
+    key = None if columns is None else frozenset(columns)
+    js = ds._position_cache.get(key)
+    if js is None:
+        js = ds._position_cache[key] = _built(ds.schema, columns)
+    return js
+
+
+def _build_chunk(batches, schema, missing_tokens, context, js):
+    """A table of the columns at positions ``js`` (``_built``) from a
+    chunk's records, given in batches of ``_Lines`` or of rows.  Only those
     columns are parsed, and every record's width is checked.  Each batch
     is parsed before the next is read, and each column's parts are joined
     at the end.  After a fault the rest of the chunk is still read and
@@ -694,7 +743,6 @@ def _build_chunk(batches, schema, missing_tokens, context="", columns=None):
     column order, then row order: a short record is a fault at its first
     absent column, above which the column's cells are checked first, and
     a long record one after the last column."""
-    js = _built(schema, columns)
     parts = {j: [] for j in js}
     ncols, kinds = len(schema), [spec.kind for spec in schema]
     limit, fault, row0 = ncols + 1, None, 0   # columns before limit checked
@@ -755,15 +803,17 @@ def _table(parts, schema, nrows, context):
 def _build_table(rows, schema, missing_tokens, context="", columns=None):
     """``_build_chunk`` of one list of rows."""
     return _build_chunk([rows] if rows else [], schema, missing_tokens,
-                        context, columns)
+                        context, _built(schema, columns))
 
 
 def iter_file_chunks(ds: Datastore, file_index: int):
     """Yield (chunk_index, offset, rows) for one source file.
 
-    ``offset`` is the file position (``tell``) of the chunk's first
-    record, for ``read_chunk`` to seek to; for UTF-8 text it is the byte
-    offset.  ``rows`` yields the chunk's records in lists of at most
+    ``offset`` is the byte offset of the chunk's first record, for
+    ``read_chunk`` to seek to: the file position after the header
+    (``tell``) plus the UTF-8 sizes of the lines read since, which costs
+    far less than a ``tell`` per chunk; data files are read as UTF-8, as
+    the header is.  ``rows`` yields the chunk's records in lists of at most
     ``_BATCH_RECORDS``, tokenized as they are taken, and only until the
     next chunk is asked for: what is left of it then is read and dropped.
     ``csv.reader`` pulls whole lines only until a record is complete, so
@@ -780,22 +830,24 @@ def iter_file_chunks(ds: Datastore, file_index: int):
         start = first.end
         yield 0, first.offset, first
         chunk_index, first = 1, None   # the kept table is released
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         lines = iter(fh.readline, "")
         if start is None:
             next(csv.reader(lines))   # header
+            start = fh.tell()
         else:
             fh.seek(start)
+        position = [start]
         while True:
-            offset = fh.tell()
+            offset = position[0]
             context = f"{path} chunk {chunk_index}"
-            rows = _read_batch(lines, min(ds.chunk_size, _BATCH_RECORDS),
-                               context, len(ds.schema))
-            if not rows:
+            first = _read_batch(lines, min(ds.chunk_size, _BATCH_RECORDS),
+                                context, len(ds.schema))
+            if not first[0]:
                 return
             batches = _read_batches(lines, ds.chunk_size, context,
-                                    len(ds.schema), rows)
-            del rows
+                                    len(ds.schema), first, position)
+            del first
             yield chunk_index, offset, batches
             while next(batches, None) is not None:
                 pass   # the records the consumer left unread
@@ -806,17 +858,17 @@ def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
     """``read_chunk``, which ``read_chunks`` calls too.  Of the chunk
     ``open_datastore`` kept, only the columns asked for are joined."""
     context = f"{ds.sources[file_index]} chunk {chunk_index}"
+    js = _positions(ds, columns)
     if isinstance(rows, _FirstChunk):
-        return _table({j: rows.parts[j] for j in _built(ds.schema, columns)},
-                      ds.schema, rows.nrows, context)
+        return _table({j: rows.parts[j] for j in js}, ds.schema, rows.nrows,
+                      context)
     if rows is not None:
-        return _build_chunk(rows, ds.schema, ds.missing_tokens, context,
-                            columns)
-    with open(ds.sources[file_index], newline="") as fh:
+        return _build_chunk(rows, ds.schema, ds.missing_tokens, context, js)
+    with open(ds.sources[file_index], newline="", encoding="utf-8") as fh:
         fh.seek(offset)
         return _build_chunk(
             _read_batches(fh, ds.chunk_size, context, len(ds.schema)),
-            ds.schema, ds.missing_tokens, context, columns)
+            ds.schema, ds.missing_tokens, context, js)
 
 
 def read_chunk(ds: Datastore, file_index: int, chunk_index: int,
@@ -834,7 +886,7 @@ def read_chunks(ds: Datastore, columns=None):
     (file, chunk index) pair for re-execution.  ``columns`` as for
     ``read_all``.
     """
-    _built(ds.schema, columns)   # a refused read takes no chunk
+    _positions(ds, columns)   # a refused read takes no chunk
     for fi in range(len(ds.sources)):
         for ci, offset, rows in iter_file_chunks(ds, fi):
             yield _read_chunk(ds, fi, ci, offset, columns, rows)

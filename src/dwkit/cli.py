@@ -318,8 +318,10 @@ def _cmd_simulate(args, output):
 
 # --- mapreduce ---
 
-# module globals that _cmd_mapreduce calls by name, so that a tracer can
-# replace them; each imports the executor on its first call
+# module globals that a tracer can replace by name, each importing the
+# executor on its first call; _cmd_mapreduce calls run_mapreduce, and
+# writes its scheduler log through a LogWriter as the run goes, where
+# write_log writes the events an EventList kept
 def run_mapreduce(ds, map_fn, reduce_fn, **kwargs):
     from .mapreduce import mapreduce
     return mapreduce(ds, map_fn, reduce_fn, **kwargs)
@@ -332,7 +334,7 @@ def write_log(events, path):
 
 def _cmd_mapreduce(args, output):
     from . import chunkstore, fixtures
-    from .mapreduce import make_ops_mapper, reduce_op
+    from .mapreduce import LogWriter, fold_op, make_ops_mapper, reduce_op
     cfg = _command_config(args, {"input": _NAMES, "chunk_size": integer(1),
                                  "operations": list_of(_OP),
                                  "missing_tokens": _NAMES})
@@ -348,9 +350,13 @@ def _cmd_mapreduce(args, output):
         inputs, chunk_size=chunk_size,
         treat_as_missing=cfg.get("missing_tokens", ()), columns=columns)
     _check_columns(columns, ds.column_names())
-    # one pass for every op: each chunk emits one partial per op
-    out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
-                        columns=columns)
+    # one pass for every op: each chunk emits one partial per op, folded
+    # into the op's running partial as its task returns; the log is
+    # written as the run goes
+    with open(output.stage("scheduler.jsonl"), "w") as fh:
+        out = run_mapreduce(ds, make_ops_mapper(parsed), reduce_op,
+                            fold=fold_op, columns=columns,
+                            sink=LogWriter(fh))
     reduced = dict(out.pairs)
     results = {}
     for key, reducer, column in parsed:
@@ -361,7 +367,6 @@ def _cmd_mapreduce(args, output):
         results[key] = reduced.get(key, 0)
     manifest = {"input": inputs,
                 "chunk_size": chunk_size, "operations": ops}
-    write_log(out.log, output.stage("scheduler.jsonl"))
     return manifest, {"results": results}, []
 
 

@@ -18,8 +18,7 @@ from dwkit import chunkstore, schema_pca
 from dwkit.cli import main as cli_main
 from dwkit.errors import NoFeasibleThroughputError
 from dwkit.fixtures import overload_scenario_path, server_records_path
-from dwkit.mapreduce import (make_column_emitter, map_count_rows, mapreduce,
-                             reduce_max, reduce_mean, reduce_sum)
+from dwkit.mapreduce import fold_op, make_ops_mapper, mapreduce, reduce_op
 from dwkit.placement import PlacementSimulator, StorageSite, run_scenario
 from dwkit.regress import (anova_from_sums, f_pvalue, fit_ols,
                            summarize, summary_from_sums,
@@ -177,15 +176,15 @@ def test_criterion_5_pca_oracle_equivalence():
 def test_criterion_6_mapreduce_sample():
     start = time.perf_counter()
     results = {}
+    ops = make_ops_mapper([("count", "count", None),
+                           ("mean:Delay", "mean", "Delay"),
+                           ("max:AET", "max", "ActualElapsedTime")])
     for chunk_size in (1, 3, 8):
         ds = chunkstore.open_datastore(server_records_path(),
                                        chunk_size=chunk_size)
-        count = mapreduce(ds, map_count_rows, reduce_sum).pairs[0][1]
-        mean = mapreduce(ds, make_column_emitter("Delay"),
-                         reduce_mean).pairs[0][1]
-        mx = mapreduce(ds, make_column_emitter("ActualElapsedTime"),
-                       reduce_max).pairs[0][1]
-        results[chunk_size] = (int(count), float(mean), int(mx))
+        got = dict(mapreduce(ds, ops, reduce_op, fold=fold_op).pairs)
+        results[chunk_size] = (int(got["count"]), float(got["mean:Delay"]),
+                               int(got["max:AET"]))
 
     injected = []
 
@@ -196,8 +195,8 @@ def test_criterion_6_mapreduce_sample():
         return False
 
     ds = chunkstore.open_datastore(server_records_path(), chunk_size=3)
-    faulty = mapreduce(ds, make_column_emitter("Delay"), reduce_mean,
-                       fail_injector=injector).pairs[0][1]
+    faulty = dict(mapreduce(ds, ops, reduce_op, fold=fold_op,
+                            fail_injector=injector).pairs)["mean:Delay"]
     elapsed = time.perf_counter() - start
     ok = (all(v == (8, 15.875, 155) for v in results.values())
           and len(injected) == 2 and float(faulty) == 15.875
@@ -295,7 +294,8 @@ def test_criterion_9_property_suites(tmp_path):
         outs = set()
         for chunk_size in (1, int(rng.integers(2, 8)), max(n, 1)):
             ds = chunkstore.open_datastore(str(csv), chunk_size=chunk_size)
-            res = mapreduce(ds, make_column_emitter("v"), reduce_sum)
+            res = mapreduce(ds, make_ops_mapper([("sum:v", "sum", "v")]),
+                            reduce_op, fold=fold_op)
             outs.add(int(res.pairs[0][1]))
         assert outs == {int(vals.sum())}
 

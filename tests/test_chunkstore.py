@@ -295,7 +295,8 @@ class TestBatches:
 
     def test_no_read_asks_for_more_than_a_batch(self, tmp_path,
                                                 monkeypatch):
-        from dwkit.mapreduce import make_ops_mapper, mapreduce, reduce_op
+        from dwkit.mapreduce import (fold_op, make_ops_mapper, mapreduce,
+                                     reduce_op)
         p = write_csv(tmp_path / "rows.csv", "i,r,t",
                       [f"{i},{i}.5,t{i % 3}" for i in range(40)])
         asked = []
@@ -315,7 +316,7 @@ class TestBatches:
         out = mapreduce(
             cs.open_datastore(p, chunk_size=25),
             make_ops_mapper([("sum:i", "sum", "i")]), reduce_op,
-            fail_injector=lambda kind, task, attempt:
+            fold=fold_op, fail_injector=lambda kind, task, attempt:
                 kind == "map" and attempt == 1 and task == "map-0-1")
         assert out.pairs == [("sum:i", sum(range(40)))]
         assert len(asked) > 20 and max(asked) <= 4

@@ -484,9 +484,8 @@ class TestFusedMapreduce:
 
     def test_memory_does_not_grow_with_values(self, tmp_path):
         # each chunk emits one exact total, not its values, so the traced
-        # peak on 64 chunks is within 1.5 times that on 16: what grows is
-        # the scheduler log and one int per chunk.  Keeping every value
-        # took it from 0.29 to 0.71 MB (0.18 to 0.22 MB with totals)
+        # peak on 64 chunks is within 1.5 times that on 16.  Keeping every
+        # value took it from 0.29 to 0.71 MB (0.18 to 0.22 MB with totals)
         rng = np.random.default_rng(3)
         paths = []
         for chunks in (16, 64):
@@ -507,6 +506,33 @@ class TestFusedMapreduce:
         peak(paths[0])   # imports and caches filled
         short, long = peak(paths[0]), peak(paths[1])
         assert long <= 1.5 * short, (short, long)
+
+    def test_memory_does_not_grow_with_chunks(self, tmp_path):
+        # the scheduler log is written as the run goes and each op's
+        # partials are folded as each map task returns, so 2,000 chunks of
+        # 10 rows peak within 1.5 times 20 chunks of 1,000.  Keeping the
+        # log and one partial per op per chunk made the first peak grow
+        # with the number of chunks
+        rng = np.random.default_rng(4)
+        path = tmp_path / "rows.csv"
+        np.savetxt(path, np.column_stack([rng.standard_normal(20000),
+                                          rng.integers(-999, 999, 20000)]),
+                   fmt=["%.9g", "%d"], delimiter=",", header="x,y",
+                   comments="")
+
+        def peak(chunk_size):
+            tracemalloc.start()
+            try:
+                assert run(["mapreduce", "--input", str(path), "--op",
+                            "count", "--op", "mean:x", "--op", "max:y",
+                            "--chunk-size", str(chunk_size),
+                            "--out", str(tmp_path / "out")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(1000)   # imports and caches filled
+        many, few = peak(10), peak(1000)
+        assert many <= 1.5 * few, (many, few)
 
     def test_one_map_task_per_chunk(self, tmp_path, fused_csv):
         out = self.run_ops(tmp_path, fused_csv, 7, 2)

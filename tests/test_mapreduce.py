@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import os
 import sys
 import tempfile
 import threading
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from hypothesis import given, strategies as st
 from dwkit import chunkstore as cs
 from dwkit.errors import DwkitError, MalformedValueError, TaskFailedError
 from dwkit.fixtures import server_records_path
-from dwkit.mapreduce import (BUILTIN_REDUCERS, InjectedFailure,
-                             make_column_emitter, make_ops_mapper,
-                             map_count_rows, mapreduce, reduce_max,
-                             reduce_mean, reduce_op, reduce_sum, write_log)
+from dwkit.mapreduce import (EventList, InjectedFailure, LogWriter, fold_op,
+                             make_ops_mapper, mapreduce, reduce_op,
+                             write_log)
+from mapreduce_oracles import (STOCK_REDUCERS, list_shuffle,
+                               make_column_emitter, map_count_rows,
+                               reduce_max, reduce_mean, reduce_sum)
 
 
 # integers up to +-2**62: about half the columns hold a value past 2**53
@@ -34,35 +39,51 @@ def as_dict(res):
     return dict(res.pairs)
 
 
+def add(key, running, value):
+    return running + value
+
+
+def only(key, values):
+    """The one folded value the reduce task of ``key`` is handed."""
+    (value,) = values
+    return value
+
+
+def count_rows(ds, **kwargs):
+    """Every chunk's row count, added as each map task returns."""
+    return mapreduce(ds, map_count_rows, only, fold=add, **kwargs)
+
+
+MEAN_DELAY = [("mean:Delay", "mean", "Delay")]
+
+
 class TestOracles:
     def test_count_rows(self):
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
-        assert as_dict(res) == {"rows": 8}
+        assert list_shuffle(open_sample(), map_count_rows,
+                            reduce_sum) == [("rows", 8)]
 
     def test_mean_delay(self):
-        res = mapreduce(open_sample(), make_column_emitter("Delay"),
-                        reduce_mean)
-        assert as_dict(res)["Delay"] == pytest.approx(15.875)
+        (key, mean), = list_shuffle(open_sample(),
+                                    make_column_emitter("Delay"),
+                                    reduce_mean)
+        assert key == "Delay" and mean == pytest.approx(15.875)
 
     def test_max_elapsed(self):
-        res = mapreduce(open_sample(),
-                        make_column_emitter("ActualElapsedTime"),
-                        reduce_max)
-        assert as_dict(res)["ActualElapsedTime"] == 155
+        assert list_shuffle(open_sample(),
+                            make_column_emitter("ActualElapsedTime"),
+                            reduce_max) == [("ActualElapsedTime", 155)]
 
     def test_missing_values_skipped(self):
         # ExtraTime is all-NA, so the emitter yields nothing at all
-        def count(key, values):
-            return len(values)
         res = mapreduce(open_sample(), make_column_emitter("ExtraTime"),
-                        count)
+                        only, fold=add)
         assert res.pairs == []
 
     def test_multi_key_sorted_output(self):
         def by_tail(table):
             for v in table.column("Delay", skip_missing=True):
                 yield ("late" if v > 10 else "early"), 1
-        res = mapreduce(open_sample(), by_tail, reduce_sum)
+        res = mapreduce(open_sample(), by_tail, only, fold=add)
         assert [key for key, _ in res.pairs] == ["early", "late"]
         assert as_dict(res) == {"early": 4, "late": 4}
 
@@ -70,9 +91,9 @@ class TestOracles:
 class TestChunkInvariance:
     @pytest.mark.parametrize("chunk_size", [1, 3, 8, 100])
     def test_same_answer(self, chunk_size):
-        res = mapreduce(open_sample(chunk_size),
-                        make_column_emitter("Delay"), reduce_mean)
-        assert as_dict(res)["Delay"] == pytest.approx(15.875)
+        res = mapreduce(open_sample(chunk_size), make_ops_mapper(MEAN_DELAY),
+                        reduce_op, fold=fold_op)
+        assert as_dict(res)["mean:Delay"] == pytest.approx(15.875)
 
     def test_tasks_run_on_the_callers_thread(self):
         threads = set()
@@ -81,11 +102,15 @@ class TestChunkInvariance:
             threads.add(threading.get_ident())
             yield "rows", table.nrows
 
+        def fold(key, running, value):
+            threads.add(threading.get_ident())
+            return running + value
+
         def reduce_fn(key, values):
             threads.add(threading.get_ident())
             return sum(values)
 
-        res = mapreduce(open_sample(1), map_fn, reduce_fn)
+        res = mapreduce(open_sample(1), map_fn, reduce_fn, fold=fold)
         assert as_dict(res) == {"rows": 8}
         assert threads == {threading.get_ident()}
 
@@ -101,10 +126,10 @@ class TestFailureHandling:
                 return True
             return False
 
-        res = mapreduce(open_sample(), make_column_emitter("Delay"),
-                        reduce_mean, fail_injector=injector)
+        res = mapreduce(open_sample(), make_ops_mapper(MEAN_DELAY),
+                        reduce_op, fold=fold_op, fail_injector=injector)
         assert len(hits) == 2
-        assert as_dict(res)["Delay"] == pytest.approx(15.875)
+        assert as_dict(res)["mean:Delay"] == pytest.approx(15.875)
         failed = [e for e in res.log if e["kind"] == "map-failed"]
         assert len(failed) == 2
 
@@ -119,7 +144,7 @@ class TestFailureHandling:
                 raise RuntimeError("boom")
             yield "rows", table.nrows
 
-        res = mapreduce(open_sample(), flaky_map, reduce_sum)
+        res = mapreduce(open_sample(), flaky_map, only, fold=add)
         # the failed chunk (the 2-row one) was re-read and mapped again
         assert sorted(seen) == [2, 2, 3, 3]
         assert as_dict(res) == {"rows": 8}
@@ -128,8 +153,7 @@ class TestFailureHandling:
         def injector(kind, task_id, attempt):
             return kind == "reduce"
         with pytest.raises(TaskFailedError):
-            mapreduce(open_sample(), map_count_rows, reduce_sum,
-                      attempt_cap=2, fail_injector=injector)
+            count_rows(open_sample(), attempt_cap=2, fail_injector=injector)
 
     def test_attempt_cap_respected(self):
         attempts = []
@@ -141,8 +165,7 @@ class TestFailureHandling:
             return False
 
         with pytest.raises(TaskFailedError):
-            mapreduce(open_sample(), map_count_rows, reduce_sum,
-                      attempt_cap=4, fail_injector=injector)
+            count_rows(open_sample(), attempt_cap=4, fail_injector=injector)
         assert attempts == [1, 2, 3, 4]
 
     def test_dwkit_error_is_not_retried(self):
@@ -154,13 +177,13 @@ class TestFailureHandling:
             yield
 
         with pytest.raises(MalformedValueError):
-            mapreduce(open_sample(), bad_map, reduce_sum)
+            mapreduce(open_sample(), bad_map, only, fold=add)
         assert len(calls) == 1
 
 
 class TestSchedulerLog:
     def test_barrier_separates_phases(self):
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
+        res = count_rows(open_sample())
         kinds = [e["kind"] for e in res.log]
         barrier = kinds.index("barrier")
         assert all(k.startswith("map-") for k in kinds[:barrier])
@@ -168,12 +191,12 @@ class TestSchedulerLog:
         assert res.log[barrier]["maps"] == 3
 
     def test_log_sequence_numbers(self):
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
+        res = count_rows(open_sample())
         assert [e["seq"] for e in res.log] == list(range(len(res.log)))
 
     def test_log_written_to_file(self, tmp_path):
         path = tmp_path / "sched.jsonl"
-        res = mapreduce(open_sample(), map_count_rows, reduce_sum)
+        res = count_rows(open_sample())
         write_log(res.log, str(path))
         lines = path.read_text().splitlines()
         assert [json.loads(l) for l in lines] == res.log
@@ -181,7 +204,7 @@ class TestSchedulerLog:
     def test_single_worker_log_is_deterministic(self, tmp_path):
         logs = []
         for _ in range(2):
-            res = mapreduce(open_sample(), map_count_rows, reduce_sum)
+            res = count_rows(open_sample())
             logs.append(res.log)
         assert logs[0] == logs[1]
 
@@ -189,8 +212,7 @@ class TestSchedulerLog:
 def test_injected_failure_is_reported_in_log():
     def injector(kind, task_id, attempt):
         return kind == "map" and task_id == "map-0-1" and attempt == 1
-    res = mapreduce(open_sample(), map_count_rows, reduce_sum,
-                    fail_injector=injector)
+    res = count_rows(open_sample(), fail_injector=injector)
     failed = [e for e in res.log if e["kind"] == "map-failed"]
     assert len(failed) == 1
     assert failed[0]["task"] == "map-0-1"
@@ -223,12 +245,13 @@ class TestCombiners:
         ops = [("count", "count", None)] + [
             (f"{r}:{c}", r, c) for r in ("sum", "mean", "max", "min")
             for c in ("i", "r")]
-        fused = dict(mapreduce(ds, make_ops_mapper(ops), reduce_op).pairs)
-        assert fused["count"] == mapreduce(
-            ds, map_count_rows, reduce_sum).pairs[0][1] == 200
+        fused = dict(mapreduce(ds, make_ops_mapper(ops), reduce_op,
+                               fold=fold_op).pairs)
+        assert fused["count"] == list_shuffle(
+            ds, map_count_rows, reduce_sum)[0][1] == 200
         for key, reducer, column in ops[1:]:
-            (_, want), = mapreduce(ds, make_column_emitter(column),
-                                   BUILTIN_REDUCERS[reducer]).pairs
+            (_, want), = list_shuffle(ds, make_column_emitter(column),
+                                      STOCK_REDUCERS[reducer])
             assert type(fused[key]) is type(want), key
             assert fused[key] == want, key
 
@@ -250,8 +273,8 @@ class TestCombiners:
             def run(*reducers):
                 ops = [("count", "count", None)] + [
                     (f"{r}:x", r, "x") for r in reducers]
-                return dict(mapreduce(ds, make_ops_mapper(ops),
-                                      reduce_op).pairs)
+                return dict(mapreduce(ds, make_ops_mapper(ops), reduce_op,
+                                      fold=fold_op).pairs)
             assert run("max", "min") == {"count": len(cells),
                                          "max:x": max(present),
                                          "min:x": min(present)}
@@ -268,18 +291,15 @@ class TestCombiners:
         path = tmp_path / "edge.csv"
         path.write_text(f"x\n{2**63 - 1}\n1\n")
         ds = cs.open_datastore(str(path), chunk_size=1)
-        (_, total), = mapreduce(ds, make_column_emitter("x"),
-                                reduce_sum).pairs
+        (_, total), = list_shuffle(ds, make_column_emitter("x"), reduce_sum)
         assert type(total) is int and total == 2**63
-        (_, mean), = mapreduce(ds, make_column_emitter("x"),
-                               reduce_mean).pairs
+        (_, mean), = list_shuffle(ds, make_column_emitter("x"), reduce_mean)
         assert type(mean) is float and mean == 2.0**62
         path.write_text(f"x\n{2**62}\n{2**62 - 1}\n-5\n")
         ds = cs.open_datastore(str(path), chunk_size=1)
-        (_, mean), = mapreduce(ds, make_column_emitter("x"),
-                               reduce_mean).pairs
+        (_, mean), = list_shuffle(ds, make_column_emitter("x"), reduce_mean)
         assert mean == float(Fraction(2**63 - 6, 3))
-        (_, rows), = mapreduce(ds, map_count_rows, reduce_sum).pairs
+        (_, rows), = list_shuffle(ds, map_count_rows, reduce_sum)
         assert type(rows) is int and rows == 3
 
     @pytest.mark.filterwarnings("error")
@@ -296,7 +316,7 @@ class TestCombiners:
         ds = open_sample(3)
         ops = [("count", "count", None), ("mean:Delay", "mean", "Delay"),
                ("max:ExtraTime", "max", "ExtraTime")]
-        res = mapreduce(ds, make_ops_mapper(ops), reduce_op)
+        res = mapreduce(ds, make_ops_mapper(ops), reduce_op, fold=fold_op)
         emitted = [list(make_ops_mapper(ops)(t)) for t in cs.read_chunks(ds)]
         # the all-missing column emits nothing; the others one item each
         assert [[k for k, _ in pairs] for pairs in emitted] == \
@@ -310,7 +330,7 @@ class TestCombiners:
         path.write_text("x\n1e16\n" + "1.0\n" * 15)
         ds = cs.open_datastore(str(path), chunk_size=4)
         (_, folded), = mapreduce(ds, make_ops_mapper(
-            [("sum:x", "sum", "x")]), reduce_op).pairs
+            [("sum:x", "sum", "x")]), reduce_op, fold=fold_op).pairs
         assert folded == reduce_sum("x", [1e16] + [1.0] * 15) == \
             1.0000000000000016e16
 
@@ -350,13 +370,14 @@ def test_sum_and_mean_are_the_exact_total_rounded_once(values, data):
         """The fused and the stock reducer's results, as their reprs or
         error messages."""
         runs = (lambda: mapreduce(ds, make_ops_mapper(
-                    [(f"{reducer}:x", reducer, "x")]), reduce_op),
-                lambda: mapreduce(ds, make_column_emitter("x"),
-                                  BUILTIN_REDUCERS[reducer]))
+                    [(f"{reducer}:x", reducer, "x")]), reduce_op,
+                    fold=fold_op).pairs,
+                lambda: list_shuffle(ds, make_column_emitter("x"),
+                                     STOCK_REDUCERS[reducer]))
         got = []
         for run in runs:
             try:
-                (_, value), = run().pairs
+                (_, value), = run()
                 got.append(repr(value))
             except DwkitError as exc:
                 got.append(str(exc))
@@ -395,3 +416,114 @@ def test_long_arrays_are_summed_in_slices(monkeypatch, values):
     assert repr(reduce_sum("x", values)) == repr(
         int(exact) if type(values[0]) is int else float(exact))
     assert reduce_mean("x", values) == float(exact / len(values))
+
+
+# cells of a real column: plain, NA, and reals whose sums depend on order
+CELLS = st.one_of(st.just("NA"), st.integers(-10**6, 10**6).map(str),
+                  st.builds(lambda m, e: repr(m * 10.0**e),
+                            st.floats(-10, 10), st.integers(-30, 30)))
+FOLD_OPS = [("count", "count", None)] + [
+    (f"{r}:x", r, "x") for r in ("sum", "mean", "max", "min")]
+
+
+def reference_log(events):
+    """The scheduler log as it was written from the kept event list."""
+    return "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in events)
+
+
+def outcome(run):
+    """``run()``'s value with each value's type, or its error."""
+    try:
+        return [(k, type(v), v) for k, v in run()]
+    except (DwkitError, TaskFailedError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(st.lists(CELLS, min_size=1, max_size=40), st.data())
+def test_stream_and_fold_equal_the_list_references(cells, data):
+    """Over drawn chunk sizes, two-file splits and failure schedules, the
+    streamed log is, byte for byte, the kept event list written with
+    ``json.dumps(sort_keys=True)``, and the ops folded as each map task
+    returns give what ``reduce_op`` gives over every chunk's partial kept
+    in a list.  An attempt that fails, before its map runs or after it
+    emitted every partial, never reaches the fold, and an exhausted task
+    fails both runs alike."""
+    split = data.draw(st.integers(0, len(cells)))
+    chunk_size = data.draw(st.integers(1, len(cells) + 1))
+    cap = data.draw(st.integers(1, 3))
+    tasks = ([f"map-{fi}-{ci}" for fi in (0, 1) for ci in range(8)]
+             + [f"reduce-{key}" for key, _, _ in FOLD_OPS])
+    failing = data.draw(st.sets(st.tuples(st.sampled_from(tasks),
+                                          st.integers(1, 3)), max_size=6))
+    late = data.draw(st.sets(st.integers(0, 20), max_size=3))
+
+    def injector(kind, task, attempt):
+        return (task, attempt) in failing
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, part in (("a", cells[:split]), ("b", cells[split:])):
+            if part or not paths:
+                paths.append(os.path.join(tmp, f"{name}.csv"))
+                with open(paths[-1], "w") as fh:
+                    fh.write("x\n" + "".join(f"{c}\n" for c in part))
+
+        def run(sink):
+            calls, mapper = iter(range(10**6)), make_ops_mapper(FOLD_OPS)
+
+            def map_fn(table):
+                yield from mapper(table)
+                if next(calls) in late:
+                    raise RuntimeError("failed after emitting")
+            ds = cs.open_datastore(paths, chunk_size=chunk_size)
+            return mapreduce(ds, map_fn, reduce_op, fold=fold_op,
+                             sink=sink, attempt_cap=cap,
+                             fail_injector=injector).pairs
+        streamed, kept = io.StringIO(), EventList()
+        got = outcome(lambda: run(LogWriter(streamed)))
+        assert got == outcome(lambda: run(kept))
+        assert streamed.getvalue() == reference_log(kept.events)
+        if not isinstance(got, str):   # no task exhausted
+            ds = cs.open_datastore(paths, chunk_size=chunk_size)
+            assert got == outcome(lambda: list_shuffle(
+                ds, make_ops_mapper(FOLD_OPS), reduce_op))
+
+
+# fields: plain, quoted with commas, quotes and line ends, and non-ASCII;
+# a \r only in a \r\n, which csv.writer quotes, as an unquoted lone \r
+# ends a record, where tell gives an opaque position
+FIELDS = st.lists(st.sampled_from(["a", "b", ",", '"', "\n", "\r\n", " ",
+                                   "é", "😀"]), max_size=6).map("".join)
+
+
+@given(st.lists(st.tuples(st.integers(-99, 99), FIELDS), max_size=30),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(), st.integers(1, 7))
+def test_stream_chunk_offsets_equal_tell(records, end, bom, chunk_size):
+    """Each chunk's offset, its file position found by adding the UTF-8
+    sizes of the lines read, is what ``tell`` gives at its first record,
+    on plain, quoted, CRLF, byte-order-marked and non-ASCII input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("\ufeff" if bom else "")
+            writer = csv.writer(fh, lineterminator=end)
+            writer.writerow(["id", "name"])
+            writer.writerows(records)
+        ds = cs.open_datastore(path, chunk_size=chunk_size)
+        offsets = [offset for _, offset, _ in cs.iter_file_chunks(ds, 0)]
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = iter(fh.readline, "")
+            reader = csv.reader(lines)
+            next(reader)   # header
+            told = []
+            while True:
+                told.append(fh.tell())
+                if not list(islice(reader, chunk_size)):
+                    break
+        assert offsets == told[:-1]
+        # and a chunk read again from its offset is the chunk read in turn
+        for (ci, offset, _), table in zip(cs.iter_file_chunks(ds, 0),
+                                          cs.read_chunks(ds)):
+            again = cs.read_chunk(ds, 0, ci, offset)
+            assert again.nrows == table.nrows
+            assert list(again.column("name")) == list(table.column("name"))
