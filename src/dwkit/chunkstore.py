@@ -11,11 +11,14 @@ Integer columns are int64 and real columns float64; a missing cell
 (configured tokens, default ``NA``) is marked in the mask and holds 0 in
 an integer column, NaN in a real one and None in a text one.
 
-A chunk is tokenized and built in batches of ``_BATCH_RECORDS`` records:
-each batch's columns are parsed and checked, its lines or row lists
-dropped, and the next batch read; each built column's parts are joined
-once the chunk ends.  So a read holds one batch's lines or row lists plus
-one chunk's columns, whatever the chunk size.
+A chunk is tokenized and built in batches of about ``_BATCH_CELLS``
+cells: ``_batch_records`` records by the header's width, at most
+``_BATCH_RECORDS`` and at least one.  Each batch's columns are parsed and
+checked, its lines or row lists dropped, and the next batch read; each
+built column's parts are joined once the chunk ends.  So a read holds one
+batch's lines or row lists, whatever the chunk size and the file's width,
+plus one chunk's columns.  Kinds, faults and chunk boundaries follow
+whole-chunk rules (below), so no result depends on the batch size.
 
 Each record is tokenized once per datastore.  ``open_datastore`` infers
 the kinds of the columns its reads may build, by default all, from the
@@ -108,7 +111,10 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 _PLAIN_INTEGER = re.compile(r"[-+0-9\n]*")
 _PLAIN_REAL = re.compile(r"[-+0-9.eE\n]*")
 _INT64 = np.iinfo(np.int64)
-_BATCH_RECORDS = 2048   # records tokenized and parsed at a time
+# a batch, the records tokenized and parsed at a time, holds about
+# _BATCH_CELLS cells by the header's width, and at most _BATCH_RECORDS
+_BATCH_RECORDS = 2048
+_BATCH_CELLS = 65536
 _KINDS = ("integer", "real", "text")   # narrowest first
 _DTYPES = {"integer": np.int64, "real": np.float64, "text": object}
 # every byte but a comma and a line feed, which UTF-8 encodes as
@@ -398,14 +404,21 @@ def _read_batch(lines, n, context, ncols):
     return rows, _utf8_size(text) + sum(map(_utf8_size, more))
 
 
+def _batch_records(ncols):
+    """The records a batch of a file of ``ncols`` fields holds: about
+    ``_BATCH_CELLS`` cells, but at most ``_BATCH_RECORDS`` records and at
+    least one.  A header of no field counts as one."""
+    return max(1, min(_BATCH_RECORDS, _BATCH_CELLS // max(1, ncols)))
+
+
 def _read_batches(lines, n, context, ncols, first=None, position=None):
     """The next ``n`` records of the line iterator ``lines`` in
-    ``_read_batch`` batches of at most ``_BATCH_RECORDS`` records, each
-    read once the one before is taken; ``first`` is the first batch and
-    its size, when it is already read.  ``position``, a list of one byte
-    offset, is advanced by each batch's size as the batch is taken."""
-    rows, size = first or _read_batch(lines, min(n, _BATCH_RECORDS),
-                                      context, ncols)
+    ``_read_batch`` batches of at most ``_batch_records(ncols)`` records,
+    each read once the one before is taken; ``first`` is the first batch
+    and its size, when it is already read.  ``position``, a list of one
+    byte offset, is advanced by each batch's size as the batch is taken."""
+    most = _batch_records(ncols)
+    rows, size = first or _read_batch(lines, min(n, most), context, ncols)
     first = None   # the batch is held as rows alone, and only until taken
     while rows:
         n -= len(rows)
@@ -413,8 +426,7 @@ def _read_batches(lines, n, context, ncols, first=None, position=None):
             position[0] += size
         yield rows
         del rows   # the consumer's now: not held while the next is read
-        rows, size = _read_batch(lines, min(n, _BATCH_RECORDS), context,
-                                 ncols)
+        rows, size = _read_batch(lines, min(n, most), context, ncols)
 
 
 def _split_columns(lines, ncols, js):
@@ -787,12 +799,15 @@ def _build_chunk(batches, schema, missing_tokens, context, js):
 
 def _table(parts, schema, nrows, context):
     """The table of ``nrows`` rows of the columns ``parts`` holds: j ->
-    the (values, mask) parts of column ``schema[j]``, joined.  Refuses
-    the first infinite cell of a real column, named with ``context``."""
+    the (values, mask) parts of column ``schema[j]``, joined.  Each
+    column's parts are taken from ``parts`` as they are joined, so that a
+    read never holds its columns twice.  Refuses the first infinite cell
+    of a real column, named with ``context``."""
     table, missing, kinds = {}, {}, {}
-    for j, got in parts.items():
+    for j in list(parts):
         spec = schema[j]
-        table[spec.name], missing[spec.name] = _join(got, spec.kind)
+        table[spec.name], missing[spec.name] = _join(parts.pop(j),
+                                                     spec.kind)
         if spec.kind == "real" and np.isinf(table[spec.name]).any():
             row = np.isinf(table[spec.name]).argmax()
             raise InfiniteValueError(f"{context} row {row}", spec.name)
@@ -813,8 +828,8 @@ def iter_file_chunks(ds: Datastore, file_index: int):
     ``read_chunk`` to seek to: the file position after the header
     (``tell``) plus the UTF-8 sizes of the lines read since, which costs
     far less than a ``tell`` per chunk; data files are read as UTF-8, as
-    the header is.  ``rows`` yields the chunk's records in lists of at most
-    ``_BATCH_RECORDS``, tokenized as they are taken, and only until the
+    the header is.  ``rows`` yields the chunk's records in batches
+    (``_read_batches``), tokenized as they are taken, and only until the
     next chunk is asked for: what is left of it then is read and dropped.
     ``csv.reader`` pulls whole lines only until a record is complete, so
     between chunks the file stands at a record boundary, quoted newlines
@@ -841,8 +856,9 @@ def iter_file_chunks(ds: Datastore, file_index: int):
         while True:
             offset = position[0]
             context = f"{path} chunk {chunk_index}"
-            first = _read_batch(lines, min(ds.chunk_size, _BATCH_RECORDS),
-                                context, len(ds.schema))
+            first = _read_batch(
+                lines, min(ds.chunk_size, _batch_records(len(ds.schema))),
+                context, len(ds.schema))
             if not first[0]:
                 return
             batches = _read_batches(lines, ds.chunk_size, context,
@@ -856,12 +872,13 @@ def iter_file_chunks(ds: Datastore, file_index: int):
 
 def _read_chunk(ds, file_index, chunk_index, offset, columns, rows):
     """``read_chunk``, which ``read_chunks`` calls too.  Of the chunk
-    ``open_datastore`` kept, only the columns asked for are joined."""
+    ``open_datastore`` kept, only the columns asked for are joined, their
+    parts taken from it."""
     context = f"{ds.sources[file_index]} chunk {chunk_index}"
     js = _positions(ds, columns)
     if isinstance(rows, _FirstChunk):
-        return _table({j: rows.parts[j] for j in js}, ds.schema, rows.nrows,
-                      context)
+        return _table({j: rows.parts.pop(j) for j in js}, ds.schema,
+                      rows.nrows, context)
     if rows is not None:
         return _build_chunk(rows, ds.schema, ds.missing_tokens, context, js)
     with open(ds.sources[file_index], newline="", encoding="utf-8") as fh:

@@ -130,8 +130,27 @@ class _Output:
         if existing and not os.path.isdir(existing):
             raise ConfigError(f"output directory {path} cannot be made: "
                               f"{existing} is not a directory")
+        self._existing = existing or os.curdir
         self._made = []
         self._staged = []    # (temporary path, final path)
+
+    def check_name(self, name):
+        """Refuse ``name`` unless ``stage`` can write it: one file name,
+        with no path separator or NUL, that the file system holding the
+        output directory allows under its temporary name."""
+        bad = [c for c in ("\0", os.sep, os.altsep) if c and c in name]
+        if bad:
+            raise ConfigError(f"{name!r} cannot name an output file: it "
+                              f"holds {bad[0]!r}")
+        try:
+            limit = os.pathconf(self._existing, "PC_NAME_MAX")
+        except (AttributeError, OSError, ValueError):   # no such limit known
+            limit = 255
+        size = len((name + ".tmp").encode("utf-8", "surrogatepass"))
+        if size > limit:
+            raise ConfigError(f"{name[:40]!r}... cannot name an output "
+                              f"file: its {size} bytes pass the file "
+                              f"system's limit of {limit}")
 
     def stage(self, name):
         """The path to write ``name`` at, which it takes on commit."""
@@ -149,7 +168,7 @@ class _Output:
 
     def discard(self):
         for temporary, _ in self._staged:
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(OSError):   # never made, or cannot be
                 os.remove(temporary)
         for path in self._made:
             with contextlib.suppress(OSError):   # not empty: not only ours
@@ -210,8 +229,9 @@ def _cmd_plan(args, _output):
 def _moments_from_csv(path):
     """The folded ``Moments`` of a CSV's numeric columns over its rows with
     every one present, read a chunk of ``_BATCH_RECORDS`` rows at a time,
-    and the warnings to report.  A name repeated in the header is its last
-    column, once."""
+    each in batches of about ``_BATCH_CELLS`` cells (one batch up to 32
+    columns), and the warnings to report.  A name repeated in the header
+    is its last column, once."""
     from . import chunkstore, schema_pca
     ds = chunkstore.open_datastore(path,
                                    chunk_size=chunkstore._BATCH_RECORDS)
@@ -394,6 +414,8 @@ def _cmd_regress(args, output):
         spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    for name in predictors:   # each names its factor CSV
+        output.check_name(f"factor_{name}.csv")
     used = {response, *predictors, *encode}
     if path is None:
         table = fixtures.warehouse_survey_table()
@@ -452,7 +474,8 @@ def _cmd_regress(args, output):
                         "infinite; anova.f is written null")
     warnings += identity["warnings"]
 
-    # every file's y is the response column, formatted once for all files
+    # every file's y is the response column, formatted once for all
+    # files; write_csv formats x and the fitted line a slice at a time
     y = report.float_texts(np.asarray(table.column(response), dtype=float))
     for ln in lines:
         x = np.asarray(table.column(ln.predictor), dtype=float)

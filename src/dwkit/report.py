@@ -9,11 +9,12 @@ written as a list, and each float is formatted once and its text serves
 both.  report.json holds the bytes of ``json.dumps(report,
 sort_keys=True, indent=2)`` for a report whose keys are all str, with
 lists of floats joined in C rather than by ``json``'s pure-Python
-indented encoder.  A factor CSV formats each float of its columns once,
-each distinct value once in a column of few, and joins its rows in C.
-Formatting floats dominates both (``float.__repr__`` is a shortest
-round-trip conversion, hundreds of ns a value), so the work is to format
-fewer of them.
+indented encoder.  A factor CSV is formatted, joined in C and written a
+slice of ``_CSV_ROWS`` rows at a time, so it holds one slice's texts
+whatever its length: each float of a slice once, or each distinct value
+once where the slice's first values repeat.  Formatting floats dominates
+both (``float.__repr__`` is a shortest round-trip conversion, hundreds of
+ns a value), so the work is to format fewer of them.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ import numpy as np
 
 from .errors import DwkitError
 
+# rows of a factor CSV formatted and written at a time
+_CSV_ROWS = 2048
 # float.__repr__ of NaN and the infinities, which JSON cannot hold
 _NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
@@ -149,13 +152,18 @@ def write_csv(path, header, columns):
     array, formatted here by ``float_texts``, or a list of texts, written
     as they are.  The header goes through ``csv.writer``, so a name holding
     a comma or a quote is quoted; the cells, numbers that need no quoting,
-    are joined into ``\r\n``-ended lines in C."""
-    columns = [float_texts(col) if isinstance(col, np.ndarray) else col
-               for col in columns]
+    are joined into ``\r\n``-ended lines in C.  Rows are formatted, joined
+    and written ``_CSV_ROWS`` at a time, so the texts held at once are one
+    slice's, whatever the file's length."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if len(columns[0]):
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            stop = start + _CSV_ROWS
+            texts = [float_texts(col[start:stop])
+                     if isinstance(col, np.ndarray) else col[start:stop]
+                     for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*texts))) + "\r\n")
+            del texts   # before the next slice is formatted
 
 
 def float_texts(values):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -495,3 +496,127 @@ class TestBatches:
         with pytest.raises(MalformedValueError,
                            match=r"s.csv chunk 0 row 3: short record"):
             cs.read_all(ds, ["a"])
+
+
+def asked_batches(monkeypatch):
+    """The list of record counts each ``_read_rows`` call asks for from
+    now on."""
+    asked, read_rows = [], cs._read_rows
+
+    def recording(reader, n, context):
+        asked.append(n)
+        return read_rows(reader, n, context)
+    monkeypatch.setattr(cs, "_read_rows", recording)
+    return asked
+
+
+def outcome(path, chunk_size, columns=None):
+    """A datastore's schema and whole table, with each column's values as
+    bytes, or the type and message of the error that stops the read."""
+    try:
+        ds = cs.open_datastore(path, chunk_size=chunk_size,
+                               treat_as_missing=("-999",))
+        table = cs.read_all(ds, columns)
+    except DwkitError as exc:
+        return type(exc), str(exc)
+    return ds.schema, table.nrows, table.kinds, {
+        name: (values.tolist() if values.dtype == object
+               else values.tobytes(), table.missing[name].tobytes())
+        for name, values in table.columns.items()}
+
+
+class TestBatchCells:
+    """A batch holds about _BATCH_CELLS cells, by the header's width, and
+    at most _BATCH_RECORDS records."""
+
+    @pytest.mark.parametrize("ncols, records", [
+        (0, 2048), (1, 2048), (32, 2048), (33, 1985), (100, 655),
+        (800, 81), (65536, 1), (70000, 1)])
+    def test_records_per_batch_follow_the_header_width(self, ncols,
+                                                       records):
+        assert (cs._BATCH_RECORDS, cs._BATCH_CELLS) == (2048, 65536)
+        assert cs._batch_records(ncols) == records
+
+    @pytest.mark.parametrize("ncols, records", [(0, 12), (3, 4), (5, 2),
+                                                (100, 1)])
+    def test_every_read_asks_for_a_batch_of_cells(self, tmp_path,
+                                                  monkeypatch, ncols,
+                                                  records):
+        # open_datastore's chunk 0, each chunk's first batch and every
+        # batch after it, in a pass and in a re-read; a header of no
+        # field, over blank lines, counts as one
+        monkeypatch.setattr(cs, "_BATCH_CELLS", 12)
+        p = write_csv(tmp_path / "w.csv", ",".join(
+            f"c{j}" for j in range(ncols)), [",".join(
+                str(i * j) for j in range(ncols)) for i in range(30)])
+        asked = asked_batches(monkeypatch)
+        ds = cs.open_datastore(p, chunk_size=25)
+        table = cs.read_all(ds)
+        index = [(ci, offset) for ci, offset, _ in cs.iter_file_chunks(ds, 0)]
+        again = cs.read_chunk(ds, 0, *index[-1])
+        assert (table.nrows, again.nrows) == (30, 5)
+        if ncols:
+            assert table.column("c1").tolist() == list(range(30))
+        assert max(asked[1:]) == records   # past the header's
+        assert records in asked and set(asked[1:]) <= set(range(records + 1))
+
+    @pytest.mark.parametrize("header, lines", [
+        ("x,y", ["1,0", "-0,1", "NA,2", "2.5,3"]),    # widens to real
+        ("x,y", ["1,a", "2,b", "x,c", "3,d"]),        # widens to text
+        ("x,y", ["0.5,NA", "1.5,NA", "-0,NA", "2,NA"]),   # fits the kind
+        ("x", ["NA", "NA", "NA", "4", "NA", "-5"]),   # no evidence first
+        ("x,y", ["1,1", "-999,2", "3,-999", "4,4"]),  # a numeric missing
+        ("a,b", ["0,0", "1,1", "7,7", "8,oops", "9,9", "bad,11"]),
+        ("a,b", ["1,1", "2,2", "3,3", "4", "5,5"]),   # a short record
+        ("a,b", ["1,1", "2,2,2", "3,3"]),             # a long record
+        ("a,b", ['1,"x"', '2,"y', 'z"', "3,w"]),      # a quoted newline
+        ("r,s", ["1.5,1", "2,2", "inf,3", "2,4"]),    # an infinite cell
+    ])
+    @pytest.mark.parametrize("chunk_size", [3, 100])
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_one_cell_batches_read_as_whole_chunks(self, tmp_path,
+                                                   monkeypatch, header,
+                                                   lines, chunk_size,
+                                                   first_only):
+        # with _BATCH_CELLS at 1 every batch is one record: the schema,
+        # the tables bit for bit and the fault named are those of batches
+        # of whole chunks, as with _BATCH_RECORDS at 1
+        columns = header.split(",")[:1] if first_only else None
+        p = write_csv(tmp_path / "c.csv", header, lines)
+        whole = outcome(p, chunk_size, columns)
+        monkeypatch.setattr(cs, "_BATCH_CELLS", 1)
+        asked = asked_batches(monkeypatch)
+        assert outcome(p, chunk_size, columns) == whole
+        assert max(asked[1:]) == 1
+
+    def test_read_peak_above_its_columns_is_flat_in_width(self, tmp_path):
+        # a 2,048-row read that builds four columns holds one batch of
+        # about _BATCH_CELLS cells, at 100 columns as at 800, where a batch
+        # of 2,048 records took eight times the memory; one that builds
+        # every column drops each column's parts once they are joined, so
+        # it never holds its columns twice
+        rng = np.random.default_rng(7)
+
+        def above(ncols, columns):
+            """The read's traced peak less its columns' bytes, and those."""
+            p = tmp_path / f"w{ncols}.csv"
+            if not p.exists():
+                tail = ",".join(map(str, rng.integers(-999, 999, ncols - 1)))
+                p.write_text(",".join(f"c{j}" for j in range(ncols)) + "\n"
+                             + "".join(f"{i},{tail}\n" for i in range(2048)))
+            tracemalloc.start()
+            try:
+                ds = cs.open_datastore(p, chunk_size=2048, columns=columns)
+                table = cs.read_all(ds, columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            built = sum(v.nbytes + table.missing[n].nbytes
+                        for n, v in table.columns.items())
+            return peak - built, built
+        few = ["c0", "c1", "c2", "c3"]
+        above(100, few)   # imports and caches filled
+        narrow, wide = above(100, few)[0], above(800, few)[0]
+        assert wide <= 1.5 * narrow, (narrow, wide)
+        extra, built = above(800, None)
+        assert extra < built, (extra, built)

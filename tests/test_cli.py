@@ -778,6 +778,26 @@ class TestRegressCommand:
         assert "predictor" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, why", [
+        ("a/b", "holds '/'"),
+        ("p" * 300, "pass the file system's limit"),
+        ("a\0b", "holds '\\x00'"),   # a config can name it, not a flag
+    ])
+    def test_predictor_that_cannot_name_a_file(self, tmp_path, capsys, name,
+                                               why):
+        # each predictor names its factor CSV: a name no file can take is
+        # refused before the read, and nothing is written
+        p = tmp_path / "names.csv"
+        p.write_text(f"y,{name},c\n" + "".join(
+            f"{i},{i * i % 7},{i % 3}\n" for i in range(8)))
+        cfg = write_config(tmp_path, {"input": str(p), "response": "y",
+                                      "predictors": [name, "c"]})
+        out = tmp_path / "out" / "deeper"
+        err = run_one_line_error(["regress", "--config", cfg,
+                                  "--out", str(out)], capsys, 2)
+        assert "cannot name an output file" in err and why in err
+        assert not (tmp_path / "out").exists()
+
     def test_external_csv_needs_model(self, tmp_path):
         # refused before the input is opened, so a missing file is not
         # reached

@@ -226,9 +226,10 @@ def test_malformed_cell_in_later_chunk_is_named(tmp_path):
 
 # --- chunks built a batch at a time ---
 # open_datastore infers and keeps chunk 0, and every read builds its
-# chunks, in batches of _BATCH_RECORDS records.  With tiny batches, kinds
-# widen across batches, a batch may hold only missing cells, and a fault
-# may sit in any batch; the result must still be the whole-chunk one.
+# chunks, in batches of at most _BATCH_RECORDS records and about
+# _BATCH_CELLS cells.  With tiny batches, kinds widen across batches, a
+# batch may hold only missing cells, and a fault may sit in any batch; the
+# result must still be the whole-chunk one.
 
 NARROW = st.one_of(INTS, MISSING_CELLS, st.sampled_from(["-0", "+0", "0"]))
 WIDE = st.one_of(REALS, st.sampled_from(["abc", "x", "'NA'", " 7 ",
@@ -334,9 +335,11 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
             out.append((type(exc), str(exc), exc.token, exc.kind))
         return out
 
-    saved = cs._BATCH_RECORDS
+    saved = cs._BATCH_RECORDS, cs._BATCH_CELLS
     try:
+        # batches bounded by records, or by cells at the header's width
         cs._BATCH_RECORDS = data.draw(st.sampled_from([1, 2, 3]))
+        cs._BATCH_CELLS = data.draw(st.sampled_from([1, 4, 65536]))
         for got in (chunk_by_chunk(True), chunk_by_chunk(False),
                     all_chunks()):
             assert len(got) == len(want)
@@ -350,7 +353,7 @@ def test_batched_reads_equal_whole_chunk_reference(tmp_path_factory, data):
         else:
             assert whole.nrows == 0
     finally:
-        cs._BATCH_RECORDS = saved
+        cs._BATCH_RECORDS, cs._BATCH_CELLS = saved
 
 
 # --- unquoted batches: split into columns, or parsed by np.loadtxt ---

@@ -5,10 +5,11 @@ straightforward rendering kept here as the oracle, and of factor CSVs with
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dwkit import report
 from dwkit.errors import DwkitError
@@ -188,18 +189,77 @@ def test_float_texts_equal_repr(columns):
     assert report.float_texts(np.array(values)) == list(map(repr, values))
 
 
+# a flag column whose first 64 values repeat in the first slice of 64
+# rows, are distinct in the next and repeat in the last: float_texts picks
+# its path per slice
+FLAG_THEN_DISTINCT = ([0.0, 1.0] * 32 + [i + 0.5 for i in range(64)]
+                      + [-0.0, -0.0, 0.0])
+
+
 @given(float_columns(),
-       st.sampled_from([["x", "y", "fitted"], ["a,b", 'q"uote', "fitted"]]))
-def test_write_csv_equals_csv_writer(tmp_path_factory, columns, header):
+       st.sampled_from([["x", "y", "fitted"], ["a,b", 'q"uote', "fitted"]]),
+       st.integers(1, 40))
+@example([FLAG_THEN_DISTINCT, FLAG_THEN_DISTINCT[::-1],
+          FLAG_THEN_DISTINCT], ["x", "y", "fitted"], 64)
+def test_write_csv_equals_csv_writer(tmp_path_factory, columns, header,
+                                     rows):
     """Float arrays are formatted by write_csv; a list of texts, as the
-    response column is, is written as it is."""
+    response column is, is written as it is; ``rows`` at a time, so that
+    the columns cross slice boundaries."""
     tmp = tmp_path_factory.mktemp("csv")
     x, y, fitted = columns
-    report.write_csv(tmp / "got.csv", header,
-                     [np.array(x), report.float_texts(np.array(y)),
-                      np.array(fitted)])
+    saved, report._CSV_ROWS = report._CSV_ROWS, rows
+    try:
+        report.write_csv(tmp / "got.csv", header,
+                         [np.array(x), report.float_texts(np.array(y)),
+                          np.array(fitted)])
+    finally:
+        report._CSV_ROWS = saved
     with open(tmp / "want.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(x, y, fitted))
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_write_csv_formats_each_slice_by_its_own_head(tmp_path,
+                                                      monkeypatch):
+    # the first and last slices' heads repeat and take the table of
+    # distinct values, the second's does not and is formatted directly
+    unique, tables = np.unique, []
+
+    def counting(*args, **kwargs):
+        tables.append(len(args[0]))
+        return unique(*args, **kwargs)
+    monkeypatch.setattr(report, "_CSV_ROWS", 64)
+    monkeypatch.setattr(report.np, "unique", counting)
+    values = np.array(FLAG_THEN_DISTINCT)
+    report.write_csv(tmp_path / "f.csv", ["x"], [values])
+    assert tables == [64, 3]
+    assert (tmp_path / "f.csv").read_text().split("\n")[1:-1] == \
+        list(map(repr, FLAG_THEN_DISTINCT))
+
+
+def test_write_csv_holds_one_slice(tmp_path):
+    # the traced peak of write_csv itself, above its inputs, on a file
+    # four times as long stays within 1.5 times the shorter file's
+    rng = np.random.default_rng(5)
+
+    def peak(n):
+        x = rng.standard_normal(n)
+        y = report.float_texts(rng.standard_normal(n))
+        fitted = 0.5 + 2.0 * x
+        tracemalloc.start()
+        try:
+            report.write_csv(tmp_path / "warm.csv", ["x", "y", "fitted"],
+                             [x[:100], y[:100], fitted[:100]])
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report.write_csv(tmp_path / f"rows{n}.csv", ["x", "y", "fitted"],
+                             [x, y, fitted])
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    n = 4 * report._CSV_ROWS
+    short, long = peak(n), peak(4 * n)
+    assert long <= 1.5 * short, (short, long)
