@@ -15,9 +15,11 @@ A chunk is tokenized and built in batches of about ``_BATCH_CELLS``
 cells: ``_batch_records`` records by the header's width, at most
 ``_BATCH_RECORDS`` and at least one.  Each batch's columns are parsed and
 checked, its lines or row lists dropped, and the next batch read; each
-built column's parts are joined once the chunk ends.  So a read holds one
-batch's lines or row lists, whatever the chunk size and the file's width,
-plus one chunk's columns.  Kinds, faults and chunk boundaries follow
+built column's parts are joined ``_JOIN_PARTS`` at a time while a joined
+part holds at most ``_BATCH_RECORDS`` rows, and all at once when the chunk
+ends.  So a read holds one batch's lines or row lists, whatever the chunk
+size and the file's width, plus one chunk's columns in a few arrays each,
+not a pair per batch.  Kinds, faults and chunk boundaries follow
 whole-chunk rules (below), so no result depends on the batch size.
 
 Each record is tokenized once per datastore.  ``open_datastore`` infers
@@ -115,6 +117,8 @@ _INT64 = np.iinfo(np.int64)
 # _BATCH_CELLS cells by the header's width, and at most _BATCH_RECORDS
 _BATCH_RECORDS = 2048
 _BATCH_CELLS = 65536
+# a built column's parts are joined this many at a time (_fold_parts)
+_JOIN_PARTS = 8
 _KINDS = ("integer", "real", "text")   # narrowest first
 _DTYPES = {"integer": np.int64, "real": np.float64, "text": object}
 # every byte but a comma and a line feed, which UTF-8 encodes as
@@ -193,6 +197,11 @@ class DataTable:
         v = self.columns[name]
         return v[~self.missing[name]] if skip_missing else v
 
+    def matrix(self, names):
+        """The columns ``names`` as one float array, a column per name."""
+        return np.column_stack([np.asarray(self.columns[n], dtype=float)
+                                for n in names])
+
     def missing_count(self, name):
         return int(self.missing[name].sum())
 
@@ -270,17 +279,17 @@ def _parse_plain(tokens, kind, missing_tokens):
     """Parse a column of raw tokens as numbers in one numpy call.
 
     ``kind`` is the column's kind, or None for the narrowest kind that
-    fits.  Returns (kind, values, missing mask), or None when a token is
-    not plain for ``kind`` or ``int``/``float`` rejects it: the caller
-    then parses cell by cell, which gives the same result or names the
-    malformed cell.  Only missing tokens that are their own stripped,
-    unquoted form are dropped here, so every dropped cell is one
-    ``parse_value`` also calls missing.
+    fits.  Returns (kind, values, missing mask), the mask None when no
+    cell is missing, or None when a token is not plain for ``kind`` or
+    ``int``/``float`` rejects it: the caller then parses cell by cell,
+    which gives the same result or names the malformed cell.  Only
+    missing tokens that are their own stripped, unquoted form are dropped
+    here, so every dropped cell is one ``parse_value`` also calls missing.
     """
     drop = _drop_set(missing_tokens)
     # list membership compares strings; a set test would hash every token
     if not any(t in tokens for t in drop):
-        present, mask = tokens, np.zeros(len(tokens), dtype=bool)
+        present, mask = tokens, None
     else:
         present = list(filterfalse(drop.__contains__, tokens))
         mask = np.fromiter(map(drop.__contains__, tokens), bool, len(tokens))
@@ -490,8 +499,9 @@ def _loadtxt_args(kinds, js, missing_tokens):
 def _parse_lines(lines, kinds, js, missing_tokens):
     """Columns ``js`` of a batch of ``_Lines``, each parsed at its kind in
     ``kinds`` by one ``np.loadtxt`` call, a field per column: j -> (values,
-    mask) of a numeric column, or the tokens of a text column.  A NaN cell
-    is missing, as ``parse_value`` has it.  When a missing token occurs in
+    mask) of a numeric column, the mask None when no cell is missing, or
+    the tokens of a text column.  A NaN cell is missing, as
+    ``parse_value`` has it.  When a missing token occurs in
     the text, a real column's cells go through a ``_NaNOrFloat``
     converter: NaN for a cell in ``_drop_set``, a cell ``parse_value``
     calls missing, else ``float``, which refuses any other missing cell
@@ -531,9 +541,13 @@ def _parse_lines(lines, kinds, js, missing_tokens):
             continue
         # a field of the records, copied as the csv path builds it
         values = np.ascontiguousarray(got[str(j)])
-        mask = np.isnan(values)   # no cell of an integer column
+        mask = None   # no cell of an integer column is missing
         if kinds[j] == "real":
-            values[mask] = np.nan   # one NaN, whatever sign or payload
+            mask = np.isnan(values)
+            if np.count_nonzero(mask):   # a third of .any()'s call cost
+                values[mask] = np.nan   # one NaN, whatever sign or payload
+            else:
+                mask = None
         out[j] = values, mask
     return out
 
@@ -653,6 +667,7 @@ def open_datastore(paths, chunk_size=10000, treat_as_missing=(),
                     kinds[j] = batch[j][0]
                 for j, part in parts.items():
                     part.append(batch[j][1:])
+                _fold_parts(parts, kinds)
                 nrows += len(rows)
                 del rows, batch   # before the next batch is read
             if nrows:
@@ -708,17 +723,51 @@ def _parse_column(tokens, spec, missing_tokens, context, row0=0):
                                             context, row0)
 
 
+def _rows(part):
+    """The number of rows of a (values, mask) part."""
+    values, mask = part
+    return len(mask if values is None else values)
+
+
 def _join(parts, kind):
     """One column from its batches' (values, mask) parts, where values of
-    None stand for a batch of missing cells."""
-    parts = [(_empty_column(kind, len(mask)) if values is None else values,
-              mask) for values, mask in parts]
+    None stand for a part whose every cell is missing and a mask of None
+    for one with none missing.  Of kind None, no kind yet, every part's
+    values are None, and so are the values joined; the mask joined is None
+    when every part's is."""
+    if kind is not None:
+        parts = [(_empty_column(kind, len(mask)) if values is None
+                  else values, mask) for values, mask in parts]
     if len(parts) == 1:
         return parts[0]
     if not parts:
-        return _empty_column(kind, 0), np.zeros(0, dtype=bool)
-    return (np.concatenate([v for v, _ in parts]),
-            np.concatenate([m for _, m in parts]))
+        return _empty_column(kind, 0), None
+    values = None if kind is None else np.concatenate([v for v, _ in parts])
+    if all(m is None for _, m in parts):
+        return values, None
+    # a part without a mask has values
+    return values, np.concatenate([np.zeros(len(v), dtype=bool)
+                                   if m is None else m for v, m in parts])
+
+
+def _fold_parts(parts, kinds):
+    """Join each column's last ``_JOIN_PARTS`` parts into one while they
+    are of one length and together hold at most ``_BATCH_RECORDS`` rows.
+    ``parts`` maps a column's position to its list of (values, mask)
+    parts, one appended per batch, and ``kinds`` a position to the kind
+    of those parts.  So a chunk of a wide file, read in many batches of
+    few records, is held in a few arrays per column: 800 columns take 81
+    records a batch, and a 2,048-row chunk five parts a column, not 26.
+    Batches of more than ``_BATCH_RECORDS / _JOIN_PARTS`` records, up to
+    255 columns, are never joined before the chunk ends.  As a part holds
+    one, ``_JOIN_PARTS`` or ``_JOIN_PARTS ** 2``... batches, lengths never
+    grow along a list, and every column's are the first's."""
+    sample = next(iter(parts.values()), ())
+    while (len(sample) >= _JOIN_PARTS
+           and _JOIN_PARTS * _rows(sample[-1]) <= _BATCH_RECORDS
+           and _rows(sample[-_JOIN_PARTS]) == _rows(sample[-1])):
+        for j, part in parts.items():
+            part[-_JOIN_PARTS:] = [_join(part[-_JOIN_PARTS:], kinds[j])]
 
 
 def _built(schema, columns):
@@ -750,11 +799,12 @@ def _build_chunk(batches, schema, missing_tokens, context, js):
     chunk's records, given in batches of ``_Lines`` or of rows.  Only those
     columns are parsed, and every record's width is checked.  Each batch
     is parsed before the next is read, and each column's parts are joined
-    at the end.  After a fault the rest of the chunk is still read and
-    checked before the faulty column, so the fault raised is the first in
-    column order, then row order: a short record is a fault at its first
-    absent column, above which the column's cells are checked first, and
-    a long record one after the last column."""
+    as ``_fold_parts`` has it, and all at the end.  After a fault the rest
+    of the chunk is still read and checked before the faulty column, so
+    the fault raised is the first in column order, then row order: a
+    short record is a fault at its first absent column, above which the
+    column's cells are checked first, and a long record one after the last
+    column."""
     parts = {j: [] for j in js}
     ncols, kinds = len(schema), [spec.kind for spec in schema]
     limit, fault, row0 = ncols + 1, None, 0   # columns before limit checked
@@ -766,6 +816,7 @@ def _build_chunk(batches, schema, missing_tokens, context, js):
                 for j, part in parts.items():
                     part.append(got[j] if kinds[j] != "text" else
                                 _parse_text(got[j], missing_tokens))
+                _fold_parts(parts, kinds)
                 row0 += len(rows)
                 del rows, got   # before the next batch is read
                 continue
@@ -790,6 +841,7 @@ def _build_chunk(batches, schema, missing_tokens, context, js):
                                        len(rows[i]), ncols)
         except MalformedValueError as exc:
             limit, fault, parts = j, exc, {}
+        _fold_parts(parts, kinds)
         row0 += len(rows)
         del rows   # before the next batch is read
     if fault is not None:
@@ -806,8 +858,10 @@ def _table(parts, schema, nrows, context):
     table, missing, kinds = {}, {}, {}
     for j in list(parts):
         spec = schema[j]
-        table[spec.name], missing[spec.name] = _join(parts.pop(j),
-                                                     spec.kind)
+        values, mask = _join(parts.pop(j), spec.kind)
+        table[spec.name] = values
+        missing[spec.name] = (np.zeros(len(values), dtype=bool)
+                              if mask is None else mask)
         if spec.kind == "real" and np.isinf(table[spec.name]).any():
             row = np.isinf(table[spec.name]).argmax()
             raise InfiniteValueError(f"{context} row {row}", spec.name)

@@ -12,8 +12,11 @@ is written, so a run that fails leaves none of them.
 Exit codes: 0 success, 1 model/domain error, 2 usage error.
 The output directory comes from --out, overridable by $DWKIT_OUT.
 
-Each command imports the modules it runs once it is dispatched, so
-parsing the arguments loads none of them.
+Each command imports the modules it runs once it is dispatched and its
+flags are checked, so parsing the arguments, ``--help``, ``--version`` and
+a missing flag's usage error load none of them, nor numpy: ``import
+dwkit.cli`` loads no numpy, and only a command that computes on arrays
+imports it.
 """
 from __future__ import annotations
 
@@ -23,8 +26,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import __version__, report
 from .errors import ConfigError, DwkitError, MissingFileError
@@ -47,7 +48,8 @@ _WORKLOAD_FIELDS = {
 _KERNEL_FIELDS = {"name": string, "throughput": _RATE}
 _NAMES = list_of(string)
 # copies of placement.MODES and mapreduce.BUILTIN_REDUCERS's names, which
-# a test pins, so that building the parser imports neither module
+# a test pins, so that neither building the parser nor checking a
+# command's flags imports either module
 _MODES = ("managed", "lossy-priority-baseline")
 _REDUCERS = ("max", "mean", "min", "sum")
 _OP = accept(f"count or REDUCER:COLUMN with REDUCER in {list(_REDUCERS)}",
@@ -239,38 +241,24 @@ def _moments_from_csv(path):
     names = [n for n, kind in kinds.items() if kind in ("integer", "real")]
     if not names:
         raise ConfigError(f"{path} has no numeric columns")
-    moments = schema_pca.Moments.of(np.empty((0, len(names))), names)
+    moments = schema_pca.Moments.empty(names)
     dropped = 0
     for table in chunkstore.read_chunks(ds, names):
         table, gone = table.complete_cases(names)
         dropped += gone
-        moments = moments.merge(schema_pca.Moments.of(np.column_stack(
-            [np.asarray(table.column(n), dtype=float) for n in names]),
-            names))
+        moments = moments.merge(schema_pca.Moments.of(table.matrix(names),
+                                                      names))
         del table   # before the next chunk is read
     if moments.n < 2:
         raise DwkitError(f"{path} has {moments.n} row(s) with every "
                          f"numeric column present; design-schema needs 2")
-    _refuse_overflow(path, moments)
+    moments.refuse_overflow(path)
     text = [n for n, kind in kinds.items() if kind == "text"]
     warnings = _dropped_warnings(dropped, "a numeric column")
     if text:
         warnings.append(f"left out {len(text)} column(s) that are not "
                         f"numeric: {text}")
     return moments, warnings
-
-
-def _refuse_overflow(source, moments):
-    """Name the first column of ``moments`` whose values differ and whose
-    sum of squared deviations overflows, which numpy would only warn of."""
-    over = np.flatnonzero(~np.isfinite(np.diagonal(moments.comoment))
-                          & (moments.low < moments.high))
-    if over.size:
-        j = over[0]
-        m = max(-moments.low[j], moments.high[j])
-        raise DwkitError(f"{source}: column {moments.col_names[j]!r} holds "
-                         f"a value of magnitude {m:.3g}; its sum of squares "
-                         f"over {moments.n} rows overflows")
 
 
 def _dropped_warnings(dropped, where):
@@ -280,11 +268,11 @@ def _dropped_warnings(dropped, where):
 
 
 def _cmd_design_schema(args, _output):
-    from . import schema_pca
     cfg = _command_config(args, {"input": string,
                                  "threshold": fraction(zero=False)})
     if "input" not in cfg:
         raise ConfigError("design-schema needs --input CSV")
+    from . import schema_pca
     path = cfg["input"]
     threshold = cfg.get("threshold", schema_pca.DEFAULT_VARIANCE_THRESHOLD)
     moments, warnings = _moments_from_csv(path)
@@ -311,12 +299,12 @@ def _cmd_design_schema(args, _output):
 # --- simulate ---
 
 def _cmd_simulate(args, output):
-    from . import placement
     cfg = _command_config(args, {
         "scenario": string, "until": quantity("seconds"),
-        "mode": choice(*placement.MODES)})
+        "mode": choice(*_MODES)})
     if "scenario" not in cfg:
         raise ConfigError("simulate needs --scenario FILE")
+    from . import placement
     scenario = _load_config(cfg["scenario"], "scenario")
     policy = scenario.get("policy", {})
     # a policy that is not an object is refused by build_simulator
@@ -353,16 +341,19 @@ def write_log(events, path):
 
 
 def _cmd_mapreduce(args, output):
-    from . import chunkstore, fixtures
-    from .mapreduce import LogWriter, fold_op, make_ops_mapper, reduce_op
     cfg = _command_config(args, {"input": _NAMES, "chunk_size": integer(1),
                                  "operations": list_of(_OP),
                                  "missing_tokens": _NAMES})
-    inputs = cfg.get("input") or [fixtures.server_records_path()]
+    inputs = cfg.get("input")
     ops = cfg.get("operations")
     chunk_size = cfg.get("chunk_size", 1000)
     if not ops:
         raise ConfigError("mapreduce needs at least one --op")
+    from . import chunkstore
+    from .mapreduce import LogWriter, fold_op, make_ops_mapper, reduce_op
+    if not inputs:
+        from . import fixtures
+        inputs = [fixtures.server_records_path()]
     parsed = [(op, "count", None) if op == "count" else (op, *op.split(":", 1))
               for op in dict.fromkeys(ops)]
     columns = {column for _, _, column in parsed if column is not None}
@@ -395,21 +386,22 @@ def _cmd_mapreduce(args, output):
 def _cmd_regress(args, output):
     from dataclasses import asdict
 
-    from . import chunkstore, fixtures, regress, schema_pca
     cfg = _command_config(args, {"input": string, "response": string,
                                  "predictors": _NAMES, "encode": _NAMES})
     path = cfg.get("input")
     response = cfg.get("response")
     predictors = cfg.get("predictors")
     encode = cfg.get("encode") or []
-    # usage errors come before the read: a missing flag or a malformed
-    # model before the input is opened, a name the input lacks once its
-    # schema is known
+    # usage errors come before the read: a missing flag before any compute
+    # module loads, a malformed model before the input is opened, a name
+    # the input lacks once its schema is known
     if path is None:
+        from . import fixtures
         response = response or fixtures.WAREHOUSE_RESPONSE
         predictors = predictors or list(fixtures.WAREHOUSE_PREDICTORS)
     elif response is None or not predictors:
         raise ConfigError("regress needs --response and --predictors")
+    from . import chunkstore, regress, schema_pca
     try:
         spec = regress.ModelSpec(response, predictors)
     except ValueError as exc:
@@ -435,9 +427,8 @@ def _cmd_regress(args, output):
     # incomplete rows are dropped, as design-schema does
     names = [response, *predictors]
     table, dropped = table.complete_cases(names)
-    moments = schema_pca.Moments.of(np.column_stack(
-        [np.asarray(table.column(n), dtype=float) for n in names]), names)
-    _refuse_overflow(source, moments)
+    moments = schema_pca.Moments.of(table.matrix(names), names)
+    moments.refuse_overflow(source)
     try:
         fit = regress.fit_model(table, spec)
     # too few rows, or a collinear predictor
@@ -476,9 +467,9 @@ def _cmd_regress(args, output):
 
     # every file's y is the response column, formatted once for all
     # files; write_csv formats x and the fitted line a slice at a time
-    y = report.float_texts(np.asarray(table.column(response), dtype=float))
+    y = report.float_texts(table.column(response))
     for ln in lines:
-        x = np.asarray(table.column(ln.predictor), dtype=float)
+        x = table.column(ln.predictor)
         report.write_csv(output.stage(f"factor_{ln.predictor}.csv"),
                          [ln.predictor, response, "fitted"],
                          [x, y, ln.intercept + ln.slope * x])

@@ -9,8 +9,6 @@ by far the most single-variable variance.
 """
 from __future__ import annotations
 
-import importlib.resources
-
 import numpy as np
 
 from .chunkstore import DataTable
@@ -50,7 +48,10 @@ def warehouse_survey_table() -> DataTable:
 
 
 def data_path(name) -> str:
-    """Filesystem path of a bundled data file."""
+    """Filesystem path of a bundled data file.  ``importlib.resources``
+    is imported here, as it costs tens of ms to import and only a command
+    that reads bundled data needs it."""
+    import importlib.resources
     return str(importlib.resources.files("dwkit").joinpath("data", name))
 
 

@@ -191,8 +191,7 @@ def _sum_of_squares(d):
 
 
 def fit_model(table: DataTable, spec: ModelSpec) -> RegressionFit:
-    X = np.column_stack([np.asarray(table.column(p), dtype=float)
-                         for p in spec.predictors])
+    X = table.matrix(spec.predictors)
     y = np.asarray(table.column(spec.response), dtype=float)
     return fit_ols(X, y, names=spec.predictors, response=spec.response)
 

@@ -15,14 +15,18 @@ whatever its length: each float of a slice once, or each distinct value
 once where the slice's first values repeat.  Formatting floats dominates
 both (``float.__repr__`` is a shortest round-trip conversion, hundreds of
 ns a value), so the work is to format fewer of them.
+
+Importing this module loads no numpy.  The walk tells a numpy value by the
+types of the numpy in ``sys.modules``: a value of numpy's can exist only
+once numpy is imported, so a report without one needs no numpy.  The CSV
+writer imports numpy where it runs.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-
-import numpy as np
+import sys
 
 from .errors import DwkitError
 
@@ -55,10 +59,10 @@ def _render(value, depth=0):
     ``float.__repr__`` as ``json`` does, and its text serves both.  A list
     of floats only, such as a row of loadings, is joined in C.
     ``_NonFinite`` on NaN or infinity."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()   # plain Python scalars, in nested lists
-    elif isinstance(value, np.generic):
-        value = value.item()
+    np = sys.modules.get("numpy")   # none: no value can be numpy's
+    if np is not None and isinstance(value, (np.ndarray, np.generic)):
+        # plain Python scalars, in nested lists for an array
+        value = value.tolist()
     elif isinstance(value, tuple):
         value = list(value)
     pad = "  " * depth
@@ -148,13 +152,14 @@ def emit_report(report: dict, outdir) -> dict:
 
 
 def write_csv(path, header, columns):
-    """Write ``header`` and the data rows of ``columns``: each a float
-    array, formatted here by ``float_texts``, or a list of texts, written
-    as they are.  The header goes through ``csv.writer``, so a name holding
-    a comma or a quote is quoted; the cells, numbers that need no quoting,
-    are joined into ``\r\n``-ended lines in C.  Rows are formatted, joined
-    and written ``_CSV_ROWS`` at a time, so the texts held at once are one
-    slice's, whatever the file's length."""
+    """Write ``header`` and the data rows of ``columns``: each a numeric
+    array, formatted here by ``float_texts`` as floats, or a list of
+    texts, written as they are.  The header goes through ``csv.writer``,
+    so a name holding a comma or a quote is quoted; the cells, numbers
+    that need no quoting, are joined into ``\r\n``-ended lines in C.  Rows
+    are formatted, joined and written ``_CSV_ROWS`` at a time, so the
+    texts held at once are one slice's, whatever the file's length."""
+    import numpy as np
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, len(columns[0]), _CSV_ROWS):
@@ -167,7 +172,8 @@ def write_csv(path, header, columns):
 
 
 def float_texts(values):
-    """``repr`` of each float in the 1-D array ``values``, as a list.
+    """``repr`` of each value of the 1-D numeric array ``values`` as a
+    float, as a list.
 
     A column whose first values repeat, such as a 0/1 flag or its fitted
     line, has each distinct value formatted once and its texts picked by
@@ -177,6 +183,7 @@ def float_texts(values):
     0.5 ms more (6.3 against 5.8 ms on a 2-vCPU VM), and over the 22
     columns of a warehouse-fit ``regress`` the direct path took 76
     against 86 ms at the minimum of 60 alternating rounds."""
+    import numpy as np
     values = np.ascontiguousarray(values, dtype=np.float64)
     head = values[:64].tolist()
     if len(set(head)) == len(head):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidCorrelationError, ZeroVarianceColumnError
+from .errors import (DwkitError, InvalidCorrelationError,
+                     ZeroVarianceColumnError)
 
 # |loading| below this sends a variable to the unassigned pool
 ASSIGNMENT_FLOOR = 0.3
@@ -98,6 +99,11 @@ class Moments:
         return cls(n, mean, comoment, v.min(axis=0, initial=np.inf),
                    v.max(axis=0, initial=-np.inf), list(names))
 
+    @classmethod
+    def empty(cls, names) -> Moments:
+        """The moments of no rows of the columns ``names``."""
+        return cls.of(np.empty((0, len(names))), names)
+
     def merge(self, other: Moments) -> Moments:
         """The moments of this block's rows and ``other``'s together."""
         if not other.n:
@@ -112,6 +118,19 @@ class Moments:
                         + np.outer(delta, delta * (self.n * other.n / n)))
         return Moments(n, mean, comoment, np.minimum(self.low, other.low),
                        np.maximum(self.high, other.high), self.col_names)
+
+    def refuse_overflow(self, source):
+        """Name, in a DwkitError that starts with ``source``, the first
+        column whose values differ and whose sum of squared deviations
+        overflows, which numpy would only warn of."""
+        over = np.flatnonzero(~np.isfinite(np.diagonal(self.comoment))
+                              & (self.low < self.high))
+        if over.size:
+            j = over[0]
+            m = max(-self.low[j], self.high[j])
+            raise DwkitError(f"{source}: column {self.col_names[j]!r} holds "
+                             f"a value of magnitude {m:.3g}; its sum of "
+                             f"squares over {self.n} rows overflows")
 
     def correlation(self) -> CorrelationMatrix:
         """Pearson correlation of every column pair.  A column is of zero

@@ -593,8 +593,10 @@ class TestBatchCells:
         # a 2,048-row read that builds four columns holds one batch of
         # about _BATCH_CELLS cells, at 100 columns as at 800, where a batch
         # of 2,048 records took eight times the memory; one that builds
-        # every column drops each column's parts once they are joined, so
-        # it never holds its columns twice
+        # every column holds its 26 batches' parts in a few arrays a
+        # column, and drops each column's parts once they are joined, so
+        # that it holds at most 15% above its columns, where a pair of
+        # arrays per column and batch took 46%
         rng = np.random.default_rng(7)
 
         def above(ncols, columns):
@@ -619,4 +621,4 @@ class TestBatchCells:
         narrow, wide = above(100, few)[0], above(800, few)[0]
         assert wide <= 1.5 * narrow, (narrow, wide)
         extra, built = above(800, None)
-        assert extra < built, (extra, built)
+        assert extra <= 0.15 * built, (extra, built)

@@ -1225,19 +1225,20 @@ def test_no_command_needs_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# the modules that only some commands run
+# the modules that only some commands run, and numpy, which only the
+# commands that compute on arrays load
 COMMAND_MODULES = {"chunkstore", "fixtures", "mapreduce", "placement",
-                   "regress", "schema_pca", "staging"}
+                   "regress", "schema_pca", "staging", "numpy"}
 
 
 def dwkit_modules_after(code):
     """The names of the dwkit submodules a fresh interpreter has loaded
-    once it has run ``code``."""
+    once it has run ``code``, and ``numpy`` if it has loaded numpy."""
     proc = run_code(f"{code}\nimport json, sys\n"
                     f"print(json.dumps([m for m in sys.modules "
-                    f"if m.startswith('dwkit.')]))")
+                    f"if m.startswith('dwkit.') or m == 'numpy']))")
     assert proc.returncode == 0, proc.stderr
-    return {m.split(".", 1)[1]
+    return {m.split(".", 1)[-1]
             for m in json.loads(proc.stdout.splitlines()[-1])}
 
 
@@ -1251,19 +1252,41 @@ def test_importing_the_cli_loads_no_command_module():
 
 @pytest.mark.parametrize("command, argv, modules", [
     ("plan", [], {"staging"}),
-    ("simulate", ["--scenario", overload_scenario_path()], {"placement"}),
-    ("mapreduce", ["--op", "count"], {"chunkstore", "mapreduce", "fixtures"}),
+    ("simulate", ["--scenario", overload_scenario_path()],
+     {"placement", "numpy"}),
+    ("mapreduce", ["--op", "count"],
+     {"chunkstore", "mapreduce", "fixtures", "numpy"}),
     ("design-schema", ["--input", server_records_path()],
-     {"chunkstore", "schema_pca"}),
-    ("regress", [], {"chunkstore", "regress", "schema_pca", "fixtures"}),
+     {"chunkstore", "schema_pca", "numpy"}),
+    ("regress", [], {"chunkstore", "regress", "schema_pca", "fixtures",
+                     "numpy"}),
+    ("mapreduce", ["--input", server_records_path(), "--op", "count"],
+     {"chunkstore", "mapreduce", "numpy"}),
+    ("regress", ["--input", server_records_path(), "--response", "Delay",
+                 "--predictors", "ActualElapsedTime"],
+     {"chunkstore", "regress", "schema_pca", "numpy"}),
+    # the parser's own exits, and each missing flag's usage error
+    ("--help", [], set()),
+    ("--version", [], set()),
+    ("design-schema", [], set()),
+    ("simulate", [], set()),
+    ("mapreduce", [], set()),
+    ("regress", ["--input", server_records_path()], set()),
 ])
 def test_a_command_loads_only_its_modules(tmp_path, command, argv,
                                           modules):
     if command == "plan":
         argv = ["--config", write_config(tmp_path, PLAN_CONFIG), *argv]
-    argv = [command, *argv, "--out", str(tmp_path / "out")]
+    argv = [command, *argv]
+    if not command.startswith("--"):
+        argv += ["--out", str(tmp_path / "out")]
+    # a command that loads none of its modules stops at a usage error, as
+    # only the parser's --help and --version exit 0 before dispatch
+    status = 0 if modules or command.startswith("--") else 2
     loaded = dwkit_modules_after(
-        f"from dwkit.cli import main\nassert main({argv!r}) == 0")
+        f"from dwkit.cli import main\ntry:\n    status = main({argv!r})\n"
+        f"except SystemExit as exc:\n    status = exc.code\n"
+        f"assert status == {status!r}, status")
     assert loaded & COMMAND_MODULES == modules
 
 
@@ -1298,7 +1321,7 @@ def test_the_function_mapreduce_keeps_its_name_after_its_module_loads():
         "from dwkit import mapreduce\n"
         "assert mapreduce is sys.modules['dwkit.mapreduce'].mapreduce\n"
         "assert dwkit.chunkstore is sys.modules['dwkit.chunkstore']") \
-        == {"chunkstore", "errors", "mapreduce"}
+        == {"chunkstore", "errors", "mapreduce", "numpy"}
 
 
 def test_version_flag():

@@ -232,7 +232,7 @@ def test_write_csv_formats_each_slice_by_its_own_head(tmp_path,
         tables.append(len(args[0]))
         return unique(*args, **kwargs)
     monkeypatch.setattr(report, "_CSV_ROWS", 64)
-    monkeypatch.setattr(report.np, "unique", counting)
+    monkeypatch.setattr(np, "unique", counting)
     values = np.array(FLAG_THEN_DISTINCT)
     report.write_csv(tmp_path / "f.csv", ["x"], [values])
     assert tables == [64, 3]
